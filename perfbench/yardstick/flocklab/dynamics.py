@@ -1,0 +1,368 @@
+"""Agent state, alignment dynamics, time integration and diagnostics.
+
+Every model reduces to dv_i/dt = alpha * (sum_j a_ij v_j - v_i) with a
+row-stochastic matrix from :mod:`flocklab.influence`, so the new velocity
+under explicit Euler with alpha*dt <= 1 is a convex combination of the old
+ones.  That makes the velocity diameter non-increasing per step, which is the
+exact discrete invariant the verification suite leans on; rk4 is the accuracy
+scheme and rebuilds the matrix at every stage.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
+
+import numpy as np
+from scipy.spatial.distance import cdist
+
+from .errors import StabilityError
+from .influence import (
+    InfluenceFunction,
+    InfluenceMatrix,
+    build_cs,
+    build_leader,
+    build_mt,
+    build_vision,
+)
+
+MODEL_KINDS = ("cs", "mt", "leader", "vision")
+
+
+@dataclass(frozen=True)
+class AgentEnsemble:
+    """Positions and velocities of N agents at one time instant."""
+
+    t: float
+    positions: np.ndarray
+    velocities: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.positions, dtype=float)
+        v = np.asarray(self.velocities, dtype=float)
+        object.__setattr__(self, "positions", x)
+        object.__setattr__(self, "velocities", v)
+        if x.ndim != 2 or v.ndim != 2:
+            raise ValueError("positions and velocities must be (N, d) arrays")
+        if x.shape != v.shape:
+            raise ValueError("positions and velocities must have equal shapes")
+        if x.shape[0] < 1:
+            raise ValueError("at least one agent required")
+        if x.shape[1] not in (1, 2, 3):
+            raise ValueError("spatial dimension must be 1, 2 or 3")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise ValueError("coordinates must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.positions.shape[1]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Which matrix builder to use and its parameters.
+
+    alpha is the positive coupling rate; beta/leader apply to the leader
+    model, gamma/normalization to the vision model, and must be present
+    exactly when that model is selected.
+    """
+
+    model: str
+    phi: InfluenceFunction
+    alpha: float
+    beta: Optional[float] = None
+    leader: Optional[int] = None
+    gamma: Optional[float] = None
+    normalization: Optional[str] = None
+
+    def __post_init__(self):
+        if self.model not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.model!r}")
+        if not (self.alpha > 0):
+            raise ValueError("alpha must be positive")
+        needs_leader = self.model == "leader"
+        needs_vision = self.model == "vision"
+        if needs_leader != (self.beta is not None and self.leader is not None):
+            raise ValueError("beta and leader index required exactly for the leader model")
+        if needs_vision != (self.gamma is not None and self.normalization is not None):
+            raise ValueError("gamma and normalization required exactly for the vision model")
+        if not needs_leader and (self.beta is not None or self.leader is not None):
+            raise ValueError("beta/leader only valid for the leader model")
+        if not needs_vision and (self.gamma is not None or self.normalization is not None):
+            raise ValueError("gamma/normalization only valid for the vision model")
+
+
+def build_matrix(ensemble: AgentEnsemble, model: ModelSpec) -> InfluenceMatrix:
+    """Assemble the influence matrix for the ensemble's current geometry."""
+    if model.model == "cs":
+        return build_cs(ensemble.positions, model.phi)
+    if model.model == "mt":
+        return build_mt(ensemble.positions, model.phi)
+    if model.model == "leader":
+        return build_leader(ensemble.positions, model.phi, model.beta, model.leader)
+    return build_vision(
+        ensemble.positions, ensemble.velocities, model.phi, model.gamma, model.normalization
+    )
+
+
+def rhs(ensemble: AgentEnsemble, model: ModelSpec) -> np.ndarray:
+    """Accelerations alpha * (a v - v), one row per agent."""
+    a = build_matrix(ensemble, model).entries
+    return model.alpha * (a @ ensemble.velocities - ensemble.velocities)
+
+
+def _euler_step(ensemble: AgentEnsemble, model: ModelSpec, dt: float) -> AgentEnsemble:
+    acc = rhs(ensemble, model)
+    return AgentEnsemble(
+        t=ensemble.t + dt,
+        positions=ensemble.positions + dt * ensemble.velocities,
+        velocities=ensemble.velocities + dt * acc,
+    )
+
+
+def _rk4_step(ensemble: AgentEnsemble, model: ModelSpec, dt: float) -> AgentEnsemble:
+    x0, v0, t0 = ensemble.positions, ensemble.velocities, ensemble.t
+
+    def stage(x, v):
+        state = AgentEnsemble(t=t0, positions=x, velocities=v)
+        return v, rhs(state, model)
+
+    kx1, kv1 = stage(x0, v0)
+    kx2, kv2 = stage(x0 + 0.5 * dt * kx1, v0 + 0.5 * dt * kv1)
+    kx3, kv3 = stage(x0 + 0.5 * dt * kx2, v0 + 0.5 * dt * kv2)
+    kx4, kv4 = stage(x0 + dt * kx3, v0 + dt * kv3)
+    return AgentEnsemble(
+        t=t0 + dt,
+        positions=x0 + dt / 6.0 * (kx1 + 2.0 * (kx2 + kx3) + kx4),
+        velocities=v0 + dt / 6.0 * (kv1 + 2.0 * (kv2 + kv3) + kv4),
+    )
+
+
+def step(ensemble: AgentEnsemble, model: ModelSpec, dt: float, scheme: str = "euler") -> AgentEnsemble:
+    """Advance one step of size dt with 'euler' or 'rk4'."""
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    if scheme == "euler":
+        if model.alpha * dt > 1.0:
+            raise StabilityError(
+                f"explicit Euler needs alpha*dt <= 1, got {model.alpha * dt}"
+            )
+        out = _euler_step(ensemble, model, dt)
+    elif scheme == "rk4":
+        out = _rk4_step(ensemble, model, dt)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not (np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.velocities))):
+        raise FloatingPointError("non-finite state after time step")
+    return out
+
+
+def diameters(ensemble: AgentEnsemble) -> Tuple[float, float]:
+    """Max pairwise position and velocity distances (exhaustive scan)."""
+    d_x = float(np.max(cdist(ensemble.positions, ensemble.positions)))
+    d_v = float(np.max(cdist(ensemble.velocities, ensemble.velocities)))
+    return d_x, d_v
+
+
+def bulk_momentum(ensemble: AgentEnsemble) -> np.ndarray:
+    """Mean velocity (1/N) sum_i v_i."""
+    return ensemble.velocities.mean(axis=0)
+
+
+@dataclass
+class TrajectoryRecord:
+    """Per-step diagnostics plus optional state snapshots.
+
+    times, position_diameter, velocity_diameter and momentum all have one
+    entry per recorded instant (initial state included).  snapshots holds the
+    full ensembles every ``snapshot_stride`` steps (and always the initial
+    one) when the stride is positive.
+    """
+
+    times: np.ndarray
+    position_diameter: np.ndarray
+    velocity_diameter: np.ndarray
+    momentum: np.ndarray
+    snapshot_stride: int = 0
+    snapshots: List[AgentEnsemble] = field(default_factory=list)
+
+    def __post_init__(self):
+        k = len(self.times)
+        if not (len(self.position_diameter) == len(self.velocity_diameter) == len(self.momentum) == k):
+            raise ValueError("diagnostic series must have equal lengths")
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("times must be strictly increasing")
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+
+
+def simulate(
+    initial: AgentEnsemble,
+    model: ModelSpec,
+    dt: float,
+    t_final: float,
+    scheme: str = "euler",
+    snapshot_stride: int = 0,
+) -> TrajectoryRecord:
+    """Integrate to t_final, recording diameters and momentum at every step.
+
+    The horizon is rounded to a whole number of steps of size dt.
+    """
+    if not (t_final > 0):
+        raise ValueError("t_final must be positive")
+    n_steps = max(1, int(round(t_final / dt)))
+    times = [initial.t]
+    d_x0, d_v0 = diameters(initial)
+    dx_series, dv_series = [d_x0], [d_v0]
+    momenta = [bulk_momentum(initial)]
+    snapshots = [initial] if snapshot_stride > 0 else []
+
+    state = initial
+    for k in range(1, n_steps + 1):
+        state = step(state, model, dt, scheme)
+        times.append(state.t)
+        d_x, d_v = diameters(state)
+        dx_series.append(d_x)
+        dv_series.append(d_v)
+        momenta.append(bulk_momentum(state))
+        if snapshot_stride > 0 and k % snapshot_stride == 0:
+            snapshots.append(state)
+
+    return TrajectoryRecord(
+        times=np.array(times),
+        position_diameter=np.array(dx_series),
+        velocity_diameter=np.array(dv_series),
+        momentum=np.array(momenta),
+        snapshot_stride=snapshot_stride,
+        snapshots=snapshots,
+    )
+
+
+@dataclass(frozen=True)
+class UniformGrid:
+    """Uniform cell grid in 1 or 2 dimensions; cells are dx-sided."""
+
+    mins: Tuple[float, ...]
+    dx: float
+    counts: Tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.mins) != len(self.counts) or len(self.mins) not in (1, 2):
+            raise ValueError("grid must be 1D or 2D with matching mins/counts")
+        if not (self.dx > 0) or any(c < 1 for c in self.counts):
+            raise ValueError("dx must be positive and counts >= 1")
+
+    @property
+    def d(self) -> int:
+        return len(self.mins)
+
+    @property
+    def cell_volume(self) -> float:
+        return self.dx ** self.d
+
+    def centers(self, axis: int) -> np.ndarray:
+        return self.mins[axis] + self.dx * (np.arange(self.counts[axis]) + 0.5)
+
+
+@dataclass(frozen=True)
+class DensityField:
+    grid: UniformGrid
+    values: np.ndarray
+
+    def total_mass(self) -> float:
+        return float(self.values.sum() * self.grid.cell_volume)
+
+
+def _extend_grid(grid: UniformGrid, positions: np.ndarray, pad: float) -> UniformGrid:
+    mins, counts = list(grid.mins), list(grid.counts)
+    for ax in range(grid.d):
+        lo = positions[:, ax].min() - pad
+        hi = positions[:, ax].max() + pad
+        below = max(0, int(np.ceil((mins[ax] - lo) / grid.dx)))
+        mins[ax] -= below * grid.dx
+        counts[ax] += below
+        top = mins[ax] + counts[ax] * grid.dx
+        counts[ax] += max(0, int(np.ceil((hi - top) / grid.dx)))
+    return UniformGrid(mins=tuple(mins), dx=grid.dx, counts=tuple(counts))
+
+
+def empirical_density(
+    ensemble: AgentEnsemble,
+    grid: UniformGrid,
+    mode: str = "histogram",
+    h: Optional[float] = None,
+    strict: bool = False,
+) -> DensityField:
+    """Deposit weight 1/N per agent on the grid.
+
+    histogram mode drops each agent into its cell; gaussian mode evaluates an
+    isotropic kernel of bandwidth h at cell centers (h >= dx keeps the lattice
+    sum of the kernel within rounding of 1).  Outside agents extend the grid
+    unless strict, in which case they raise.
+    """
+    if grid.d != ensemble.d:
+        raise ValueError("grid dimension must match ensemble dimension")
+    x = ensemble.positions
+    n = ensemble.n
+    if mode == "gaussian":
+        if h is None or not (h > 0):
+            raise ValueError("gaussian mode needs bandwidth h > 0")
+        pad = 8.0 * h
+    elif mode == "histogram":
+        pad = 0.0
+    else:
+        raise ValueError(f"unknown density mode {mode!r}")
+
+    for ax in range(grid.d):
+        lo, hi = grid.mins[ax], grid.mins[ax] + grid.counts[ax] * grid.dx
+        if np.any(x[:, ax] < lo) or np.any(x[:, ax] > hi):
+            if strict:
+                raise ValueError("agent outside grid in strict mode")
+            grid = _extend_grid(grid, x, pad)
+            break
+    else:
+        if mode == "gaussian" and not strict:
+            grid = _extend_grid(grid, x, pad)
+
+    values = np.zeros(grid.counts)
+    if mode == "histogram":
+        idx = []
+        for ax in range(grid.d):
+            k = np.floor((x[:, ax] - grid.mins[ax]) / grid.dx).astype(int)
+            idx.append(np.clip(k, 0, grid.counts[ax] - 1))
+        np.add.at(values, tuple(idx), 1.0 / (n * grid.cell_volume))
+    else:
+        axes = [grid.centers(ax) for ax in range(grid.d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        norm = (2.0 * np.pi) ** (grid.d / 2.0) * h**grid.d
+        for i in range(n):
+            sq = sum((m - x[i, ax]) ** 2 for ax, m in enumerate(mesh))
+            values += np.exp(-sq / (2.0 * h * h)) / (norm * n)
+    return DensityField(grid=grid, values=values)
+
+
+def kinetic_consistency_check(
+    ensemble: AgentEnsemble, phi: InfluenceFunction, alpha: float
+) -> float:
+    """Max deviation between the mean-field vector field evaluated on the
+    empirical measure and the relative-influence right-hand side.
+
+    The two are the same sum written down differently (empirical weights 1/N
+    against matrix rows), so the result must sit at rounding level.
+    """
+    x, v, n = ensemble.positions, ensemble.velocities, ensemble.n
+    w = phi(cdist(x, x))
+    # empirical-measure route, 1/N weights kept explicit
+    num = alpha * ((w / n)[:, :, None] * (v[None, :, :] - v[:, None, :])).sum(axis=1)
+    den = (w / n).sum(axis=1)
+    field_route = num / den[:, None]
+
+    model = ModelSpec(model="mt", phi=phi, alpha=alpha)
+    matrix_route = rhs(ensemble, model)
+    return float(np.max(np.linalg.norm(field_route - matrix_route, axis=1)))

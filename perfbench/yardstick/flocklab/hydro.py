@@ -1,0 +1,272 @@
+"""Pressureless hydrodynamics with nonlocal velocity relaxation.
+
+The 1D Eulerian solver advances cell densities with a conservative
+donor-cell upwind flux and cell velocities with non-conservative upwind
+advection plus relaxation toward the density-weighted nonlocal average.  The
+exterior is vacuum, so mass only changes if the support actually reaches the
+boundary.  The Lagrangian form follows mass particles along characteristics
+in any dimension; with equal masses it is identical to the relative-influence
+particle model.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+from scipy.spatial.distance import cdist
+
+from .errors import StabilityError
+from .flocking import FlockingCertificate, certify
+from .influence import InfluenceFunction, eval_influence
+
+CFL_LIMIT = 0.9
+# Cells this far below the density peak are vacuum: excluded from the
+# nonlocal average and frozen by the velocity update.
+VACUUM_RELATIVE_THRESHOLD = 1e-14
+DEFAULT_SUPPORT_EPSILON = 1e-6
+
+
+@dataclass(frozen=True)
+class HydroState1D:
+    """Cell-centered density and velocity on a uniform 1D grid."""
+
+    x_min: float
+    dx: float
+    rho: np.ndarray
+    u: np.ndarray
+    t: float = 0.0
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "u", u)
+        if not (self.dx > 0):
+            raise ValueError("dx must be positive")
+        if rho.ndim != 1 or rho.shape != u.shape or rho.size < 1:
+            raise ValueError("rho and u must be equal-length 1D arrays")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(u))):
+            raise ValueError("fields must be finite")
+        if np.any(rho < 0):
+            raise ValueError("density must be non-negative")
+
+    @property
+    def n_cells(self) -> int:
+        return self.rho.size
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.x_min + self.dx * (np.arange(self.n_cells) + 0.5)
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.rho.sum() * self.dx)
+
+    def vacuum_mask(self) -> np.ndarray:
+        return self.rho < VACUUM_RELATIVE_THRESHOLD * self.rho.max()
+
+
+def nonlocal_average(state: HydroState1D, phi: InfluenceFunction) -> np.ndarray:
+    """Density-weighted kernel average of u at every cell center.
+
+    Vacuum cells are excluded from numerator and denominator; a cell whose
+    kernel reach contains no mass (possible for cutoff kernels) keeps its own
+    velocity, i.e. feels no relaxation.
+    """
+    rho_eff = np.where(state.vacuum_mask(), 0.0, state.rho)
+    if rho_eff.sum() == 0.0:
+        raise ValueError("nonlocal average undefined for all-zero density")
+    centers = state.centers
+    kernel = eval_influence(phi, np.abs(centers[:, None] - centers[None, :]))
+    num = kernel @ (rho_eff * state.u) * state.dx
+    den = kernel @ rho_eff * state.dx
+    out = state.u.copy()
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
+
+
+def step_eulerian(
+    state: HydroState1D,
+    phi: InfluenceFunction,
+    alpha: float,
+    dt: float,
+    periodic: bool = False,
+) -> HydroState1D:
+    """One forward step: donor-cell mass flux, upwind velocity advection,
+    relaxation toward the nonlocal average.  Vacuum cells keep their velocity.
+
+    The default boundary is outflow against a vacuum exterior (nothing comes
+    in, outgoing mass leaves and is lost); grids should be sized so the
+    support never reaches the edge.  periodic=True wraps the mass flux and
+    the velocity gradient instead (the kernel average still uses line
+    distances, so use it only for translation-invariant sanity states).
+    """
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    rho, u, dx = state.rho, state.u, state.dx
+    n = rho.size
+    vacuum = state.vacuum_mask()
+    # vacuum velocities are inert, so only the support constrains the step
+    vmax = float(np.max(np.abs(np.where(vacuum, 0.0, u))))
+    if dt * vmax / dx > CFL_LIMIT + 1e-12:
+        raise StabilityError(
+            f"CFL violated: dt*max|u|/dx = {dt * vmax / dx:.6g} > {CFL_LIMIT}"
+        )
+    if alpha * dt > 1.0:
+        raise StabilityError(f"relaxation needs alpha*dt <= 1, got {alpha * dt}")
+
+    # mass: flux[k] through the interface left of cell k; vacuum cells are
+    # inert, so their (frozen) velocities move no mass
+    u_eff = np.where(vacuum, 0.0, u)
+    flux = np.zeros(n + 1)
+    flux[1:-1] = rho[:-1] * np.maximum(u_eff[:-1], 0.0) + rho[1:] * np.minimum(u_eff[1:], 0.0)
+    if periodic:
+        wrap = rho[-1] * max(u_eff[-1], 0.0) + rho[0] * min(u_eff[0], 0.0)
+        flux[0] = flux[n] = wrap
+    else:
+        flux[0] = rho[0] * min(u_eff[0], 0.0)
+        flux[n] = rho[-1] * max(u_eff[-1], 0.0)
+    rho_new = rho - dt / dx * (flux[1:] - flux[:-1])
+
+    # velocity: upwind gradient; ghosts are zero-gradient (or wrapped), and a
+    # vacuum upwind neighbor contributes no gradient (nothing advects in)
+    grad_minus = np.zeros(n)
+    grad_minus[1:] = np.where(vacuum[:-1], 0.0, (u[1:] - u[:-1]) / dx)
+    grad_plus = np.zeros(n)
+    grad_plus[:-1] = np.where(vacuum[1:], 0.0, (u[1:] - u[:-1]) / dx)
+    if periodic:
+        grad_minus[0] = 0.0 if vacuum[-1] else (u[0] - u[-1]) / dx
+        grad_plus[-1] = 0.0 if vacuum[0] else (u[0] - u[-1]) / dx
+    dudx = np.where(u > 0.0, grad_minus, np.where(u < 0.0, grad_plus, 0.0))
+    u_bar = nonlocal_average(state, phi)
+    u_new = u - dt * u * dudx + dt * alpha * (u_bar - u)
+    u_new[vacuum] = u[vacuum]
+
+    return HydroState1D(x_min=state.x_min, dx=dx, rho=rho_new, u=u_new, t=state.t + dt)
+
+
+@dataclass(frozen=True)
+class LagrangianParticles:
+    """Mass particles following the hydrodynamic characteristics."""
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    masses: np.ndarray
+    t: float = 0.0
+
+    def __post_init__(self):
+        x = np.asarray(self.positions, dtype=float)
+        v = np.asarray(self.velocities, dtype=float)
+        m = np.asarray(self.masses, dtype=float)
+        object.__setattr__(self, "positions", x)
+        object.__setattr__(self, "velocities", v)
+        object.__setattr__(self, "masses", m)
+        if x.ndim != 2 or x.shape != v.shape:
+            raise ValueError("positions and velocities must be matching (N, d) arrays")
+        if m.shape != (x.shape[0],):
+            raise ValueError("one mass per particle required")
+        if np.any(m <= 0):
+            raise ValueError("masses must be positive")
+        if not all(np.all(np.isfinite(a)) for a in (x, v, m)):
+            raise ValueError("particle state must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.masses.sum())
+
+
+def lagrangian_rhs(
+    particles: LagrangianParticles, phi: InfluenceFunction, alpha: float
+) -> np.ndarray:
+    """du_i/dt: relaxation toward the mass-weighted kernel average."""
+    w = eval_influence(phi, cdist(particles.positions, particles.positions))
+    mw = w * particles.masses[None, :]
+    u_bar = (mw @ particles.velocities) / mw.sum(axis=1)[:, None]
+    return alpha * (u_bar - particles.velocities)
+
+
+def step_lagrangian(
+    particles: LagrangianParticles,
+    phi: InfluenceFunction,
+    alpha: float,
+    dt: float,
+    scheme: str = "euler",
+) -> LagrangianParticles:
+    """Advance the mass particles one step with 'euler' or 'rk4'; the kernel
+    weights are rebuilt at every rk4 stage."""
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    m = particles.masses
+    if scheme == "euler":
+        if alpha * dt > 1.0:
+            raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
+        acc = lagrangian_rhs(particles, phi, alpha)
+        out = LagrangianParticles(
+            positions=particles.positions + dt * particles.velocities,
+            velocities=particles.velocities + dt * acc,
+            masses=m,
+            t=particles.t + dt,
+        )
+    elif scheme == "rk4":
+        x0, v0 = particles.positions, particles.velocities
+
+        def accel(x, v):
+            return lagrangian_rhs(
+                LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t),
+                phi,
+                alpha,
+            )
+
+        kv1 = accel(x0, v0)
+        kx1 = v0
+        kx2 = v0 + 0.5 * dt * kv1
+        kv2 = accel(x0 + 0.5 * dt * kx1, kx2)
+        kx3 = v0 + 0.5 * dt * kv2
+        kv3 = accel(x0 + 0.5 * dt * kx2, kx3)
+        kx4 = v0 + dt * kv3
+        kv4 = accel(x0 + dt * kx3, kx4)
+        out = LagrangianParticles(
+            positions=x0 + dt / 6.0 * (kx1 + 2.0 * (kx2 + kx3) + kx4),
+            velocities=v0 + dt / 6.0 * (kv1 + 2.0 * (kv2 + kv3) + kv4),
+            masses=m,
+            t=particles.t + dt,
+        )
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not (np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.velocities))):
+        raise FloatingPointError("non-finite particle state after time step")
+    return out
+
+
+def hydro_diameters(
+    state: HydroState1D, epsilon: float = DEFAULT_SUPPORT_EPSILON
+) -> Tuple[float, float]:
+    """Support diameters: cells with rho >= epsilon * max(rho) count as
+    occupied; d_X spans their centers, d_V the velocity range over them."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    peak = state.rho.max()
+    if peak <= 0.0:
+        raise ValueError("empty support: all-zero density")
+    support = state.rho >= epsilon * peak
+    centers = state.centers[support]
+    u = state.u[support]
+    return float(centers.max() - centers.min()), float(u.max() - u.min())
+
+
+def hydro_certify(
+    state: HydroState1D,
+    phi: InfluenceFunction,
+    alpha: float,
+    epsilon: float = DEFAULT_SUPPORT_EPSILON,
+) -> FlockingCertificate:
+    """Flocking certificate of the macroscopic system; the contraction
+    inequalities are the same as in the particle case, with psi = phi**2."""
+    d_x0, d_v0 = hydro_diameters(state, epsilon)
+    return certify(d_x0, d_v0, alpha, phi)

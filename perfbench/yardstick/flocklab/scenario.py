@@ -1,0 +1,385 @@
+"""Scenario documents: flat sectioned key = value files.
+
+Sections are [model], [initial], [integration], [output] and [hydro]; a #
+starts a comment.  Unknown sections or keys are rejected with their line
+number, missing required keys and out-of-range values name the key.  Parsing
+returns a fully resolved Scenario (defaults filled in), and serialize() is
+its canonical inverse, so serialize(parse(doc)) reparses to an equal value.
+
+Random initial conditions use the splitmix64 generator (see
+:mod:`flocklab.rng`): positions agent by agent, axis by axis, then velocities
+the same way; the two-group kind draws group 1 positions, then group 2
+positions offset by the separation along the first axis, then all velocities.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Tuple
+
+import numpy as np
+
+from .dynamics import AgentEnsemble, ModelSpec
+from .errors import ScenarioError
+from .hydro import HydroState1D
+from .influence import InfluenceFunction
+from .rng import SplitMix64
+
+SECTIONS = ("model", "initial", "integration", "output", "hydro")
+SWEEPABLE_KEYS = ("s", "alpha", "beta", "gamma", "N", "D")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    # [model]
+    model: str = "mt"
+    phi_kind: str = "power-law"
+    s: Optional[float] = None
+    cutoff: Optional[float] = None
+    table: Optional[Tuple[Tuple[float, float], ...]] = None
+    alpha: float = 1.0
+    beta: Optional[float] = None
+    leader: Optional[int] = None
+    gamma: Optional[float] = None
+    normalization: Optional[str] = None
+    # [initial]
+    ic_kind: str = "random"
+    n: Optional[int] = None
+    dim: int = 2
+    seed: Optional[int] = None
+    pos_min: float = 0.0
+    pos_max: float = 10.0
+    vel_min: float = -1.0
+    vel_max: float = 1.0
+    n1: Optional[int] = None
+    n2: Optional[int] = None
+    separation: Optional[float] = None
+    group_spread: float = 1.0
+    positions: Optional[Tuple[Tuple[float, ...], ...]] = None
+    velocities: Optional[Tuple[Tuple[float, ...], ...]] = None
+    # [integration]
+    dt: float = 0.01
+    t_final: float = 10.0
+    scheme: str = "euler"
+    snapshot_stride: int = 0
+    # [output]
+    out_diagnostics: str = "diagnostics.csv"
+    out_snapshots: str = "snapshots.csv"
+    out_summary: str = "summary.json"
+    out_fields: str = "fields.csv"
+    # [hydro]
+    hydro_x_min: float = -12.0
+    hydro_x_max: float = 12.0
+    hydro_dx: float = 0.05
+    hydro_profile: str = "two-bump"
+    hydro_centers: Tuple[float, ...] = (-4.0, 4.0)
+    hydro_width: float = 0.5
+    hydro_speeds: Tuple[float, ...] = (0.5, -0.5)
+    hydro_epsilon: float = 1e-6
+
+    def build_phi(self) -> InfluenceFunction:
+        if self.phi_kind == "power-law":
+            return InfluenceFunction.power_law(self.s)
+        if self.phi_kind == "power-law-with-cutoff":
+            return InfluenceFunction.power_law_with_cutoff(self.s, self.cutoff)
+        return InfluenceFunction.tabulated(self.table)
+
+    def to_model_spec(self, model: Optional[str] = None) -> ModelSpec:
+        kind = model if model is not None else self.model
+        kwargs = {}
+        if kind == "leader":
+            kwargs = {"beta": self.beta, "leader": self.leader}
+        elif kind == "vision":
+            kwargs = {"gamma": self.gamma, "normalization": self.normalization}
+        return ModelSpec(model=kind, phi=self.build_phi(), alpha=self.alpha, **kwargs)
+
+    def initial_ensemble(self) -> AgentEnsemble:
+        if self.ic_kind == "explicit":
+            return AgentEnsemble(
+                t=0.0, positions=np.array(self.positions), velocities=np.array(self.velocities)
+            )
+        rng = SplitMix64(self.seed)
+        if self.ic_kind == "random":
+            x = rng.uniform_array((self.n, self.dim), self.pos_min, self.pos_max)
+            v = rng.uniform_array((self.n, self.dim), self.vel_min, self.vel_max)
+            return AgentEnsemble(t=0.0, positions=x, velocities=v)
+        # two-group: compact group 1 at the origin, group 2 shifted along axis 0
+        x1 = rng.uniform_array((self.n1, self.dim), 0.0, self.group_spread)
+        x2 = rng.uniform_array((self.n2, self.dim), 0.0, self.group_spread)
+        x2[:, 0] += self.separation
+        x = np.vstack([x1, x2])
+        v = rng.uniform_array((self.n1 + self.n2, self.dim), self.vel_min, self.vel_max)
+        return AgentEnsemble(t=0.0, positions=x, velocities=v)
+
+    def initial_hydro_state(self) -> HydroState1D:
+        n = int(round((self.hydro_x_max - self.hydro_x_min) / self.hydro_dx))
+        centers = self.hydro_x_min + self.hydro_dx * (np.arange(n) + 0.5)
+        if self.hydro_profile == "uniform":
+            rho = np.ones(n)
+            u = np.full(n, self.hydro_speeds[0])
+        elif self.hydro_profile == "gaussian":
+            c = self.hydro_centers[0]
+            rho = np.exp(-((centers - c) ** 2) / (2.0 * self.hydro_width**2))
+            u = np.full(n, self.hydro_speeds[0])
+        else:  # two-bump
+            rho = np.zeros(n)
+            for c in self.hydro_centers:
+                rho += np.exp(-((centers - c) ** 2) / (2.0 * self.hydro_width**2))
+            mid = 0.5 * (self.hydro_centers[0] + self.hydro_centers[-1])
+            u = np.where(centers < mid, self.hydro_speeds[0], self.hydro_speeds[-1])
+        return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _parse_float(raw: str, key: str, line: int) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ScenarioError(f"expected a number, got {raw!r}", key=key, line=line) from None
+
+
+def _parse_int(raw: str, key: str, line: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(f"expected an integer, got {raw!r}", key=key, line=line) from None
+
+
+def _parse_floats(raw: str, key: str, line: int) -> Tuple[float, ...]:
+    return tuple(_parse_float(tok, key, line) for tok in raw.split())
+
+
+def _parse_points(raw: str, key: str, line: int) -> Tuple[Tuple[float, ...], ...]:
+    pts = []
+    for chunk in raw.split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            pts.append(_parse_floats(chunk, key, line))
+    if not pts:
+        raise ScenarioError("expected semicolon-separated points", key=key, line=line)
+    if len({len(p) for p in pts}) != 1:
+        raise ScenarioError("points must share one dimension", key=key, line=line)
+    return tuple(pts)
+
+
+def _parse_table(raw: str, key: str, line: int) -> Tuple[Tuple[float, float], ...]:
+    knots = []
+    for tok in raw.split():
+        if ":" not in tok:
+            raise ScenarioError("table entries are r:value pairs", key=key, line=line)
+        r, v = tok.split(":", 1)
+        knots.append((_parse_float(r, key, line), _parse_float(v, key, line)))
+    return tuple(knots)
+
+
+# key -> (section, scenario field, parser); parsers taking (raw, key, line)
+_KEYMAP = {
+    ("model", "model"): ("model", str),
+    ("model", "phi"): ("phi_kind", str),
+    ("model", "s"): ("s", _parse_float),
+    ("model", "cutoff"): ("cutoff", _parse_float),
+    ("model", "table"): ("table", _parse_table),
+    ("model", "alpha"): ("alpha", _parse_float),
+    ("model", "beta"): ("beta", _parse_float),
+    ("model", "leader"): ("leader", _parse_int),
+    ("model", "gamma"): ("gamma", _parse_float),
+    ("model", "normalization"): ("normalization", str),
+    ("initial", "kind"): ("ic_kind", str),
+    ("initial", "N"): ("n", _parse_int),
+    ("initial", "dim"): ("dim", _parse_int),
+    ("initial", "seed"): ("seed", _parse_int),
+    ("initial", "pos_min"): ("pos_min", _parse_float),
+    ("initial", "pos_max"): ("pos_max", _parse_float),
+    ("initial", "vel_min"): ("vel_min", _parse_float),
+    ("initial", "vel_max"): ("vel_max", _parse_float),
+    ("initial", "N1"): ("n1", _parse_int),
+    ("initial", "N2"): ("n2", _parse_int),
+    ("initial", "D"): ("separation", _parse_float),
+    ("initial", "group_spread"): ("group_spread", _parse_float),
+    ("initial", "positions"): ("positions", _parse_points),
+    ("initial", "velocities"): ("velocities", _parse_points),
+    ("integration", "dt"): ("dt", _parse_float),
+    ("integration", "T"): ("t_final", _parse_float),
+    ("integration", "scheme"): ("scheme", str),
+    ("integration", "snapshot_stride"): ("snapshot_stride", _parse_int),
+    ("output", "diagnostics"): ("out_diagnostics", str),
+    ("output", "snapshots"): ("out_snapshots", str),
+    ("output", "summary"): ("out_summary", str),
+    ("output", "fields"): ("out_fields", str),
+    ("hydro", "x_min"): ("hydro_x_min", _parse_float),
+    ("hydro", "x_max"): ("hydro_x_max", _parse_float),
+    ("hydro", "dx"): ("hydro_dx", _parse_float),
+    ("hydro", "profile"): ("hydro_profile", str),
+    ("hydro", "centers"): ("hydro_centers", _parse_floats),
+    ("hydro", "width"): ("hydro_width", _parse_float),
+    ("hydro", "speeds"): ("hydro_speeds", _parse_floats),
+    ("hydro", "epsilon"): ("hydro_epsilon", _parse_float),
+}
+
+_FIELD_TO_KEY = {field: (sec, key) for (sec, key), (field, _) in _KEYMAP.items()}
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document; defaults are filled in."""
+    values = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in SECTIONS:
+                raise ScenarioError(f"unknown section [{section}]", line=lineno)
+            continue
+        if "=" not in line:
+            raise ScenarioError("expected 'key = value'", line=lineno)
+        if section is None:
+            raise ScenarioError("key outside any section", line=lineno)
+        key, _, raw_value = line.partition("=")
+        key = key.strip()
+        raw_value = raw_value.strip()
+        if (section, key) not in _KEYMAP:
+            raise ScenarioError(f"unknown key in [{section}]", key=key, line=lineno)
+        field_name, parser = _KEYMAP[(section, key)]
+        if field_name in values:
+            raise ScenarioError("duplicate key", key=key, line=lineno)
+        if parser is str:
+            values[field_name] = raw_value
+        else:
+            values[field_name] = parser(raw_value, key, lineno)
+
+    scenario = Scenario(**values)
+    validate_scenario(scenario)
+    return scenario
+
+
+def _require(cond: bool, message: str, key: str):
+    if not cond:
+        raise ScenarioError(message, key=key)
+
+
+def validate_scenario(sc: Scenario) -> None:
+    _require(sc.model in ("cs", "mt", "leader", "vision"), "unknown model kind", "model")
+    _require(
+        sc.phi_kind in ("power-law", "power-law-with-cutoff", "tabulated"),
+        "unknown influence kind",
+        "phi",
+    )
+    if sc.phi_kind in ("power-law", "power-law-with-cutoff"):
+        _require(sc.s is not None, "missing required key", "s")
+        _require(sc.s > 0, "out of range: must be positive", "s")
+        if sc.phi_kind == "power-law-with-cutoff":
+            _require(sc.cutoff is not None, "missing required key", "cutoff")
+            _require(sc.cutoff > 0, "out of range: must be positive", "cutoff")
+    else:
+        _require(sc.table is not None, "missing required key", "table")
+    _require(sc.alpha > 0, "out of range: must be positive", "alpha")
+    if sc.model == "leader":
+        _require(sc.beta is not None, "missing required key", "beta")
+        _require(0.0 < sc.beta < 1.0, "out of range: must lie in (0, 1)", "beta")
+        _require(sc.leader is not None, "missing required key", "leader")
+    if sc.model == "vision":
+        _require(sc.gamma is not None, "missing required key", "gamma")
+        _require(-1.0 <= sc.gamma <= 1.0, "out of range: must lie in [-1, 1]", "gamma")
+        _require(
+            sc.normalization in ("cs-style", "mt-style"),
+            "must be 'cs-style' or 'mt-style'",
+            "normalization",
+        )
+
+    _require(sc.ic_kind in ("random", "two-group", "explicit"), "unknown kind", "kind")
+    _require(sc.dim in (1, 2, 3), "out of range: must be 1, 2 or 3", "dim")
+    if sc.ic_kind == "random":
+        _require(sc.n is not None, "missing required key", "N")
+        _require(sc.n >= 1, "out of range: must be >= 1", "N")
+        _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
+        _require(sc.pos_max >= sc.pos_min, "empty box: pos_max < pos_min", "pos_max")
+        _require(sc.vel_max >= sc.vel_min, "empty box: vel_max < vel_min", "vel_max")
+    elif sc.ic_kind == "two-group":
+        for key, val in (("N1", sc.n1), ("N2", sc.n2), ("D", sc.separation)):
+            _require(val is not None, "missing required key", key)
+        _require(sc.n1 >= 1 and sc.n2 >= 1, "out of range: groups must be non-empty", "N1")
+        _require(sc.separation > 0, "out of range: must be positive", "D")
+        _require(sc.group_spread > 0, "out of range: must be positive", "group_spread")
+        _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
+    else:
+        _require(sc.positions is not None, "missing required key", "positions")
+        _require(sc.velocities is not None, "missing required key", "velocities")
+        _require(
+            len(sc.positions) == len(sc.velocities),
+            "positions and velocities must list the same number of points",
+            "velocities",
+        )
+    if sc.model == "leader" and sc.leader is not None:
+        total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(
+            sc.ic_kind, len(sc.positions or ())
+        )
+        if total is not None:
+            _require(0 <= sc.leader < total, "out of range: leader index", "leader")
+
+    _require(sc.dt > 0, "out of range: must be positive", "dt")
+    _require(sc.t_final > 0, "out of range: must be positive", "T")
+    _require(sc.scheme in ("euler", "rk4"), "unknown scheme", "scheme")
+    _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
+
+    _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
+    _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
+    _require(
+        sc.hydro_profile in ("two-bump", "gaussian", "uniform"), "unknown profile", "profile"
+    )
+    _require(sc.hydro_width > 0, "out of range: must be positive", "width")
+    _require(len(sc.hydro_centers) >= 1, "need at least one center", "centers")
+    _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
+    _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")
+
+
+def serialize_scenario(sc: Scenario) -> str:
+    """Canonical text form; parse(serialize(sc)) == sc."""
+    by_section = {name: [] for name in SECTIONS}
+    for f in fields(Scenario):
+        value = getattr(sc, f.name)
+        if value is None:
+            continue
+        section, key = _FIELD_TO_KEY[f.name]
+        if f.name in ("positions", "velocities"):
+            text = "; ".join(" ".join(_fmt(c) for c in p) for p in value)
+        elif f.name == "table":
+            text = " ".join(f"{_fmt(r)}:{_fmt(v)}" for r, v in value)
+        elif isinstance(value, tuple):
+            text = " ".join(_fmt(v) for v in value)
+        else:
+            text = _fmt(value)
+        by_section[section].append(f"{key} = {text}")
+    lines = []
+    for name in SECTIONS:
+        if by_section[name]:
+            lines.append(f"[{name}]")
+            lines.extend(by_section[name])
+            lines.append("")
+    return "\n".join(lines)
+
+
+def scenario_to_dict(sc: Scenario) -> dict:
+    """Resolved scenario as a JSON-friendly mapping (section -> key -> value)."""
+    out = {name: {} for name in SECTIONS}
+    for f in fields(Scenario):
+        value = getattr(sc, f.name)
+        if value is None:
+            continue
+        section, key = _FIELD_TO_KEY[f.name]
+        if isinstance(value, tuple):
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
+        out[section][key] = value
+    return out
+
+
+def with_override(sc: Scenario, **kwargs) -> Scenario:
+    updated = replace(sc, **kwargs)
+    validate_scenario(updated)
+    return updated
