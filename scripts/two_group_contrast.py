@@ -10,7 +10,7 @@ crowd drops out of the normalization and the group aligns at full speed.
 
 import numpy as np
 
-from flocklab import AgentEnsemble, InfluenceFunction, ModelSpec, SplitMix64, step
+from flocklab import AgentEnsemble, InfluenceFunction, ModelSpec, SplitMix64, diameter, step
 
 SEED = 9
 N1, N2 = 5, 100
@@ -18,11 +18,6 @@ SEPARATION = 40.0
 CUTOFF = 5.0
 DT = 0.05
 HORIZON = 60.0
-
-
-def group_spread(state, count):
-    v = state.velocities[:count]
-    return float(np.max(np.linalg.norm(v[:, None] - v[None, :], axis=-1)))
 
 
 def main():
@@ -34,7 +29,7 @@ def main():
     initial = AgentEnsemble(t=0.0, positions=np.vstack([x1, x2]), velocities=v)
 
     phi = InfluenceFunction.power_law_with_cutoff(4.0, CUTOFF)
-    dv0 = group_spread(initial, N1)
+    dv0 = diameter(initial.velocities[:N1])
     print(f"group-1 initial velocity spread: {dv0:.4f}\n")
 
     halvings = {}
@@ -44,10 +39,10 @@ def main():
         halving = None
         while state.t < HORIZON:
             state = step(state, model, DT, scheme="euler")
-            if group_spread(state, N1) <= 0.5 * dv0:
+            if diameter(state.velocities[:N1]) <= 0.5 * dv0:
                 halving = state.t
                 break
-        final = group_spread(state, N1) / dv0
+        final = diameter(state.velocities[:N1]) / dv0
         halvings[kind] = halving
         label = f"halved at t = {halving:.2f}" if halving else f"never halved by t = {HORIZON:g}"
         print(f"{kind:>3}: {label}   (spread ratio now {final:.3f})")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .activeset import lemma_action_bound, verify_diameter_decay
-from .dynamics import AgentEnsemble, diameters, simulate, step
+from .dynamics import diameter, diameters, simulate, step
 from .errors import FlockLabError, ScenarioError, StabilityError
 from .flocking import certify, fit_exponential_rate
 from .hydro import hydro_certify, hydro_diameters, step_eulerian
@@ -53,6 +53,12 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _state_rows(t, *columns) -> list:
+    """CSV rows ``[t, columns...]``, one per item; t is a scalar shared by all
+    rows or one value per item, and 2D columns contribute one cell per axis."""
+    return np.column_stack((np.broadcast_to(t, len(columns[0])), *columns)).tolist()
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -60,17 +66,19 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "infinite"
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        # strict JSON has no NaN or Infinity literals
+        if math.isnan(obj):
+            return None
+        return "infinite" if math.isinf(obj) else obj
     return obj
 
 
 def _write_summary(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
+    path.write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _load_scenario(args) -> Scenario:
@@ -117,30 +125,16 @@ def cmd_simulate(args) -> int:
         pass  # no default level schedule (vision model): margin column stays nan
 
     momentum_norm = np.linalg.norm(record.momentum, axis=1)
-    rows = [
-        (float(t), float(dx), float(dv), float(m), float(mg))
-        for t, dx, dv, m, mg in zip(
-            record.times,
-            record.position_diameter,
-            record.velocity_diameter,
-            momentum_norm,
-            margins,
-        )
-    ]
+    rows = _state_rows(
+        record.times, record.position_diameter, record.velocity_diameter, momentum_norm, margins
+    )
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
 
     if sc.snapshot_stride > 0:
         snap_rows = []
         axes = [f"x{k}" for k in range(initial.d)] + [f"v{k}" for k in range(initial.d)]
-        for idx, ens in enumerate(record.snapshots):
-            if idx % sc.snapshot_stride:
-                continue
-            for agent in range(ens.n):
-                snap_rows.append(
-                    (float(ens.t), agent)
-                    + tuple(float(c) for c in ens.positions[agent])
-                    + tuple(float(c) for c in ens.velocities[agent])
-                )
+        for ens in record.snapshots[:: sc.snapshot_stride]:
+            snap_rows += _state_rows(ens.t, np.arange(ens.n), ens.positions, ens.velocities)
         _write_csv(out / sc.out_snapshots, ["t", "agent"] + axes, snap_rows)
 
     cert, comparison_tail = _certificate_payload(sc, d_x0, d_v0)
@@ -183,6 +177,9 @@ def cmd_simulate(args) -> int:
     _write_summary(out / sc.out_summary, summary)
     verdict = cert.verdict if cert else "n/a"
     _say(args, f"simulate: T={record.times[-1]:g} d_V ratio {dv_ratio:.3e} verdict {verdict}")
+    if decay is not None and not decay.passed:
+        print(f"simulate: decay check failed, worst step {decay.worst_step}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -275,8 +272,7 @@ def cmd_hydro(args) -> int:
         return d_x, d_v
 
     def snapshot(s):
-        for c, r, u in zip(s.centers, s.rho, s.u):
-            field_rows.append((float(s.t), float(c), float(r), float(u)))
+        field_rows.extend(_state_rows(s.t, s.centers, s.rho, s.u))
 
     record(state)
     if stride > 0:
@@ -373,11 +369,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _group_dv(ensemble: AgentEnsemble, count: int) -> float:
-    v = ensemble.velocities[:count]
-    return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
-
-
 def cmd_compare_groups(args) -> int:
     sc = _load_scenario(args)
     if sc.ic_kind != "two-group":
@@ -394,14 +385,14 @@ def cmd_compare_groups(args) -> int:
         model = sc.to_model_spec(model_kind)
         state = initial
         times = [0.0]
-        series = [_group_dv(state, n1)]
+        series = [diameter(state.velocities[:n1])]
         target = 0.5 * series[0]
         halving = None
         n_steps = max(1, int(round(sc.t_final / sc.dt)))
         for _ in range(n_steps):
             state = step(state, model, sc.dt, sc.scheme)
             times.append(state.t)
-            series.append(_group_dv(state, n1))
+            series.append(diameter(state.velocities[:n1]))
             if halving is None and series[-1] <= target:
                 halving = state.t
             if halving is not None and series[-1] <= 0.4 * series[0]:

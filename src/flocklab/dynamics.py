@@ -115,57 +115,55 @@ def rhs(ensemble: AgentEnsemble, model: ModelSpec) -> np.ndarray:
     return model.alpha * (a @ ensemble.velocities - ensemble.velocities)
 
 
-def _euler_step(ensemble: AgentEnsemble, model: ModelSpec, dt: float) -> AgentEnsemble:
-    acc = rhs(ensemble, model)
-    return AgentEnsemble(
-        t=ensemble.t + dt,
-        positions=ensemble.positions + dt * ensemble.velocities,
-        velocities=ensemble.velocities + dt * acc,
-    )
+def advance(x, v, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.ndarray, np.ndarray]:
+    """One step of dx/dt = v, dv/dt = accel(x, v) with 'euler' or 'rk4'.
 
-
-def _rk4_step(ensemble: AgentEnsemble, model: ModelSpec, dt: float) -> AgentEnsemble:
-    x0, v0, t0 = ensemble.positions, ensemble.velocities, ensemble.t
-
-    def stage(x, v):
-        state = AgentEnsemble(t=t0, positions=x, velocities=v)
-        return v, rhs(state, model)
-
-    kx1, kv1 = stage(x0, v0)
-    kx2, kv2 = stage(x0 + 0.5 * dt * kx1, v0 + 0.5 * dt * kv1)
-    kx3, kv3 = stage(x0 + 0.5 * dt * kx2, v0 + 0.5 * dt * kv2)
-    kx4, kv4 = stage(x0 + dt * kx3, v0 + dt * kv3)
-    return AgentEnsemble(
-        t=t0 + dt,
-        positions=x0 + dt / 6.0 * (kx1 + 2.0 * (kx2 + kx3) + kx4),
-        velocities=v0 + dt / 6.0 * (kv1 + 2.0 * (kv2 + kv3) + kv4),
-    )
-
-
-def step(ensemble: AgentEnsemble, model: ModelSpec, dt: float, scheme: str = "euler") -> AgentEnsemble:
-    """Advance one step of size dt with 'euler' or 'rk4'."""
+    accel is evaluated once per Euler step and at each of the four rk4
+    stages.  Euler needs alpha*dt <= 1 (the convex-combination guard for
+    relaxation at rate alpha); a non-finite result raises FloatingPointError.
+    """
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if scheme == "euler":
-        if model.alpha * dt > 1.0:
-            raise StabilityError(
-                f"explicit Euler needs alpha*dt <= 1, got {model.alpha * dt}"
-            )
-        out = _euler_step(ensemble, model, dt)
+        if alpha * dt > 1.0:
+            raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
+        x_new, v_new = x + dt * v, v + dt * accel(x, v)
     elif scheme == "rk4":
-        out = _rk4_step(ensemble, model, dt)
+        kv1 = accel(x, v)
+        kx2 = v + 0.5 * dt * kv1
+        kv2 = accel(x + 0.5 * dt * v, kx2)
+        kx3 = v + 0.5 * dt * kv2
+        kv3 = accel(x + 0.5 * dt * kx2, kx3)
+        kx4 = v + dt * kv3
+        kv4 = accel(x + dt * kx3, kx4)
+        x_new = x + dt / 6.0 * (v + 2.0 * (kx2 + kx3) + kx4)
+        v_new = v + dt / 6.0 * (kv1 + 2.0 * (kv2 + kv3) + kv4)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not (np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.velocities))):
+    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise FloatingPointError("non-finite state after time step")
-    return out
+    return x_new, v_new
+
+
+def step(ensemble: AgentEnsemble, model: ModelSpec, dt: float, scheme: str = "euler") -> AgentEnsemble:
+    """Advance one step of size dt with 'euler' or 'rk4'; rk4 rebuilds the
+    matrix at every stage."""
+
+    def accel(x, v):
+        return rhs(AgentEnsemble(t=ensemble.t, positions=x, velocities=v), model)
+
+    x, v = advance(ensemble.positions, ensemble.velocities, accel, model.alpha, dt, scheme)
+    return AgentEnsemble(t=ensemble.t + dt, positions=x, velocities=v)
+
+
+def diameter(points: np.ndarray) -> float:
+    """Largest pairwise Euclidean distance between the rows of points."""
+    return float(np.max(cdist(points, points)))
 
 
 def diameters(ensemble: AgentEnsemble) -> Tuple[float, float]:
     """Max pairwise position and velocity distances (exhaustive scan)."""
-    d_x = float(np.max(cdist(ensemble.positions, ensemble.positions)))
-    d_v = float(np.max(cdist(ensemble.velocities, ensemble.velocities)))
-    return d_x, d_v
+    return diameter(ensemble.positions), diameter(ensemble.velocities)
 
 
 def bulk_momentum(ensemble: AgentEnsemble) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Tuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .dynamics import advance
 from .errors import StabilityError
 from .flocking import FlockingCertificate, certify
 from .influence import InfluenceFunction, eval_influence
@@ -198,50 +199,17 @@ def step_lagrangian(
     dt: float,
     scheme: str = "euler",
 ) -> LagrangianParticles:
-    """Advance the mass particles one step with 'euler' or 'rk4'; the kernel
-    weights are rebuilt at every rk4 stage."""
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    """Advance the mass particles one step with 'euler' or 'rk4' through the
+    particle integrator :func:`flocklab.dynamics.advance`; the kernel weights
+    are rebuilt at every rk4 stage."""
     m = particles.masses
-    if scheme == "euler":
-        if alpha * dt > 1.0:
-            raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
-        acc = lagrangian_rhs(particles, phi, alpha)
-        out = LagrangianParticles(
-            positions=particles.positions + dt * particles.velocities,
-            velocities=particles.velocities + dt * acc,
-            masses=m,
-            t=particles.t + dt,
-        )
-    elif scheme == "rk4":
-        x0, v0 = particles.positions, particles.velocities
 
-        def accel(x, v):
-            return lagrangian_rhs(
-                LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t),
-                phi,
-                alpha,
-            )
+    def accel(x, v):
+        state = LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t)
+        return lagrangian_rhs(state, phi, alpha)
 
-        kv1 = accel(x0, v0)
-        kx1 = v0
-        kx2 = v0 + 0.5 * dt * kv1
-        kv2 = accel(x0 + 0.5 * dt * kx1, kx2)
-        kx3 = v0 + 0.5 * dt * kv2
-        kv3 = accel(x0 + 0.5 * dt * kx2, kx3)
-        kx4 = v0 + dt * kv3
-        kv4 = accel(x0 + dt * kx3, kx4)
-        out = LagrangianParticles(
-            positions=x0 + dt / 6.0 * (kx1 + 2.0 * (kx2 + kx3) + kx4),
-            velocities=v0 + dt / 6.0 * (kv1 + 2.0 * (kv2 + kv3) + kv4),
-            masses=m,
-            t=particles.t + dt,
-        )
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if not (np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.velocities))):
-        raise FloatingPointError("non-finite particle state after time step")
-    return out
+    x, v = advance(particles.positions, particles.velocities, accel, alpha, dt, scheme)
+    return LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t + dt)
 
 
 def hydro_diameters(

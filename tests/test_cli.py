@@ -1,6 +1,8 @@
 import json
 
 from flocklab.cli import main
+from flocklab.dynamics import simulate
+from flocklab.scenario import parse_scenario
 
 MT_DOC = """
 [model]
@@ -88,6 +90,33 @@ def test_simulate_writes_outputs(tmp_path):
     snapshots = (out / "snapshots.csv").read_text().splitlines()
     assert snapshots[0] == "t,agent,x0,x1,v0,v1"
     assert len(snapshots) == 1 + 6 * 5  # initial + steps 10,20,30,40
+    # every cell round-trips exactly to the simulated state
+    sc = parse_scenario(MT_DOC)
+    record = simulate(sc.initial_ensemble(), sc.to_model_spec(), sc.dt, sc.t_final,
+                      sc.scheme, snapshot_stride=sc.snapshot_stride)
+    cells = [line.split(",") for line in snapshots[1:]]
+    expected = [(ens, agent) for ens in record.snapshots for agent in range(ens.n)]
+    assert len(cells) == len(expected)
+    for row, (ens, agent) in zip(cells, expected):
+        assert row[1] == str(agent)
+        assert [float(c) for c in row[:1] + row[2:]] == [
+            ens.t, *ens.positions[agent], *ens.velocities[agent]
+        ]
+
+
+def test_simulate_failed_decay_check_exits_one(tmp_path):
+    # rk4 has no stability guard: alpha*dt = 10 blows d_V up by orders of
+    # magnitude while the certificate still reads unconditional
+    doc = MT_DOC.replace("alpha = 1", "alpha = 200").replace("N = 6", "N = 20")
+    doc = doc.replace("T = 2", "T = 1\nscheme = rk4")
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "blowup"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["certificate"]["verdict"] == "unconditional"
+    assert summary["decay_check"]["passed"] is False
+    assert summary["final"]["d_v_ratio"] > 1e3
+    assert (out / "diagnostics.csv").exists()
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -180,6 +209,18 @@ def test_sweep_alpha_rates_increase(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     rates = [float(r.split(",")[2]) for r in rows]
     assert rates[0] < rates[1] < rates[2]
+
+
+def test_sweep_unfittable_rate_is_strict_json_null(tmp_path):
+    cfg = write(tmp_path, MT_DOC.replace("T = 2", "T = 0.05"))  # one step: no fit
+    out = tmp_path / "short"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet", "alpha", "1,2"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert [row["fitted_rate"] for row in summary["rows"]] == [None, None]
 
 
 def test_sweep_rejects_bad_parameter(tmp_path):

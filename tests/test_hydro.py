@@ -178,7 +178,8 @@ def test_single_particle_moves_straight():
     assert parts.velocities[0] == pytest.approx(np.array([0.3, -0.4]), abs=1e-15)
 
 
-def test_equal_mass_lagrangian_matches_particle_model():
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_equal_mass_lagrangian_matches_particle_model(scheme):
     rng = np.random.default_rng(21)
     x = rng.uniform(0, 4, size=(8, 2))
     v = rng.uniform(-1, 1, size=(8, 2))
@@ -188,13 +189,13 @@ def test_equal_mass_lagrangian_matches_particle_model():
         model,
         dt=0.01,
         t_final=5.0,
-        scheme="rk4",
+        scheme=scheme,
         snapshot_stride=1,
     )
     parts = LagrangianParticles(positions=x, velocities=v, masses=np.ones(8))
     worst = 0.0
     for snap in record.snapshots[1:]:
-        parts = step_lagrangian(parts, PHI1, alpha=1.0, dt=0.01, scheme="rk4")
+        parts = step_lagrangian(parts, PHI1, alpha=1.0, dt=0.01, scheme=scheme)
         worst = max(
             worst,
             float(np.max(np.abs(parts.positions - snap.positions))),
