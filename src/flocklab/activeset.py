@@ -10,7 +10,7 @@ contraction rate alpha * count**2 * theta**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -90,12 +90,15 @@ def lemma_action_bound(
 # ulp below its own level and drop out of the active set.
 LEVEL_SAFETY = 1.0 - 1e-12
 
+# dt**2 coefficient of the per-step decay bound's slack
+DECAY_SLACK = 10.0
+
 
 def default_theta_schedule(model: ModelSpec, n: int) -> Callable[[float, float], float]:
     """Level schedule used in the flocking arguments: phi(d_X)/N for the cs
     and mt builders (every agent active), beta*phi(d_X) for the leader
     builder (the leader active in every row).  The vision model has no such
-    schedule; callers must supply one."""
+    schedule."""
     if model.model in ("cs", "mt"):
         return lambda t, d_x: LEVEL_SAFETY * model.phi(d_x) / n
     if model.model == "leader":
@@ -118,18 +121,17 @@ class DecayReport:
     passed: bool
 
 
-def verify_diameter_decay(
-    trajectory: TrajectoryRecord,
-    model: ModelSpec,
-    theta_schedule: Optional[Callable[[float, float], float]] = None,
-    slack_coefficient: float = 10.0,
-) -> DecayReport:
+def verify_diameter_decay(trajectory: TrajectoryRecord, model: ModelSpec) -> DecayReport:
     """Check, at every recorded step, that the velocity diameter contracted at
-    least as fast as 1 - alpha * count**2 * theta**2 * dt, with slack
-    slack_coefficient * dt**2 covering time-discretization curvature.
+    least as fast as 1 - alpha * count**2 * theta**2 * dt at the default
+    level theta, with slack DECAY_SLACK * dt**2 covering time-discretization
+    curvature.
 
     Both the global-count and the sharper pairwise-minimum variants are
-    evaluated; matrices are rebuilt from the stride-1 snapshots.
+    evaluated; matrices are rebuilt from the stride-1 snapshots.  A zero level
+    (a compactly supported kernel shorter than d_X) guarantees no contraction:
+    both counts are 0 and the bound is the maximum principle
+    d_V(t + dt) <= d_V(t) + DECAY_SLACK * dt**2.
     """
     snaps = trajectory.snapshots
     if trajectory.snapshot_stride != 1 or len(snaps) != len(trajectory.times):
@@ -138,40 +140,27 @@ def verify_diameter_decay(
     if n_steps < 1:
         raise ValueError("trajectory must contain at least one step")
 
-    n = snaps[0].n
-    if theta_schedule is None:
-        theta_schedule = default_theta_schedule(model, n)
-
-    thetas = np.empty(n_steps)
-    c_glob = np.empty(n_steps, dtype=int)
-    c_pair = np.empty(n_steps, dtype=int)
-    m_glob = np.empty(n_steps)
-    m_pair = np.empty(n_steps)
-    d_v = trajectory.velocity_diameter
+    schedule = default_theta_schedule(model, snaps[0].n)
+    times = trajectory.times
     d_x = trajectory.position_diameter
+    theta = np.array([schedule(float(times[k]), float(d_x[k])) for k in range(n_steps)])
+    counts = np.zeros((2, n_steps), dtype=int)  # global, pairwise minimum
+    for k in np.flatnonzero(theta > 0.0):
+        report = active_sets(build_matrix(snaps[k], model), theta[k])
+        counts[:, k] = report.global_count, report.pairwise_min
 
-    for k in range(n_steps):
-        dt = trajectory.times[k + 1] - trajectory.times[k]
-        theta = theta_schedule(float(trajectory.times[k]), float(d_x[k]))
-        report = active_sets(build_matrix(snaps[k], model), theta)
-        slack = slack_coefficient * dt * dt
-        for counts, margins in (
-            (report.global_count, m_glob),
-            (report.pairwise_min, m_pair),
-        ):
-            bound = d_v[k] * (1.0 - model.alpha * counts**2 * theta**2 * dt) + slack
-            margins[k] = bound - d_v[k + 1]
-        thetas[k] = theta
-        c_glob[k] = report.global_count
-        c_pair[k] = report.pairwise_min
-
+    dt = np.diff(times)
+    d_v = trajectory.velocity_diameter
+    m_glob, m_pair = (
+        d_v[:-1] * (1.0 - model.alpha * counts**2 * theta**2 * dt) + DECAY_SLACK * dt * dt - d_v[1:]
+    )
     worst = np.minimum(m_glob, m_pair)
     worst_step = int(np.argmin(worst))
     return DecayReport(
-        times=trajectory.times[:-1].copy(),
-        theta=thetas,
-        count_global=c_glob,
-        count_pairwise_min=c_pair,
+        times=times[:-1].copy(),
+        theta=theta,
+        count_global=counts[0],
+        count_pairwise_min=counts[1],
         margin_global=m_glob,
         margin_pairwise=m_pair,
         worst_margin=float(worst[worst_step]),

@@ -29,6 +29,7 @@ from .rng import PRNG_ID, SplitMix64
 from .scenario import (
     SWEEPABLE_KEYS,
     Scenario,
+    format_value,
     parse_scenario,
     scenario_to_dict,
     with_override,
@@ -40,16 +41,10 @@ EXIT_BAD_INPUT = 2
 EXIT_RUNTIME = 3
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.append(",".join(format_value(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -116,13 +111,11 @@ def cmd_simulate(args) -> int:
     d_x0, d_v0 = diameters(initial)
     record = simulate(initial, model, sc.dt, sc.t_final, sc.scheme, snapshot_stride=1)
 
+    # the vision model has no level schedule: no check, margin column nan
+    decay = None if model.model == "vision" else verify_diameter_decay(record, model)
     margins = np.full(len(record.times), np.nan)
-    decay = None
-    try:
-        decay = verify_diameter_decay(record, model)
+    if decay is not None:
         margins[:-1] = decay.margin_pairwise
-    except ValueError:
-        pass  # no default level schedule (vision model): margin column stays nan
 
     momentum_norm = np.linalg.norm(record.momentum, axis=1)
     rows = _state_rows(
@@ -224,12 +217,10 @@ def cmd_verify_lemma(args) -> int:
     for _ in range(cases):
         n = 2 + rng.next_u64() % 7  # 2..8
         s = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                s[i, j] = rng.uniform(-1.0, 1.0)
-                s[j, i] = -s[i, j]
-        u = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
-        w = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
+        s[np.triu_indices(n, 1)] = rng.uniform_array(n * (n - 1) // 2, -1.0, 1.0)
+        s = s - s.T
+        u = rng.uniform_array(n, 0.0, 1.0)
+        w = rng.uniform_array(n, 0.0, 1.0)
         thetas = [rng.uniform(1e-3, 1.0), 0.5 / n, 1.0 / n, 1.0 / (2 * n)]
         for theta in thetas:
             res = lemma_action_bound(s, u, w, theta)

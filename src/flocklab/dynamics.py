@@ -195,10 +195,6 @@ class TrajectoryRecord:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
 
 def simulate(
     initial: AgentEnsemble,

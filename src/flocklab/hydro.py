@@ -107,10 +107,11 @@ def step_eulerian(
     if not (dt > 0):
         raise ValueError("dt must be positive")
     rho, u, dx = state.rho, state.u, state.dx
-    n = rho.size
     vacuum = state.vacuum_mask()
-    # vacuum velocities are inert, so only the support constrains the step
-    vmax = float(np.max(np.abs(np.where(vacuum, 0.0, u))))
+    # vacuum cells are inert: their (frozen) velocities move no mass, and
+    # only the support constrains the step
+    u_eff = np.where(vacuum, 0.0, u)
+    vmax = float(np.max(np.abs(u_eff)))
     if dt * vmax / dx > CFL_LIMIT + 1e-12:
         raise StabilityError(
             f"CFL violated: dt*max|u|/dx = {dt * vmax / dx:.6g} > {CFL_LIMIT}"
@@ -118,28 +119,22 @@ def step_eulerian(
     if alpha * dt > 1.0:
         raise StabilityError(f"relaxation needs alpha*dt <= 1, got {alpha * dt}")
 
-    # mass: flux[k] through the interface left of cell k; vacuum cells are
-    # inert, so their (frozen) velocities move no mass
-    u_eff = np.where(vacuum, 0.0, u)
-    flux = np.zeros(n + 1)
-    flux[1:-1] = rho[:-1] * np.maximum(u_eff[:-1], 0.0) + rho[1:] * np.minimum(u_eff[1:], 0.0)
-    if periodic:
-        wrap = rho[-1] * max(u_eff[-1], 0.0) + rho[0] * min(u_eff[0], 0.0)
-        flux[0] = flux[n] = wrap
-    else:
-        flux[0] = rho[0] * min(u_eff[0], 0.0)
-        flux[n] = rho[-1] * max(u_eff[-1], 0.0)
+    # one ghost cell per side: wrapped, or for outflow a vacuum exterior (no
+    # mass) whose velocity and vacuum flag copy the edge (zero gradient)
+    def ghost(a, outflow_mode):
+        return np.pad(a, 1, mode="wrap" if periodic else outflow_mode)
+
+    # mass: flux[k] through the interface left of cell k
+    rho_g, u_eff_g = ghost(rho, "constant"), ghost(u_eff, "edge")
+    flux = rho_g[:-1] * np.maximum(u_eff_g[:-1], 0.0) + rho_g[1:] * np.minimum(u_eff_g[1:], 0.0)
     rho_new = rho - dt / dx * (flux[1:] - flux[:-1])
 
-    # velocity: upwind gradient; ghosts are zero-gradient (or wrapped), and a
-    # vacuum upwind neighbor contributes no gradient (nothing advects in)
-    grad_minus = np.zeros(n)
-    grad_minus[1:] = np.where(vacuum[:-1], 0.0, (u[1:] - u[:-1]) / dx)
-    grad_plus = np.zeros(n)
-    grad_plus[:-1] = np.where(vacuum[1:], 0.0, (u[1:] - u[:-1]) / dx)
-    if periodic:
-        grad_minus[0] = 0.0 if vacuum[-1] else (u[0] - u[-1]) / dx
-        grad_plus[-1] = 0.0 if vacuum[0] else (u[0] - u[-1]) / dx
+    # velocity: upwind gradient; a vacuum upwind neighbor contributes no
+    # gradient (nothing advects in)
+    vacuum_g = ghost(vacuum, "edge")
+    jump = np.diff(ghost(u, "edge")) / dx
+    grad_minus = np.where(vacuum_g[:-2], 0.0, jump[:-1])
+    grad_plus = np.where(vacuum_g[2:], 0.0, jump[1:])
     dudx = np.where(u > 0.0, grad_minus, np.where(u < 0.0, grad_plus, 0.0))
     u_bar = nonlocal_average(state, phi)
     u_new = u - dt * u * dudx + dt * alpha * (u_bar - u)

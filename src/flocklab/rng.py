@@ -14,9 +14,11 @@ import numpy as np
 PRNG_ID = "splitmix64"
 
 _MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+# uint64 operands throughout: numpy 1.x promotes a uint64 array mixed with a
+# Python int to float64
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 class SplitMix64:
@@ -30,19 +32,23 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
+    def _draw(self, count: int) -> np.ndarray:
+        """The next count outputs as uint64.  The state is a counter advanced
+        by GAMMA per output, so output k finalizes state + k*GAMMA and a block
+        of outputs is one array pass."""
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+        self._state = (self._state + count * int(_GAMMA)) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return int(self._draw(1)[0])
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0**-53
         return low + (high - low) * u
 
     def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=float)
-        for i in range(out.size):
-            out[i] = self.uniform(low, high)
-        return out.reshape(shape)
+        u = (self._draw(int(np.prod(shape))) >> np.uint64(11)) * 2.0**-53
+        return (low + (high - low) * u).reshape(shape)

@@ -130,7 +130,9 @@ class Scenario:
         return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Text form of a scenario value or CSV cell; floats carry 17 significant
+    digits so doubles round-trip exactly."""
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -348,13 +350,13 @@ def serialize_scenario(sc: Scenario) -> str:
             continue
         section, key = _FIELD_TO_KEY[f.name]
         if f.name in ("positions", "velocities"):
-            text = "; ".join(" ".join(_fmt(c) for c in p) for p in value)
+            text = "; ".join(" ".join(format_value(c) for c in p) for p in value)
         elif f.name == "table":
-            text = " ".join(f"{_fmt(r)}:{_fmt(v)}" for r, v in value)
+            text = " ".join(f"{format_value(r)}:{format_value(v)}" for r, v in value)
         elif isinstance(value, tuple):
-            text = " ".join(_fmt(v) for v in value)
+            text = " ".join(format_value(v) for v in value)
         else:
-            text = _fmt(value)
+            text = format_value(value)
         by_section[section].append(f"{key} = {text}")
     lines = []
     for name in SECTIONS:

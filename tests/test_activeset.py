@@ -219,6 +219,30 @@ def test_decay_check_holds_for_rk4_runs_too():
     assert report.passed
 
 
+def test_decay_check_zero_level_is_maximum_principle():
+    # the cutoff is shorter than d_X, so phi(d_X) = 0: no contraction is
+    # guaranteed and each step is held to d_V(k+1) <= d_V(k) + 10 dt**2
+    dt = 0.1
+    ens = AgentEnsemble(
+        t=0.0,
+        positions=np.array([[0.0], [1.0], [6.0]]),
+        velocities=np.array([[0.0], [1.0], [-0.5]]),
+    )
+    model = ModelSpec(
+        model="mt", phi=InfluenceFunction.power_law_with_cutoff(1.0, 2.0), alpha=1.0
+    )
+    record = simulate(ens, model, dt=dt, t_final=1.0, snapshot_stride=1)
+    report = verify_diameter_decay(record, model)
+    assert np.all(report.theta == 0.0)
+    assert np.all(report.count_global == 0)
+    assert np.all(report.count_pairwise_min == 0)
+    d_v = record.velocity_diameter
+    expected = d_v[:-1] + 10.0 * dt * dt - d_v[1:]
+    assert np.allclose(report.margin_global, expected, rtol=0.0, atol=1e-15)
+    assert np.array_equal(report.margin_pairwise, report.margin_global)
+    assert report.passed
+
+
 def test_decay_check_missing_snapshots():
     ens = AgentEnsemble(
         t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])

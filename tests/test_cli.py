@@ -1,4 +1,5 @@
 import json
+import math
 
 from flocklab.cli import main
 from flocklab.dynamics import simulate
@@ -117,6 +118,51 @@ def test_simulate_failed_decay_check_exits_one(tmp_path):
     assert summary["decay_check"]["passed"] is False
     assert summary["final"]["d_v_ratio"] > 1e3
     assert (out / "diagnostics.csv").exists()
+
+
+CUTOFF_DOC = """
+[model]
+model = mt
+phi = power-law-with-cutoff
+s = 1
+cutoff = 2
+alpha = {alpha}
+
+[initial]
+N = 30
+dim = 2
+seed = 3
+pos_min = 0
+pos_max = 20
+
+[integration]
+dt = 0.05
+T = 1
+scheme = {scheme}
+"""
+
+
+def test_simulate_cutoff_kernel_blowup_exits_one(tmp_path):
+    # the cutoff is shorter than d_X, so the guaranteed level is 0 and the
+    # check reduces to the maximum principle, which the rk4 blow-up breaks
+    cfg = write(tmp_path, CUTOFF_DOC.format(alpha=200, scheme="rk4"))
+    out = tmp_path / "cutoff_rk4"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["decay_check"]["passed"] is False
+    assert summary["final"]["d_v_ratio"] > 100
+
+
+def test_simulate_cutoff_kernel_euler_passes(tmp_path):
+    cfg = write(tmp_path, CUTOFF_DOC.format(alpha=1, scheme="euler"))
+    out = tmp_path / "cutoff_euler"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["decay_check"]["passed"] is True
+    rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    # the last instant has no step after it, so its margin stays nan
+    margins = [float(r.split(",")[-1]) for r in rows[:-1]]
+    assert len(margins) == 20 and all(math.isfinite(m) for m in margins)
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
