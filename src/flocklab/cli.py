@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
-Every command reads a scenario document (--config), writes its results under
---out, and embeds the fully resolved scenario plus the PRNG identifier in
-summary.json.  CSV files carry a header row and 17-significant-digit floats
-so doubles round-trip losslessly; identical scenarios produce byte-identical
-outputs.
+:func:`main` is the one frame around them: it loads the scenario document
+(--config, with --seed applied) and creates --out, then calls
+``cmd_x(scenario, out, args)``, which writes its CSV files and returns
+``(summary body, exit code)``.  ``main`` heads the body with the command name
+and the PRNG identifier and writes it to the scenario's ``[output] summary``
+file (summary.json without a scenario).  CSV files carry a header row and
+17-significant-digit floats so doubles round-trip losslessly; identical
+scenarios produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 from . import __version__
 from .activeset import lemma_action_bound, verify_diameter_decay
 from .dynamics import diameter, diameters, simulate, step
-from .errors import FlockLabError, ScenarioError, StabilityError
+from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
-from .hydro import hydro_certify, hydro_diameters, step_eulerian
+from .hydro import hydro_diameters, step_eulerian
 from .rng import PRNG_ID, SplitMix64
 from .scenario import (
     SWEEPABLE_KEYS,
@@ -77,8 +80,7 @@ def _write_summary(path: Path, payload: dict) -> None:
 
 
 def _load_scenario(args) -> Scenario:
-    text = Path(args.config).read_text()
-    sc = parse_scenario(text)
+    sc = parse_scenario(Path(args.config).read_text())
     if args.seed is not None:
         sc = with_override(sc, seed=args.seed)
     return sc
@@ -101,11 +103,7 @@ def _certificate_payload(sc: Scenario, d_x0: float, d_v0: float):
     return cert, tail
 
 
-def cmd_simulate(args) -> int:
-    sc = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+def cmd_simulate(sc: Scenario, out: Path, args):
     initial = sc.initial_ensemble()
     model = sc.to_model_spec()
     d_x0, d_v0 = diameters(initial)
@@ -131,17 +129,8 @@ def cmd_simulate(args) -> int:
         _write_csv(out / sc.out_snapshots, ["t", "agent"] + axes, snap_rows)
 
     cert, comparison_tail = _certificate_payload(sc, d_x0, d_v0)
-    try:
-        fitted = fit_exponential_rate(record.times, record.velocity_diameter)
-    except ValueError:
-        fitted = None
-
-    dv_ratio = (
-        float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0
-    )
-    summary = {
-        "command": "simulate",
-        "prng": PRNG_ID,
+    dv_ratio = float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0
+    body = {
         "scenario": scenario_to_dict(sc),
         "initial": {"d_x": d_x0, "d_v": d_v0},
         "final": {
@@ -155,7 +144,7 @@ def cmd_simulate(args) -> int:
         "momentum_drift": float(
             np.linalg.norm(record.momentum[-1] - record.momentum[0])
         ),
-        "fitted_rate": fitted,
+        "fitted_rate": fit_exponential_rate(record.times, record.velocity_diameter),
         "certificate": cert.to_json_dict() if cert else None,
         "symmetric_theory_tail": comparison_tail,
         "decay_check": None
@@ -167,49 +156,34 @@ def cmd_simulate(args) -> int:
             "margin_per_step": [float(m) for m in decay.margin_pairwise],
         },
     }
-    _write_summary(out / sc.out_summary, summary)
     verdict = cert.verdict if cert else "n/a"
     _say(args, f"simulate: T={record.times[-1]:g} d_V ratio {dv_ratio:.3e} verdict {verdict}")
     if decay is not None and not decay.passed:
         print(f"simulate: decay check failed, worst step {decay.worst_step}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        return body, EXIT_CHECK_FAILED
+    return body, EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    sc = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_certify(sc: Scenario, out: Path, args):
     d_x0, d_v0 = diameters(sc.initial_ensemble())
     cert, comparison_tail = _certificate_payload(sc, d_x0, d_v0)
     if cert is None:
         raise ScenarioError("the vision model has no flocking certificate", key="model")
-    summary = {
-        "command": "certify",
-        "prng": PRNG_ID,
+    body = {
         "scenario": scenario_to_dict(sc),
         "initial": {"d_x": d_x0, "d_v": d_v0},
         "certificate": cert.to_json_dict(),
         "symmetric_theory_tail": comparison_tail,
     }
-    _write_summary(out / sc.out_summary, summary)
     _say(args, f"certify: verdict {cert.verdict}")
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_verify_lemma(args) -> int:
-    if args.config:
-        sc = _load_scenario(args)
-        seed = sc.seed
-        scenario_dict = scenario_to_dict(sc)
-    else:
-        seed = args.seed
-        scenario_dict = None
+def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
+    seed = args.seed if sc is None else sc.seed
     if seed is None:
         raise ScenarioError("verify-lemma needs a seed (--seed or scenario)", key="seed")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = SplitMix64(seed)
     cases = 1000
     violations = 0
@@ -227,30 +201,20 @@ def cmd_verify_lemma(args) -> int:
             worst_slack = min(worst_slack, res.rhs - res.lhs)
             if not res.holds:
                 violations += 1
-    summary = {
-        "command": "verify-lemma",
-        "prng": PRNG_ID,
+    body = {
         "seed": seed,
-        "scenario": scenario_dict,
+        "scenario": None if sc is None else scenario_to_dict(sc),
         "cases": cases,
         "violations": violations,
         "worst_slack": worst_slack,
     }
-    _write_summary(out / "summary.json", summary)
     _say(args, f"verify-lemma: {cases} cases, {violations} violations")
-    return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
+    return body, EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
 
 
-def cmd_hydro(args) -> int:
-    sc = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+def cmd_hydro(sc: Scenario, out: Path, args):
     state = sc.initial_hydro_state()
     phi = sc.build_phi()
-    cert = hydro_certify(state, phi, sc.alpha, sc.hydro_epsilon)
-    d_x0, d_v0 = hydro_diameters(state, sc.hydro_epsilon)
-    mass0 = state.total_mass
 
     n_steps = max(1, int(round(sc.t_final / sc.dt)))
     stride = sc.snapshot_stride
@@ -260,12 +224,13 @@ def cmd_hydro(args) -> int:
     def record(s):
         d_x, d_v = hydro_diameters(s, sc.hydro_epsilon)
         diag_rows.append((float(s.t), d_x, d_v, s.total_mass))
-        return d_x, d_v
 
     def snapshot(s):
         field_rows.extend(_state_rows(s.t, s.centers, s.rho, s.u))
 
     record(state)
+    _, d_x0, d_v0, mass0 = diag_rows[0]
+    cert = certify(d_x0, d_v0, sc.alpha, phi)
     if stride > 0:
         snapshot(state)
     max_mass_drift = 0.0
@@ -282,25 +247,22 @@ def cmd_hydro(args) -> int:
     if stride > 0:
         _write_csv(out / sc.out_fields, ["t", "x", "rho", "u"], field_rows)
 
-    d_xf, d_vf = hydro_diameters(state, sc.hydro_epsilon)
-    summary = {
-        "command": "hydro",
-        "prng": PRNG_ID,
+    t_f, d_xf, d_vf, mass_f = diag_rows[-1]
+    body = {
         "scenario": scenario_to_dict(sc),
         "initial": {"d_x": d_x0, "d_v": d_v0, "mass": mass0},
         "final": {
-            "t": float(state.t),
+            "t": t_f,
             "d_x": d_xf,
             "d_v": d_vf,
-            "mass": state.total_mass,
+            "mass": mass_f,
             "d_v_ratio": d_vf / d_v0 if d_v0 > 0 else 0.0,
         },
         "max_step_mass_drift": max_mass_drift,
         "certificate": cert.to_json_dict(),
     }
-    _write_summary(out / sc.out_summary, summary)
-    _say(args, f"hydro: {n_steps} steps, d_V ratio {summary['final']['d_v_ratio']:.3e}")
-    return EXIT_OK
+    _say(args, f"hydro: {n_steps} steps, d_V ratio {body['final']['d_v_ratio']:.3e}")
+    return body, EXIT_OK
 
 
 def _run_for_sweep(sc: Scenario):
@@ -309,10 +271,7 @@ def _run_for_sweep(sc: Scenario):
     d_x0, d_v0 = diameters(initial)
     record = simulate(initial, model, sc.dt, sc.t_final, sc.scheme)
     ratio = float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0
-    try:
-        rate = fit_exponential_rate(record.times, record.velocity_diameter)
-    except ValueError:
-        rate = math.nan
+    rate = fit_exponential_rate(record.times, record.velocity_diameter)
     if model.model == "vision":
         verdict = "n/a"
     else:
@@ -320,10 +279,7 @@ def _run_for_sweep(sc: Scenario):
     return ratio, rate, verdict
 
 
-def cmd_sweep(args) -> int:
-    sc = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(sc: Scenario, out: Path, args):
     if args.parameter not in SWEEPABLE_KEYS:
         raise ScenarioError(
             f"unsweepable parameter (choose from {', '.join(SWEEPABLE_KEYS)})",
@@ -345,9 +301,7 @@ def cmd_sweep(args) -> int:
         [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"],
         rows,
     )
-    summary = {
-        "command": "sweep",
-        "prng": PRNG_ID,
+    body = {
         "scenario": scenario_to_dict(sc),
         "parameter": args.parameter,
         "rows": [
@@ -355,20 +309,22 @@ def cmd_sweep(args) -> int:
             for v, r, rt, vd in rows
         ],
     }
-    _write_summary(out / sc.out_summary, summary)
     _say(args, f"sweep {args.parameter}: " + ", ".join(f"{r[0]}->{r[3]}" for r in rows))
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_compare_groups(args) -> int:
-    sc = _load_scenario(args)
+def cmd_compare_groups(sc: Scenario, out: Path, args):
     if sc.ic_kind != "two-group":
         raise ScenarioError("compare-groups needs kind = two-group", key="kind")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     initial = sc.initial_ensemble()
     n1 = sc.n1
+    d_v0 = diameter(initial.velocities[:n1])
+    if d_v0 == 0.0:
+        raise ScenarioError(
+            "group 1 starts aligned (zero velocity spread, as with N1 = 1 or "
+            "vel_min = vel_max): there is no alignment to compare"
+        )
+    n_steps = max(1, int(round(sc.t_final / sc.dt)))
     results = {}
     runs = {}
     diag_rows = []
@@ -376,24 +332,22 @@ def cmd_compare_groups(args) -> int:
         model = sc.to_model_spec(model_kind)
         state = initial
         times = [0.0]
-        series = [diameter(state.velocities[:n1])]
-        target = 0.5 * series[0]
+        series = [d_v0]
         halving = None
-        n_steps = max(1, int(round(sc.t_final / sc.dt)))
         for _ in range(n_steps):
             state = step(state, model, sc.dt, sc.scheme)
             times.append(state.t)
             series.append(diameter(state.velocities[:n1]))
-            if halving is None and series[-1] <= target:
+            if halving is None and series[-1] <= 0.5 * d_v0:
                 halving = state.t
-            if halving is not None and series[-1] <= 0.4 * series[0]:
+            if halving is not None and series[-1] <= 0.4 * d_v0:
                 break
         runs[model_kind] = (np.array(times), np.array(series))
         results[model_kind] = {
             "halving_time": halving,
             "horizon": float(times[-1]),
             "fitted_rate": fit_exponential_rate(*runs[model_kind]),
-            "final_ratio": series[-1] / series[0],
+            "final_ratio": series[-1] / d_v0,
         }
         diag_rows.extend((model_kind, t, dv) for t, dv in zip(times, series))
 
@@ -416,9 +370,7 @@ def cmd_compare_groups(args) -> int:
         keep = times <= window + 1e-12
         early[model_kind] = fit_exponential_rate(times[keep], series[keep])
 
-    summary = {
-        "command": "compare-groups",
-        "prng": PRNG_ID,
+    body = {
         "scenario": scenario_to_dict(sc),
         "group1_size": n1,
         "cs": results["cs"],
@@ -429,10 +381,9 @@ def cmd_compare_groups(args) -> int:
         "rate_window": window,
         "rate_ratio_mt_over_cs": early["mt"] / early["cs"],
     }
-    _write_summary(out / sc.out_summary, summary)
     shown = "n/a" if ratio is None else f"{'>= ' if not cs_halved else ''}{ratio:.2f}"
     _say(args, f"compare-groups: halving-time ratio cs/mt = {shown}")
-    return EXIT_OK
+    return body, EXIT_OK
 
 
 _COMMANDS = {
@@ -471,14 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ScenarioError as exc:
+        sc = _load_scenario(args) if args.config else None
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        body, code = _COMMANDS[args.command](sc, out, args)
+        summary = {"command": args.command, "prng": PRNG_ID, **body}
+        _write_summary(out / (sc.out_summary if sc else "summary.json"), summary)
+        return code
+    except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (StabilityError, FloatingPointError, FlockLabError) as exc:
+    except (FloatingPointError, FlockLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

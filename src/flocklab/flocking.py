@@ -179,8 +179,8 @@ def certify(
 def fit_exponential_rate(times, values) -> float:
     """Negated least-squares slope of log(values) over the trailing half.
 
-    Series containing zeros are truncated at the first zero; fewer than three
-    positive samples is an error.
+    Series containing zeros are truncated at the first zero; with fewer than
+    three positive samples left there is no rate to fit, and the result is NaN.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -191,7 +191,7 @@ def fit_exponential_rate(times, values) -> float:
         times = times[: nonpos[0]]
         values = values[: nonpos[0]]
     if values.size < 3:
-        raise ValueError("need at least three positive samples")
+        return math.nan
     half = values.size // 2
     slope = np.polyfit(times[half:], np.log(values[half:]), 1)[0]
     return float(-slope)

@@ -93,16 +93,13 @@ def step_eulerian(
     phi: InfluenceFunction,
     alpha: float,
     dt: float,
-    periodic: bool = False,
 ) -> HydroState1D:
     """One forward step: donor-cell mass flux, upwind velocity advection,
     relaxation toward the nonlocal average.  Vacuum cells keep their velocity.
 
-    The default boundary is outflow against a vacuum exterior (nothing comes
-    in, outgoing mass leaves and is lost); grids should be sized so the
-    support never reaches the edge.  periodic=True wraps the mass flux and
-    the velocity gradient instead (the kernel average still uses line
-    distances, so use it only for translation-invariant sanity states).
+    The boundary is outflow against a vacuum exterior (nothing comes in,
+    outgoing mass leaves and is lost); grids should be sized so the support
+    never reaches the edge.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
@@ -119,20 +116,17 @@ def step_eulerian(
     if alpha * dt > 1.0:
         raise StabilityError(f"relaxation needs alpha*dt <= 1, got {alpha * dt}")
 
-    # one ghost cell per side: wrapped, or for outflow a vacuum exterior (no
-    # mass) whose velocity and vacuum flag copy the edge (zero gradient)
-    def ghost(a, outflow_mode):
-        return np.pad(a, 1, mode="wrap" if periodic else outflow_mode)
-
-    # mass: flux[k] through the interface left of cell k
-    rho_g, u_eff_g = ghost(rho, "constant"), ghost(u_eff, "edge")
+    # one ghost cell per side: a vacuum exterior (no mass) whose velocity
+    # and vacuum flag copy the edge (zero gradient); flux[k] is the mass flux
+    # through the interface left of cell k
+    rho_g, u_eff_g = np.pad(rho, 1), np.pad(u_eff, 1, mode="edge")
     flux = rho_g[:-1] * np.maximum(u_eff_g[:-1], 0.0) + rho_g[1:] * np.minimum(u_eff_g[1:], 0.0)
     rho_new = rho - dt / dx * (flux[1:] - flux[:-1])
 
     # velocity: upwind gradient; a vacuum upwind neighbor contributes no
     # gradient (nothing advects in)
-    vacuum_g = ghost(vacuum, "edge")
-    jump = np.diff(ghost(u, "edge")) / dx
+    vacuum_g = np.pad(vacuum, 1, mode="edge")
+    jump = np.diff(np.pad(u, 1, mode="edge")) / dx
     grad_minus = np.where(vacuum_g[:-2], 0.0, jump[:-1])
     grad_plus = np.where(vacuum_g[2:], 0.0, jump[1:])
     dudx = np.where(u > 0.0, grad_minus, np.where(u < 0.0, grad_plus, 0.0))

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from flocklab.cli import main
 from flocklab.dynamics import simulate
 from flocklab.scenario import parse_scenario
@@ -219,6 +221,17 @@ def test_verify_lemma_command(tmp_path):
     assert summary["worst_slack"] >= -1e-12
 
 
+def test_verify_lemma_honours_output_summary(tmp_path):
+    cfg = write(tmp_path, MT_DOC + "\n[output]\nsummary = lemma.json\n")
+    out = tmp_path / "lemma"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["lemma.json"]
+    summary = json.loads((out / "lemma.json").read_text())
+    assert summary["command"] == "verify-lemma"
+    assert summary["seed"] == 3
+    assert summary["scenario"]["output"]["summary"] == "lemma.json"
+
+
 def test_hydro_command(tmp_path):
     cfg = write(tmp_path, HYDRO_DOC)
     out = tmp_path / "hydro"
@@ -285,6 +298,28 @@ def test_compare_groups_reports_contrast(tmp_path):
     # later, or not at all within the horizon (ratio then a lower bound)
     assert summary["halving_time_ratio_cs_over_mt"] > 10.0
     assert summary["rate_ratio_mt_over_cs"] > 1.0
+
+
+def test_compare_groups_fast_run_has_null_rates(tmp_path):
+    # alpha*dt = 1: mt aligns group 1 in one Euler step, leaving too few
+    # positive samples for a rate; that is a valid run, not bad input
+    cfg = write(tmp_path, GROUPS_DOC.replace("alpha = 1", "alpha = 20"))
+    out = tmp_path / "fast"
+    assert main(["compare-groups", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mt"]["halving_time"] == 0.05
+    assert summary["mt"]["fitted_rate"] is None
+    assert summary["rate_ratio_mt_over_cs"] is None
+    assert summary["halving_time_ratio_cs_over_mt"] == pytest.approx(11.0)
+
+
+@pytest.mark.parametrize(
+    "edit", [("N1 = 3", "N1 = 1"), ("seed = 11", "seed = 11\nvel_min = 0.5\nvel_max = 0.5")]
+)
+def test_compare_groups_rejects_aligned_group(tmp_path, capsys, edit):
+    cfg = write(tmp_path, GROUPS_DOC.replace(*edit))
+    assert main(["compare-groups", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "group 1 starts aligned" in capsys.readouterr().err
 
 
 def test_compare_groups_requires_two_group_kind(tmp_path):

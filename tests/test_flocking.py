@@ -172,8 +172,11 @@ def test_fit_rate_truncates_at_first_zero():
     v[6:] = 0.0
     rate = fit_exponential_rate(t, v)
     assert rate == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        fit_exponential_rate(t[:4], np.array([1.0, 0.0, 0.0, 0.0]))
+    # fewer than three positive samples left: no rate, not an error
+    assert math.isnan(fit_exponential_rate(t[:4], np.array([1.0, 0.0, 0.0, 0.0])))
+    assert math.isnan(fit_exponential_rate(t[:2], np.exp(-t[:2])))
+    with pytest.raises(ValueError):  # mismatched shapes are still bad input
+        fit_exponential_rate(t[:4], v[:3])
 
 
 # --------------------------------------------------- simulation conformance

@@ -78,13 +78,6 @@ def test_average_cutoff_with_empty_reach_keeps_velocity():
 # ----------------------------------------------------------------- euler step
 
 
-def test_uniform_periodic_state_is_steady():
-    state = HydroState1D(x_min=0.0, dx=0.1, rho=np.ones(40), u=np.full(40, 0.3))
-    out = step_eulerian(state, PHI1, alpha=1.0, dt=0.02, periodic=True)
-    assert out.rho == pytest.approx(state.rho, abs=1e-12)
-    assert out.u == pytest.approx(state.u, abs=1e-12)
-
-
 def test_uniform_outflow_state_interior_steady():
     state = HydroState1D(x_min=0.0, dx=0.1, rho=np.ones(40), u=np.full(40, 0.3))
     out = step_eulerian(state, PHI1, alpha=1.0, dt=0.02)
