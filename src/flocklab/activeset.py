@@ -10,11 +10,12 @@ contraction rate alpha * count**2 * theta**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple
+from functools import cached_property
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .dynamics import ModelSpec, TrajectoryRecord, build_matrix
+from .dynamics import AgentEnsemble, ModelSpec, TrajectoryRecord, build_matrix
 from .influence import InfluenceMatrix
 
 ANTISYMMETRY_TOL = 1e-12
@@ -22,10 +23,13 @@ ANTISYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ActiveSetReport:
-    """Per-agent, pairwise-minimum and global active sets at one level."""
+    """Per-agent, pairwise-minimum and global active sets at one level.
+
+    hits[p, j] says whether agent j is active for agent p (a_pj >= theta).
+    """
 
     theta: float
-    per_agent: List[np.ndarray]
+    hits: np.ndarray
     pairwise_min: int
     global_indices: np.ndarray
 
@@ -33,20 +37,36 @@ class ActiveSetReport:
     def global_count(self) -> int:
         return int(self.global_indices.size)
 
+    @cached_property
+    def per_agent(self) -> List[np.ndarray]:
+        return [np.flatnonzero(row) for row in self.hits]
+
 
 def active_sets(matrix: InfluenceMatrix, theta: float) -> ActiveSetReport:
     """Sets {j : a_pj >= theta} per agent, their pairwise-intersection
-    minimum count, and the all-agent intersection."""
+    minimum count, and the all-agent intersection.
+
+    The counts obey global <= pairwise minimum <= smallest row count <= N
+    (the diagonal pairs are the rows themselves), so when two ends agree no
+    pair product is formed; the default level schedules of cs and mt, which
+    activate every agent, always land there.  Otherwise the pair counts come
+    from a float64 product of the 0/1 hit matrix, exact for counts below
+    2**53.
+    """
     if not (theta > 0):
         raise ValueError("theta must be positive")
     hits = matrix.entries >= theta
-    per_agent = [np.flatnonzero(row) for row in hits]
-    pair_counts = hits.astype(np.int64) @ hits.astype(np.int64).T
+    n = hits.shape[0]
+    global_indices = np.flatnonzero(hits.all(axis=0))
+    if global_indices.size == n:
+        pairwise_min = n
+    else:
+        pairwise_min = int(np.count_nonzero(hits, axis=1).min())
+    if pairwise_min > global_indices.size:
+        h = hits.astype(np.float64)
+        pairwise_min = int((h @ h.T).min())
     return ActiveSetReport(
-        theta=theta,
-        per_agent=per_agent,
-        pairwise_min=int(pair_counts.min()),
-        global_indices=np.flatnonzero(hits.all(axis=0)),
+        theta=theta, hits=hits, pairwise_min=pairwise_min, global_indices=global_indices
     )
 
 
@@ -121,49 +141,79 @@ class DecayReport:
     passed: bool
 
 
-def verify_diameter_decay(trajectory: TrajectoryRecord, model: ModelSpec) -> DecayReport:
-    """Check, at every recorded step, that the velocity diameter contracted at
-    least as fast as 1 - alpha * count**2 * theta**2 * dt at the default
-    level theta, with slack DECAY_SLACK * dt**2 covering time-discretization
-    curvature.
+class DecayObserver:
+    """Per-step velocity-diameter contraction check, fed online.
 
-    Both the global-count and the sharper pairwise-minimum variants are
-    evaluated; matrices are rebuilt from the stride-1 snapshots.  A zero level
-    (a compactly supported kernel shorter than d_X) guarantees no contraction:
-    both counts are 0 and the bound is the maximum principle
-    d_V(t + dt) <= d_V(t) + DECAY_SLACK * dt**2.
+    Pass it to ``simulate(..., observers=[check])``: before each step it is
+    called with the state the step starts from, that state's position
+    diameter and its influence matrix, and records the default level theta
+    and both active-set counts there.  ``report(record)`` then holds every
+    step to
+
+        d_V(k+1) <= d_V(k) * (1 - alpha * count**2 * theta**2 * dt) + DECAY_SLACK * dt**2,
+
+    where the slack covers time-discretization curvature, for the global
+    count and for the sharper pairwise minimum.  A zero level (a compactly
+    supported kernel shorter than d_X) guarantees no contraction: both counts
+    are 0 and the bound is the maximum principle
+    d_V(k+1) <= d_V(k) + DECAY_SLACK * dt**2.
     """
+
+    def __init__(self, model: ModelSpec, n: int):
+        self.model = model
+        self.schedule = default_theta_schedule(model, n)
+        self.theta: List[float] = []
+        self.counts: List[Tuple[int, int]] = []  # global, pairwise minimum
+
+    def __call__(self, state: AgentEnsemble, d_x: float, matrix: InfluenceMatrix) -> None:
+        theta = self.schedule(state.t, d_x)
+        counts = (0, 0)
+        if theta > 0.0:
+            found = active_sets(matrix, theta)
+            counts = (found.global_count, found.pairwise_min)
+        self.theta.append(theta)
+        self.counts.append(counts)
+
+    def report(self, trajectory: TrajectoryRecord) -> DecayReport:
+        """Margins of every observed step against the record's diameters."""
+        n_steps = len(self.theta)
+        if n_steps < 1:
+            raise ValueError("trajectory must contain at least one step")
+        if len(trajectory.times) != n_steps + 1:
+            raise ValueError("the record must hold one instant more than the observed steps")
+        times = trajectory.times
+        theta = np.array(self.theta)
+        counts = np.array(self.counts, dtype=int).T
+        dt = np.diff(times)
+        d_v = trajectory.velocity_diameter
+        m_glob, m_pair = (
+            d_v[:-1] * (1.0 - self.model.alpha * counts**2 * theta**2 * dt)
+            + DECAY_SLACK * dt * dt
+            - d_v[1:]
+        )
+        worst = np.minimum(m_glob, m_pair)
+        worst_step = int(np.argmin(worst))
+        return DecayReport(
+            times=times[:-1].copy(),
+            theta=theta,
+            count_global=counts[0],
+            count_pairwise_min=counts[1],
+            margin_global=m_glob,
+            margin_pairwise=m_pair,
+            worst_margin=float(worst[worst_step]),
+            worst_step=worst_step,
+            passed=bool(worst[worst_step] >= 0.0),
+        )
+
+
+def verify_diameter_decay(trajectory: TrajectoryRecord, model: ModelSpec) -> DecayReport:
+    """The :class:`DecayObserver` check of a finished run whose record holds
+    a snapshot at every step: each snapshot's matrix is built and fed to the
+    observer, as ``simulate(..., observers=...)`` would have."""
     snaps = trajectory.snapshots
     if trajectory.snapshot_stride != 1 or len(snaps) != len(trajectory.times):
         raise ValueError("trajectory must carry snapshots at every step")
-    n_steps = len(trajectory.times) - 1
-    if n_steps < 1:
-        raise ValueError("trajectory must contain at least one step")
-
-    schedule = default_theta_schedule(model, snaps[0].n)
-    times = trajectory.times
-    d_x = trajectory.position_diameter
-    theta = np.array([schedule(float(times[k]), float(d_x[k])) for k in range(n_steps)])
-    counts = np.zeros((2, n_steps), dtype=int)  # global, pairwise minimum
-    for k in np.flatnonzero(theta > 0.0):
-        report = active_sets(build_matrix(snaps[k], model), theta[k])
-        counts[:, k] = report.global_count, report.pairwise_min
-
-    dt = np.diff(times)
-    d_v = trajectory.velocity_diameter
-    m_glob, m_pair = (
-        d_v[:-1] * (1.0 - model.alpha * counts**2 * theta**2 * dt) + DECAY_SLACK * dt * dt - d_v[1:]
-    )
-    worst = np.minimum(m_glob, m_pair)
-    worst_step = int(np.argmin(worst))
-    return DecayReport(
-        times=times[:-1].copy(),
-        theta=theta,
-        count_global=counts[0],
-        count_pairwise_min=counts[1],
-        margin_global=m_glob,
-        margin_pairwise=m_pair,
-        worst_margin=float(worst[worst_step]),
-        worst_step=worst_step,
-        passed=bool(worst[worst_step] >= 0.0),
-    )
+    check = DecayObserver(model, snaps[0].n)
+    for state, d_x in zip(snaps[:-1], trajectory.position_diameter):
+        check(state, float(d_x), build_matrix(state, model))
+    return check.report(trajectory)

@@ -17,13 +17,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .activeset import lemma_action_bound, verify_diameter_decay
+from .activeset import DecayObserver, lemma_action_bound
 from .dynamics import diameter, diameters, simulate, step
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
@@ -107,10 +108,13 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     initial = sc.initial_ensemble()
     model = sc.to_model_spec()
     d_x0, d_v0 = diameters(initial)
-    record = simulate(initial, model, sc.dt, sc.t_final, sc.scheme, snapshot_stride=1)
-
     # the vision model has no level schedule: no check, margin column nan
-    decay = None if model.model == "vision" else verify_diameter_decay(record, model)
+    check = None if model.model == "vision" else DecayObserver(model, initial.n)
+    record = simulate(
+        initial, model, sc.dt, sc.t_final, sc.scheme,
+        snapshot_stride=sc.snapshot_stride, observers=[check] if check else (),
+    )
+    decay = check.report(record) if check else None
     margins = np.full(len(record.times), np.nan)
     if decay is not None:
         margins[:-1] = decay.margin_pairwise
@@ -124,7 +128,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     if sc.snapshot_stride > 0:
         snap_rows = []
         axes = [f"x{k}" for k in range(initial.d)] + [f"v{k}" for k in range(initial.d)]
-        for ens in record.snapshots[:: sc.snapshot_stride]:
+        for ens in record.snapshots:
             snap_rows += _state_rows(ens.t, np.arange(ens.n), ens.positions, ens.velocities)
         _write_csv(out / sc.out_snapshots, ["t", "agent"] + axes, snap_rows)
 
@@ -228,6 +232,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     def snapshot(s):
         field_rows.extend(_state_rows(s.t, s.centers, s.rho, s.u))
 
+    t0 = state.t
     record(state)
     _, d_x0, d_v0, mass0 = diag_rows[0]
     cert = certify(d_x0, d_v0, sc.alpha, phi)
@@ -236,7 +241,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     max_mass_drift = 0.0
     for k in range(1, n_steps + 1):
         prev_mass = state.total_mass
-        state = step_eulerian(state, phi, sc.alpha, sc.dt)
+        state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t0 + k * sc.dt)
         if prev_mass > 0:
             max_mass_drift = max(max_mass_drift, abs(state.total_mass - prev_mass) / prev_mass)
         record(state)
@@ -331,15 +336,15 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     for model_kind in ("cs", "mt"):
         model = sc.to_model_spec(model_kind)
         state = initial
-        times = [0.0]
+        times = [initial.t]
         series = [d_v0]
         halving = None
-        for _ in range(n_steps):
+        for k in range(1, n_steps + 1):
             state = step(state, model, sc.dt, sc.scheme)
-            times.append(state.t)
+            times.append(initial.t + k * sc.dt)
             series.append(diameter(state.velocities[:n1]))
             if halving is None and series[-1] <= 0.5 * d_v0:
-                halving = state.t
+                halving = times[-1]
             if halving is not None and series[-1] <= 0.4 * d_v0:
                 break
         runs[model_kind] = (np.array(times), np.array(series))

@@ -10,8 +10,8 @@ scheme and rebuilds the matrix at every stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -109,9 +109,14 @@ def build_matrix(ensemble: AgentEnsemble, model: ModelSpec) -> InfluenceMatrix:
     )
 
 
-def rhs(ensemble: AgentEnsemble, model: ModelSpec) -> np.ndarray:
-    """Accelerations alpha * (a v - v), one row per agent."""
-    a = build_matrix(ensemble, model).entries
+def rhs(
+    ensemble: AgentEnsemble, model: ModelSpec, matrix: Optional[InfluenceMatrix] = None
+) -> np.ndarray:
+    """Accelerations alpha * (a v - v), one row per agent; ``matrix``, when
+    given, is the ensemble's influence matrix, built by the caller."""
+    if matrix is None:
+        matrix = build_matrix(ensemble, model)
+    a = matrix.entries
     return model.alpha * (a @ ensemble.velocities - ensemble.velocities)
 
 
@@ -145,12 +150,24 @@ def advance(x, v, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.ndarr
     return x_new, v_new
 
 
-def step(ensemble: AgentEnsemble, model: ModelSpec, dt: float, scheme: str = "euler") -> AgentEnsemble:
-    """Advance one step of size dt with 'euler' or 'rk4'; rk4 rebuilds the
-    matrix at every stage."""
+def step(
+    ensemble: AgentEnsemble,
+    model: ModelSpec,
+    dt: float,
+    scheme: str = "euler",
+    matrix: Optional[InfluenceMatrix] = None,
+) -> AgentEnsemble:
+    """Advance one step of size dt with 'euler' or 'rk4'.
+
+    ``matrix``, when given, is the ensemble's own influence matrix and serves
+    the acceleration at the step's starting state (Euler's only one, rk4's
+    stage 1); every other rk4 stage builds its own.
+    """
 
     def accel(x, v):
-        return rhs(AgentEnsemble(t=ensemble.t, positions=x, velocities=v), model)
+        at_start = x is ensemble.positions and v is ensemble.velocities
+        state = AgentEnsemble(t=ensemble.t, positions=x, velocities=v)
+        return rhs(state, model, matrix if at_start else None)
 
     x, v = advance(ensemble.positions, ensemble.velocities, accel, model.alpha, dt, scheme)
     return AgentEnsemble(t=ensemble.t + dt, positions=x, velocities=v)
@@ -203,23 +220,32 @@ def simulate(
     t_final: float,
     scheme: str = "euler",
     snapshot_stride: int = 0,
+    observers: Sequence[Callable[[AgentEnsemble, float, InfluenceMatrix], None]] = (),
 ) -> TrajectoryRecord:
     """Integrate to t_final, recording diameters and momentum at every step.
 
-    The horizon is rounded to a whole number of steps of size dt.
+    The horizon is rounded to a whole number of steps of size dt, and step k
+    is stamped t0 + k*dt, so no time drifts off the grid.  Each step
+    builds the influence matrix of the state it starts from once; every
+    observer is called as ``observer(state, d_x, matrix)`` with that state,
+    its position diameter and the matrix, which then serves the step's first
+    acceleration.  Snapshots are kept every ``snapshot_stride`` steps only.
     """
     if not (t_final > 0):
         raise ValueError("t_final must be positive")
     n_steps = max(1, int(round(t_final / dt)))
     times = [initial.t]
-    d_x0, d_v0 = diameters(initial)
-    dx_series, dv_series = [d_x0], [d_v0]
+    d_x, d_v = diameters(initial)
+    dx_series, dv_series = [d_x], [d_v]
     momenta = [bulk_momentum(initial)]
     snapshots = [initial] if snapshot_stride > 0 else []
 
     state = initial
     for k in range(1, n_steps + 1):
-        state = step(state, model, dt, scheme)
+        matrix = build_matrix(state, model)
+        for observe in observers:
+            observe(state, d_x, matrix)
+        state = replace(step(state, model, dt, scheme, matrix), t=initial.t + k * dt)
         times.append(state.t)
         d_x, d_v = diameters(state)
         dx_series.append(d_x)

@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklab.activeset import (
+    DecayObserver,
     active_sets,
     default_theta_schedule,
     lemma_action_bound,
     verify_diameter_decay,
 )
-from flocklab.dynamics import AgentEnsemble, ModelSpec, simulate
-from flocklab.influence import InfluenceFunction, InfluenceMatrix, build_cs, build_mt
+from flocklab.dynamics import AgentEnsemble, ModelSpec, diameter, simulate
+from flocklab.influence import (
+    InfluenceFunction,
+    InfluenceMatrix,
+    build_cs,
+    build_leader,
+    build_mt,
+)
 
 PHI1 = InfluenceFunction.power_law(1.0)
 
@@ -92,6 +99,87 @@ def test_count_times_level_bounded_by_one(seed, theta):
         assert len(report.per_agent[p]) * theta <= 1.0 + 1e-12
     assert report.global_count <= report.pairwise_min
     assert report.pairwise_min <= min(len(s) for s in report.per_agent)
+
+
+def reference_active_sets(entries, theta):
+    """Loops and the int64 pair-count product: per-agent sets, pairwise
+    minimum, all-agent intersection."""
+    n = entries.shape[0]
+    per_agent = [[j for j in range(n) if entries[p, j] >= theta] for p in range(n)]
+    hits = (entries >= theta).astype(np.int64)
+    everyone = [j for j in range(n) if all(j in row for row in per_agent)]
+    return per_agent, int((hits @ hits.T).min()), everyone
+
+
+def assert_matches_reference(matrix, theta):
+    report = active_sets(matrix, theta)
+    per_agent, pairwise_min, everyone = reference_active_sets(matrix.entries, theta)
+    assert report.pairwise_min == pairwise_min
+    assert report.global_indices.tolist() == everyone
+    assert [row.tolist() for row in report.per_agent] == per_agent
+    return report
+
+
+def smallest_row_count(matrix, theta):
+    return int((matrix.entries >= theta).sum(axis=1).min())
+
+
+def test_hand_matrix_needs_the_pair_product():
+    # smallest row count 3 > global count 2: only the pair counts decide
+    m = hand_matrix()
+    assert smallest_row_count(m, 0.2) == 3
+    assert assert_matches_reference(m, 0.2).global_count == 2
+
+
+def test_default_levels_take_the_shortcut():
+    # phi(d_X)/N activates every agent; beta*phi(d_X) activates the leader,
+    # and the leader's own row holds nothing else: global = smallest row
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 6, size=(9, 2))
+    phi = InfluenceFunction.power_law(0.5)
+    for model, matrix in (
+        (ModelSpec(model="mt", phi=phi, alpha=1.0), build_mt(x, phi)),
+        (ModelSpec(model="cs", phi=phi, alpha=1.0), build_cs(x, phi)),
+        (
+            ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.2, leader=4),
+            build_leader(x, phi, 0.2, 4),
+        ),
+    ):
+        theta = default_theta_schedule(model, 9)(0.0, diameter(x))
+        report = assert_matches_reference(matrix, theta)
+        assert report.global_count == smallest_row_count(matrix, theta)
+
+
+@st.composite
+def random_stochastic_matrices(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < draw(st.floats(0.2, 1.0)))
+    w[np.arange(n), np.arange(n)] += 0.1  # no empty row
+    return InfluenceMatrix(entries=w / w.sum(axis=1, keepdims=True), model_tag="random")
+
+
+@given(random_stochastic_matrices(), st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_active_sets_match_reference_on_random_matrices(matrix, q):
+    # a level at an entry quantile: from everyone active to almost no one
+    theta = float(np.quantile(matrix.entries, q))
+    if theta > 0.0:
+        assert_matches_reference(matrix, theta)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.floats(0.05, 0.95), st.floats(0.5, 3.0))
+@settings(max_examples=50, deadline=None)
+def test_active_sets_match_reference_on_leader_matrices(seed, n, beta, scale):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 4, size=(n, 2))
+    phi = InfluenceFunction.power_law(0.5)
+    m = build_leader(x, phi, beta, int(rng.integers(n)))
+    base = beta * float(phi(diameter(x)))
+    # the default level and multiples of it, above and below
+    for theta in (base * 0.999999999999, base * scale, base / scale):
+        report = assert_matches_reference(m, theta)
+        assert report.global_count <= report.pairwise_min <= smallest_row_count(m, theta)
 
 
 # ----------------------------------------------------------------- the lemma
@@ -241,6 +329,55 @@ def test_decay_check_zero_level_is_maximum_principle():
     assert np.allclose(report.margin_global, expected, rtol=0.0, atol=1e-15)
     assert np.array_equal(report.margin_pairwise, report.margin_global)
     assert report.passed
+
+
+def stream_case(kind, seed=31, n=7):
+    rng = np.random.default_rng(seed)
+    if kind == "cutoff":
+        # positions spread past the cutoff radius: a zero level on every step
+        x = np.array([[0.0], [1.0], [6.0], [6.5]])
+        v = rng.uniform(-1, 1, size=(4, 1))
+        return AgentEnsemble(t=0.0, positions=x, velocities=v), ModelSpec(
+            model="mt", phi=InfluenceFunction.power_law_with_cutoff(1.0, 2.0), alpha=1.0
+        )
+    ens = AgentEnsemble(
+        t=0.0,
+        positions=rng.uniform(0, 5, size=(n, 2)),
+        velocities=rng.uniform(-1, 1, size=(n, 2)),
+    )
+    extra = {"beta": 0.3, "leader": 1} if kind == "leader" else {}
+    phi = InfluenceFunction.power_law(0.5)
+    return ens, ModelSpec(model=kind, phi=phi, alpha=2.0, **extra)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("kind", ["cs", "mt", "leader", "cutoff"])
+def test_online_check_equals_replay(kind, scheme):
+    ens, model = stream_case(kind)
+    online = DecayObserver(model, ens.n)
+    streamed = simulate(ens, model, dt=0.05, t_final=2.0, scheme=scheme, observers=[online])
+    full = simulate(ens, model, dt=0.05, t_final=2.0, scheme=scheme, snapshot_stride=1)
+    assert streamed.snapshots == []
+    got, want = online.report(streamed), verify_diameter_decay(full, model)
+    for name in ("times", "theta", "count_global", "count_pairwise_min",
+                 "margin_global", "margin_pairwise"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.worst_margin, got.worst_step, got.passed) == (
+        want.worst_margin, want.worst_step, want.passed
+    )
+    if kind == "cutoff":
+        assert np.all(got.theta == 0.0) and np.all(got.count_pairwise_min == 0)
+    else:
+        assert np.all(got.theta > 0.0) and np.all(got.count_global >= 1)
+
+
+def test_observer_report_needs_the_observed_run():
+    ens, model = stream_case("mt")
+    online = DecayObserver(model, ens.n)
+    simulate(ens, model, dt=0.05, t_final=1.0, observers=[online])
+    other = simulate(ens, model, dt=0.05, t_final=2.0)
+    with pytest.raises(ValueError):
+        online.report(other)
 
 
 def test_decay_check_missing_snapshots():

@@ -107,6 +107,21 @@ def test_simulate_writes_outputs(tmp_path):
         ]
 
 
+@pytest.mark.parametrize(
+    "command,doc,steps,dt",
+    [("simulate", MT_DOC, 40, 0.05), ("hydro", HYDRO_DOC, 25, 0.08)],
+    ids=["simulate", "hydro"],
+)
+def test_time_stamps_are_exact_multiples_of_dt(tmp_path, command, doc, steps, dt):
+    cfg = write(tmp_path, doc)
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [k * dt for k in range(steps + 1)]
+    assert rows[-1].split(",")[0] == "2"
+    assert json.loads((out / "summary.json").read_text())["final"]["t"] == 2.0
+
+
 def test_simulate_failed_decay_check_exits_one(tmp_path):
     # rk4 has no stability guard: alpha*dt = 10 blows d_V up by orders of
     # magnitude while the certificate still reads unconditional
@@ -311,6 +326,19 @@ def test_compare_groups_fast_run_has_null_rates(tmp_path):
     assert summary["mt"]["fitted_rate"] is None
     assert summary["rate_ratio_mt_over_cs"] is None
     assert summary["halving_time_ratio_cs_over_mt"] == pytest.approx(11.0)
+
+
+def test_compare_groups_time_stamps_are_exact(tmp_path):
+    # step k is stamped k*dt, not a running sum of dt
+    cfg = write(tmp_path, GROUPS_DOC.replace("alpha = 1", "alpha = 20"))
+    out = tmp_path / "fast"
+    assert main(["compare-groups", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cs"]["halving_time"] == 0.55
+    assert summary["cs"]["horizon"] == 0.8
+    rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    cs_times = [float(r[1]) for r in rows if r[0] == "cs"]
+    assert cs_times == [k * 0.05 for k in range(len(cs_times))]
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklab.dynamics import (
+    MODEL_KINDS,
     AgentEnsemble,
     ModelSpec,
     UniformGrid,
+    build_matrix,
     bulk_momentum,
     diameters,
     empirical_density,
@@ -246,6 +248,38 @@ def test_simulate_snapshot_stride():
     record = simulate(ens, model_for("mt", 3), dt=0.1, t_final=1.0, snapshot_stride=5)
     assert len(record.snapshots) == 3  # initial, step 5, step 10
     assert record.snapshots[1].t == pytest.approx(0.5)
+    # only the strided states are kept, stamped k*dt
+    ens = random_ensemble(6, n=5)
+    model = model_for("mt", 5)
+    every = simulate(ens, model, dt=0.1, t_final=2.0, snapshot_stride=1)
+    strided = simulate(ens, model, dt=0.1, t_final=2.0, snapshot_stride=7)
+    assert [snap.t for snap in strided.snapshots] == [0.0, 7 * 0.1, 14 * 0.1]
+    for snap, k in zip(strided.snapshots, (0, 7, 14)):
+        assert np.array_equal(snap.positions, every.snapshots[k].positions)
+        assert np.array_equal(snap.velocities, every.snapshots[k].velocities)
+
+
+def test_simulate_observers_see_each_step_start_and_its_matrix():
+    ens = random_ensemble(7, n=4)
+    model = model_for("leader", 4)
+    seen = []
+    record = simulate(ens, model, dt=0.1, t_final=1.0, observers=[lambda *a: seen.append(a)])
+    assert len(seen) == 10
+    for k, (state, d_x, matrix) in enumerate(seen):
+        assert state.t == k * 0.1
+        assert d_x == record.position_diameter[k]
+        assert np.array_equal(matrix.entries, build_matrix(state, model).entries)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_step_with_a_prebuilt_matrix_is_identical(kind, scheme):
+    ens = random_ensemble(9, n=6, d=3)
+    model = model_for(kind, 6)
+    given = step(ens, model, 0.05, scheme, build_matrix(ens, model))
+    built = step(ens, model, 0.05, scheme)
+    assert np.array_equal(given.positions, built.positions)
+    assert np.array_equal(given.velocities, built.velocities)
 
 
 def test_leader_run_converges_to_leader_velocity():
