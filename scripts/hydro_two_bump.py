@@ -8,7 +8,14 @@ the decay of the velocity range over the support.
 
 import numpy as np
 
-from flocklab import HydroState1D, InfluenceFunction, hydro_certify, hydro_diameters, step_eulerian
+from flocklab import (
+    HydroState1D,
+    InfluenceFunction,
+    certify,
+    hydro_diameters,
+    step_eulerian,
+    step_times,
+)
 
 X_MIN, X_MAX, DX = -12.0, 12.0, 0.05
 CENTERS = (-4.0, 4.0)
@@ -27,8 +34,8 @@ def main():
     state = HydroState1D(x_min=X_MIN, dx=DX, rho=rho, u=u)
 
     phi = InfluenceFunction.power_law(S_EXPONENT)
-    cert = hydro_certify(state, phi, ALPHA)
     d_x0, d_v0 = hydro_diameters(state)
+    cert = certify(d_x0, d_v0, ALPHA, phi)
     mass0 = state.total_mass
     print(f"grid: {n} cells, dx = {DX}")
     print(f"initial: d_X = {d_x0:.2f}, d_V = {d_v0:.2f}, mass = {mass0:.6f}")
@@ -38,12 +45,12 @@ def main():
     worst_drift = 0.0
     print("    t     d_X      d_V/d_V0    mass drift")
     next_report = 0.0
-    while state.t < T_FINAL:
+    for t in step_times(state.t, dt, T_FINAL):
         state = step_eulerian(state, phi, ALPHA, dt)
         worst_drift = max(worst_drift, abs(state.total_mass - mass0) / mass0)
-        if state.t >= next_report:
+        if t >= next_report:
             d_x, d_v = hydro_diameters(state)
-            print(f"  {state.t:5.2f}  {d_x:7.3f}  {d_v / d_v0:10.3e}  {worst_drift:10.2e}")
+            print(f"  {t:5.2f}  {d_x:7.3f}  {d_v / d_v0:10.3e}  {worst_drift:10.2e}")
             next_report += 2.0
 
     d_x, d_v = hydro_diameters(state)

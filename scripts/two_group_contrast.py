@@ -10,7 +10,15 @@ crowd drops out of the normalization and the group aligns at full speed.
 
 import numpy as np
 
-from flocklab import AgentEnsemble, InfluenceFunction, ModelSpec, SplitMix64, diameter, step
+from flocklab import (
+    AgentEnsemble,
+    InfluenceFunction,
+    ModelSpec,
+    SplitMix64,
+    diameter,
+    step,
+    step_times,
+)
 
 SEED = 9
 N1, N2 = 5, 100
@@ -37,10 +45,10 @@ def main():
         model = ModelSpec(model=kind, phi=phi, alpha=1.0)
         state = initial
         halving = None
-        while state.t < HORIZON:
+        for t in step_times(initial.t, DT, HORIZON):
             state = step(state, model, DT, scheme="euler")
             if diameter(state.velocities[:N1]) <= 0.5 * dv0:
-                halving = state.t
+                halving = t
                 break
         final = diameter(state.velocities[:N1]) / dv0
         halvings[kind] = halving

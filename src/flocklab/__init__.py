@@ -9,25 +9,23 @@ from .activeset import (
     DecayObserver,
     DecayReport,
     active_sets,
-    default_theta_schedule,
+    default_theta,
     lemma_action_bound,
     verify_diameter_decay,
 )
 from .dynamics import (
     AgentEnsemble,
-    DensityField,
     ModelSpec,
     TrajectoryRecord,
-    UniformGrid,
     build_matrix,
     bulk_momentum,
     diameter,
     diameters,
-    empirical_density,
     kinetic_consistency_check,
     rhs,
     simulate,
     step,
+    step_times,
 )
 from .errors import FlockLabError, ScenarioError, StabilityError
 from .flocking import (
@@ -40,7 +38,6 @@ from .flocking import (
 from .hydro import (
     HydroState1D,
     LagrangianParticles,
-    hydro_certify,
     hydro_diameters,
     lagrangian_rhs,
     nonlocal_average,
@@ -66,7 +63,6 @@ __all__ = [
     "AgentEnsemble",
     "DecayObserver",
     "DecayReport",
-    "DensityField",
     "FlockLabError",
     "FlockingCertificate",
     "HydroState1D",
@@ -79,7 +75,6 @@ __all__ = [
     "SplitMix64",
     "StabilityError",
     "TrajectoryRecord",
-    "UniformGrid",
     "active_sets",
     "build_cs",
     "build_leader",
@@ -88,14 +83,12 @@ __all__ = [
     "build_vision",
     "bulk_momentum",
     "certify",
-    "default_theta_schedule",
+    "default_theta",
     "diameter",
     "diameters",
-    "empirical_density",
     "energy",
     "eval_influence",
     "fit_exponential_rate",
-    "hydro_certify",
     "hydro_diameters",
     "kinetic_consistency_check",
     "lagrangian_rhs",
@@ -108,6 +101,7 @@ __all__ = [
     "step",
     "step_eulerian",
     "step_lagrangian",
+    "step_times",
     "tail_integral",
     "verify_diameter_decay",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -48,10 +48,9 @@ def active_sets(matrix: InfluenceMatrix, theta: float) -> ActiveSetReport:
 
     The counts obey global <= pairwise minimum <= smallest row count <= N
     (the diagonal pairs are the rows themselves), so when two ends agree no
-    pair product is formed; the default level schedules of cs and mt, which
-    activate every agent, always land there.  Otherwise the pair counts come
-    from a float64 product of the 0/1 hit matrix, exact for counts below
-    2**53.
+    pair product is formed; the default levels of cs and mt, which activate
+    every agent, always land there.  Otherwise the pair counts come from a
+    float64 product of the 0/1 hit matrix, exact for counts below 2**53.
     """
     if not (theta > 0):
         raise ValueError("theta must be positive")
@@ -103,7 +102,7 @@ def lemma_action_bound(
     return ActionBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12)
 
 
-# Relative shave applied to the analytic level schedules.  The schedules are
+# Relative shave applied to the analytic default levels.  The levels are
 # exact lower bounds of the matrix entries, but numpy evaluates the kernel
 # through different code paths for scalars and matrices, which can disagree
 # in the last ulp; without the shave, the bound-realizing entry can fall one
@@ -114,16 +113,16 @@ LEVEL_SAFETY = 1.0 - 1e-12
 DECAY_SLACK = 10.0
 
 
-def default_theta_schedule(model: ModelSpec, n: int) -> Callable[[float, float], float]:
-    """Level schedule used in the flocking arguments: phi(d_X)/N for the cs
-    and mt builders (every agent active), beta*phi(d_X) for the leader
-    builder (the leader active in every row).  The vision model has no such
-    schedule."""
+def default_theta(model: ModelSpec, n: int, d_x: float) -> float:
+    """Level used in the flocking arguments at position diameter d_x:
+    phi(d_X)/N for the cs and mt builders (every agent active),
+    beta*phi(d_X) for the leader builder (the leader active in every row).
+    The vision model has no such level."""
     if model.model in ("cs", "mt"):
-        return lambda t, d_x: LEVEL_SAFETY * model.phi(d_x) / n
+        return LEVEL_SAFETY * model.phi(d_x) / n
     if model.model == "leader":
-        return lambda t, d_x: LEVEL_SAFETY * model.beta * model.phi(d_x)
-    raise ValueError("no default theta schedule for the vision model")
+        return LEVEL_SAFETY * model.beta * model.phi(d_x)
+    raise ValueError("no default theta level for the vision model")
 
 
 @dataclass
@@ -161,12 +160,12 @@ class DecayObserver:
 
     def __init__(self, model: ModelSpec, n: int):
         self.model = model
-        self.schedule = default_theta_schedule(model, n)
+        self.n = n
         self.theta: List[float] = []
         self.counts: List[Tuple[int, int]] = []  # global, pairwise minimum
 
     def __call__(self, state: AgentEnsemble, d_x: float, matrix: InfluenceMatrix) -> None:
-        theta = self.schedule(state.t, d_x)
+        theta = default_theta(self.model, self.n, d_x)
         counts = (0, 0)
         if theta > 0.0:
             found = active_sets(matrix, theta)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .activeset import DecayObserver, lemma_action_bound
-from .dynamics import diameter, diameters, simulate, step
+from .dynamics import diameter, diameters, simulate, step, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
 from .hydro import hydro_diameters, step_eulerian
@@ -107,13 +107,13 @@ def _certificate_payload(sc: Scenario, d_x0: float, d_v0: float):
 def cmd_simulate(sc: Scenario, out: Path, args):
     initial = sc.initial_ensemble()
     model = sc.to_model_spec()
-    d_x0, d_v0 = diameters(initial)
-    # the vision model has no level schedule: no check, margin column nan
+    # the vision model has no default level: no check, margin column nan
     check = None if model.model == "vision" else DecayObserver(model, initial.n)
     record = simulate(
         initial, model, sc.dt, sc.t_final, sc.scheme,
         snapshot_stride=sc.snapshot_stride, observers=[check] if check else (),
     )
+    d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
     decay = check.report(record) if check else None
     margins = np.full(len(record.times), np.nan)
     if decay is not None:
@@ -220,7 +220,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     state = sc.initial_hydro_state()
     phi = sc.build_phi()
 
-    n_steps = max(1, int(round(sc.t_final / sc.dt)))
+    stamps = step_times(state.t, sc.dt, sc.t_final)
     stride = sc.snapshot_stride
     diag_rows = []
     field_rows = []
@@ -232,16 +232,15 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     def snapshot(s):
         field_rows.extend(_state_rows(s.t, s.centers, s.rho, s.u))
 
-    t0 = state.t
     record(state)
     _, d_x0, d_v0, mass0 = diag_rows[0]
     cert = certify(d_x0, d_v0, sc.alpha, phi)
     if stride > 0:
         snapshot(state)
     max_mass_drift = 0.0
-    for k in range(1, n_steps + 1):
+    for k, t in enumerate(stamps, start=1):
         prev_mass = state.total_mass
-        state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t0 + k * sc.dt)
+        state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t)
         if prev_mass > 0:
             max_mass_drift = max(max_mass_drift, abs(state.total_mass - prev_mass) / prev_mass)
         record(state)
@@ -266,22 +265,17 @@ def cmd_hydro(sc: Scenario, out: Path, args):
         "max_step_mass_drift": max_mass_drift,
         "certificate": cert.to_json_dict(),
     }
-    _say(args, f"hydro: {n_steps} steps, d_V ratio {body['final']['d_v_ratio']:.3e}")
+    _say(args, f"hydro: {len(stamps)} steps, d_V ratio {body['final']['d_v_ratio']:.3e}")
     return body, EXIT_OK
 
 
 def _run_for_sweep(sc: Scenario):
-    initial = sc.initial_ensemble()
-    model = sc.to_model_spec()
-    d_x0, d_v0 = diameters(initial)
-    record = simulate(initial, model, sc.dt, sc.t_final, sc.scheme)
+    record = simulate(sc.initial_ensemble(), sc.to_model_spec(), sc.dt, sc.t_final, sc.scheme)
+    d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
     ratio = float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0
     rate = fit_exponential_rate(record.times, record.velocity_diameter)
-    if model.model == "vision":
-        verdict = "n/a"
-    else:
-        verdict = certify(d_x0, d_v0, sc.alpha, model.phi, model=model).verdict
-    return ratio, rate, verdict
+    cert, _ = _certificate_payload(sc, d_x0, d_v0)
+    return ratio, rate, cert.verdict if cert else "n/a"
 
 
 def cmd_sweep(sc: Scenario, out: Path, args):
@@ -329,7 +323,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
             "group 1 starts aligned (zero velocity spread, as with N1 = 1 or "
             "vel_min = vel_max): there is no alignment to compare"
         )
-    n_steps = max(1, int(round(sc.t_final / sc.dt)))
+    stamps = step_times(initial.t, sc.dt, sc.t_final)
     results = {}
     runs = {}
     diag_rows = []
@@ -339,9 +333,9 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
         times = [initial.t]
         series = [d_v0]
         halving = None
-        for k in range(1, n_steps + 1):
+        for t in stamps:
             state = step(state, model, sc.dt, sc.scheme)
-            times.append(initial.t + k * sc.dt)
+            times.append(t)
             series.append(diameter(state.velocities[:n1]))
             if halving is None and series[-1] <= 0.5 * d_v0:
                 halving = times[-1]

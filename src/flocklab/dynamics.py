@@ -213,6 +213,16 @@ class TrajectoryRecord:
             raise ValueError("times must be strictly increasing")
 
 
+def step_times(t0: float, dt: float, t_final: float) -> List[float]:
+    """Time stamps of steps 1..n: the horizon t_final is rounded to n whole
+    steps of size dt (at least one), and step k is stamped t0 + k*dt rather
+    than accumulated, so no stamp drifts off the grid."""
+    if not (t_final > 0):
+        raise ValueError("t_final must be positive")
+    n_steps = max(1, int(round(t_final / dt)))
+    return [float(t0 + k * dt) for k in range(1, n_steps + 1)]
+
+
 def simulate(
     initial: AgentEnsemble,
     model: ModelSpec,
@@ -224,16 +234,12 @@ def simulate(
 ) -> TrajectoryRecord:
     """Integrate to t_final, recording diameters and momentum at every step.
 
-    The horizon is rounded to a whole number of steps of size dt, and step k
-    is stamped t0 + k*dt, so no time drifts off the grid.  Each step
-    builds the influence matrix of the state it starts from once; every
-    observer is called as ``observer(state, d_x, matrix)`` with that state,
-    its position diameter and the matrix, which then serves the step's first
-    acceleration.  Snapshots are kept every ``snapshot_stride`` steps only.
+    Steps are stamped on the :func:`step_times` grid.  Each step builds the
+    influence matrix of the state it starts from once; every observer is
+    called as ``observer(state, d_x, matrix)`` with that state, its position
+    diameter and the matrix, which then serves the step's first acceleration.
+    Snapshots are kept every ``snapshot_stride`` steps only.
     """
-    if not (t_final > 0):
-        raise ValueError("t_final must be positive")
-    n_steps = max(1, int(round(t_final / dt)))
     times = [initial.t]
     d_x, d_v = diameters(initial)
     dx_series, dv_series = [d_x], [d_v]
@@ -241,12 +247,12 @@ def simulate(
     snapshots = [initial] if snapshot_stride > 0 else []
 
     state = initial
-    for k in range(1, n_steps + 1):
+    for k, t in enumerate(step_times(initial.t, dt, t_final), start=1):
         matrix = build_matrix(state, model)
         for observe in observers:
             observe(state, d_x, matrix)
-        state = replace(step(state, model, dt, scheme, matrix), t=initial.t + k * dt)
-        times.append(state.t)
+        state = replace(step(state, model, dt, scheme, matrix), t=t)
+        times.append(t)
         d_x, d_v = diameters(state)
         dx_series.append(d_x)
         dv_series.append(d_v)
@@ -262,109 +268,6 @@ def simulate(
         snapshot_stride=snapshot_stride,
         snapshots=snapshots,
     )
-
-
-@dataclass(frozen=True)
-class UniformGrid:
-    """Uniform cell grid in 1 or 2 dimensions; cells are dx-sided."""
-
-    mins: Tuple[float, ...]
-    dx: float
-    counts: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.mins) != len(self.counts) or len(self.mins) not in (1, 2):
-            raise ValueError("grid must be 1D or 2D with matching mins/counts")
-        if not (self.dx > 0) or any(c < 1 for c in self.counts):
-            raise ValueError("dx must be positive and counts >= 1")
-
-    @property
-    def d(self) -> int:
-        return len(self.mins)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx ** self.d
-
-    def centers(self, axis: int) -> np.ndarray:
-        return self.mins[axis] + self.dx * (np.arange(self.counts[axis]) + 0.5)
-
-
-@dataclass(frozen=True)
-class DensityField:
-    grid: UniformGrid
-    values: np.ndarray
-
-    def total_mass(self) -> float:
-        return float(self.values.sum() * self.grid.cell_volume)
-
-
-def _extend_grid(grid: UniformGrid, positions: np.ndarray, pad: float) -> UniformGrid:
-    mins, counts = list(grid.mins), list(grid.counts)
-    for ax in range(grid.d):
-        lo = positions[:, ax].min() - pad
-        hi = positions[:, ax].max() + pad
-        below = max(0, int(np.ceil((mins[ax] - lo) / grid.dx)))
-        mins[ax] -= below * grid.dx
-        counts[ax] += below
-        top = mins[ax] + counts[ax] * grid.dx
-        counts[ax] += max(0, int(np.ceil((hi - top) / grid.dx)))
-    return UniformGrid(mins=tuple(mins), dx=grid.dx, counts=tuple(counts))
-
-
-def empirical_density(
-    ensemble: AgentEnsemble,
-    grid: UniformGrid,
-    mode: str = "histogram",
-    h: Optional[float] = None,
-    strict: bool = False,
-) -> DensityField:
-    """Deposit weight 1/N per agent on the grid.
-
-    histogram mode drops each agent into its cell; gaussian mode evaluates an
-    isotropic kernel of bandwidth h at cell centers (h >= dx keeps the lattice
-    sum of the kernel within rounding of 1).  Outside agents extend the grid
-    unless strict, in which case they raise.
-    """
-    if grid.d != ensemble.d:
-        raise ValueError("grid dimension must match ensemble dimension")
-    x = ensemble.positions
-    n = ensemble.n
-    if mode == "gaussian":
-        if h is None or not (h > 0):
-            raise ValueError("gaussian mode needs bandwidth h > 0")
-        pad = 8.0 * h
-    elif mode == "histogram":
-        pad = 0.0
-    else:
-        raise ValueError(f"unknown density mode {mode!r}")
-
-    for ax in range(grid.d):
-        lo, hi = grid.mins[ax], grid.mins[ax] + grid.counts[ax] * grid.dx
-        if np.any(x[:, ax] < lo) or np.any(x[:, ax] > hi):
-            if strict:
-                raise ValueError("agent outside grid in strict mode")
-            grid = _extend_grid(grid, x, pad)
-            break
-    else:
-        if mode == "gaussian" and not strict:
-            grid = _extend_grid(grid, x, pad)
-
-    values = np.zeros(grid.counts)
-    if mode == "histogram":
-        idx = []
-        for ax in range(grid.d):
-            k = np.floor((x[:, ax] - grid.mins[ax]) / grid.dx).astype(int)
-            idx.append(np.clip(k, 0, grid.counts[ax] - 1))
-        np.add.at(values, tuple(idx), 1.0 / (n * grid.cell_volume))
-    else:
-        axes = [grid.centers(ax) for ax in range(grid.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        norm = (2.0 * np.pi) ** (grid.d / 2.0) * h**grid.d
-        for i in range(n):
-            sq = sum((m - x[i, ax]) ** 2 for ax, m in enumerate(mesh))
-            values += np.exp(-sq / (2.0 * h * h)) / (norm * n)
-    return DensityField(grid=grid, values=values)
 
 
 def kinetic_consistency_check(

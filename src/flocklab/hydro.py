@@ -19,7 +19,6 @@ from scipy.spatial.distance import cdist
 
 from .dynamics import advance
 from .errors import StabilityError
-from .flocking import FlockingCertificate, certify
 from .influence import InfluenceFunction, eval_influence
 
 CFL_LIMIT = 0.9
@@ -108,13 +107,16 @@ def step_eulerian(
     # vacuum cells are inert: their (frozen) velocities move no mass, and
     # only the support constrains the step
     u_eff = np.where(vacuum, 0.0, u)
-    vmax = float(np.max(np.abs(u_eff)))
-    if dt * vmax / dx > CFL_LIMIT + 1e-12:
+    cfl = dt * float(np.max(np.abs(u_eff))) / dx
+    if cfl > CFL_LIMIT + 1e-12:
+        raise StabilityError(f"CFL violated: dt*max|u|/dx = {cfl:.6g} > {CFL_LIMIT}")
+    # the velocity update (1 - c - a) u_i + c u_upwind + a u_bar, with c the
+    # local Courant number and a = alpha*dt, is a convex combination (no new
+    # extremes) only while c + a <= 1
+    if cfl + alpha * dt > 1.0:
         raise StabilityError(
-            f"CFL violated: dt*max|u|/dx = {dt * vmax / dx:.6g} > {CFL_LIMIT}"
+            f"upwind relaxation needs dt*max|u|/dx + alpha*dt <= 1, got {cfl + alpha * dt:.6g}"
         )
-    if alpha * dt > 1.0:
-        raise StabilityError(f"relaxation needs alpha*dt <= 1, got {alpha * dt}")
 
     # one ghost cell per side: a vacuum exterior (no mass) whose velocity
     # and vacuum flag copy the edge (zero gradient); flux[k] is the mass flux
@@ -216,14 +218,3 @@ def hydro_diameters(
     u = state.u[support]
     return float(centers.max() - centers.min()), float(u.max() - u.min())
 
-
-def hydro_certify(
-    state: HydroState1D,
-    phi: InfluenceFunction,
-    alpha: float,
-    epsilon: float = DEFAULT_SUPPORT_EPSILON,
-) -> FlockingCertificate:
-    """Flocking certificate of the macroscopic system; the contraction
-    inequalities are the same as in the particle case, with psi = phi**2."""
-    d_x0, d_v0 = hydro_diameters(state, epsilon)
-    return certify(d_x0, d_v0, alpha, phi)

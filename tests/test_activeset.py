@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flocklab.activeset import (
     DecayObserver,
     active_sets,
-    default_theta_schedule,
+    default_theta,
     lemma_action_bound,
     verify_diameter_decay,
 )
@@ -145,7 +145,7 @@ def test_default_levels_take_the_shortcut():
             build_leader(x, phi, 0.2, 4),
         ),
     ):
-        theta = default_theta_schedule(model, 9)(0.0, diameter(x))
+        theta = default_theta(model, 9, diameter(x))
         report = assert_matches_reference(matrix, theta)
         assert report.global_count == smallest_row_count(matrix, theta)
 
@@ -392,8 +392,7 @@ def test_decay_check_missing_snapshots():
 def test_default_schedule_leader_and_vision():
     phi = InfluenceFunction.power_law(1.0)
     leader = ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.25, leader=0)
-    sched = default_theta_schedule(leader, 5)
-    assert sched(0.0, 1.0) == pytest.approx(0.25 * 0.5)
+    assert default_theta(leader, 5, 1.0) == pytest.approx(0.25 * 0.5)
     vision = ModelSpec(model="vision", phi=phi, alpha=1.0, gamma=0.0, normalization="mt-style")
     with pytest.raises(ValueError):
-        default_theta_schedule(vision, 5)
+        default_theta(vision, 5, 1.0)

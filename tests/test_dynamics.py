@@ -7,15 +7,14 @@ from flocklab.dynamics import (
     MODEL_KINDS,
     AgentEnsemble,
     ModelSpec,
-    UniformGrid,
     build_matrix,
     bulk_momentum,
     diameters,
-    empirical_density,
     kinetic_consistency_check,
     rhs,
     simulate,
     step,
+    step_times,
 )
 from flocklab.errors import StabilityError
 from flocklab.influence import InfluenceFunction
@@ -243,6 +242,32 @@ def test_simulate_dv_nonincreasing_euler():
     assert np.all(np.diff(record.velocity_diameter) <= 1e-12)
 
 
+def test_step_times_rounds_the_horizon_to_whole_steps():
+    stamps = step_times(0.0, 0.09, 20.0)  # 20 / 0.09 = 222.2
+    assert len(stamps) == 222
+    assert stamps[-1] == 19.98
+    # the horizon rounds to the nearest step, so the last stamp may pass it
+    assert len(step_times(0.0, 0.09, 20.03)) == 223
+
+
+def test_step_times_takes_at_least_one_step():
+    assert step_times(2.0, 0.5, 0.1) == [2.5]
+
+
+@given(st.floats(-100.0, 100.0), st.floats(1e-3, 1.0), st.floats(1e-3, 50.0))
+@settings(max_examples=50, deadline=None)
+def test_step_times_are_exact_multiples_of_dt(t0, dt, t_final):
+    stamps = step_times(t0, dt, t_final)
+    assert len(stamps) == max(1, int(round(t_final / dt)))
+    assert all(type(t) is float and t == t0 + k * dt for k, t in enumerate(stamps, start=1))
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1.0, float("nan")])
+def test_step_times_rejects_non_positive_horizon(t_final):
+    with pytest.raises(ValueError):
+        step_times(0.0, 0.1, t_final)
+
+
 def test_simulate_snapshot_stride():
     ens = random_ensemble(4, n=3)
     record = simulate(ens, model_for("mt", 3), dt=0.1, t_final=1.0, snapshot_stride=5)
@@ -325,56 +350,6 @@ def test_position_diameter_linear_growth_bound():
     record = simulate(ens, model_for("mt", 10), dt=0.05, t_final=10.0)
     bound = d_x0 + d_v0 * (record.times - record.times[0])
     assert np.all(record.position_diameter <= bound + 1e-9)
-
-
-# ---------------------------------------------------------- empirical density
-
-
-def test_density_integrates_to_one_histogram():
-    ens = random_ensemble(31, n=25, d=2, pos=4.0)
-    grid = UniformGrid(mins=(-5.0, -5.0), dx=0.5, counts=(20, 20))
-    field = empirical_density(ens, grid, mode="histogram")
-    assert field.total_mass() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_density_single_agent_histogram():
-    ens = AgentEnsemble(t=0.0, positions=np.array([[0.25]]), velocities=np.zeros((1, 1)))
-    grid = UniformGrid(mins=(0.0,), dx=0.5, counts=(4,))
-    field = empirical_density(ens, grid, mode="histogram")
-    assert field.values[0] == pytest.approx(1.0 / 0.5)
-    assert np.all(field.values[1:] == 0.0)
-
-
-def test_density_two_agents_half_mass_each():
-    ens = AgentEnsemble(
-        t=0.0, positions=np.array([[0.1], [1.9]]), velocities=np.zeros((2, 1))
-    )
-    grid = UniformGrid(mins=(0.0,), dx=1.0, counts=(2,))
-    field = empirical_density(ens, grid, mode="histogram")
-    assert field.values == pytest.approx(np.array([0.5, 0.5]))
-
-
-def test_density_gaussian_integral():
-    ens = random_ensemble(37, n=12, d=1, pos=2.0)
-    grid = UniformGrid(mins=(-3.0,), dx=0.1, counts=(60,))
-    field = empirical_density(ens, grid, mode="gaussian", h=0.4)
-    assert field.total_mass() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_density_gaussian_integral_2d():
-    ens = random_ensemble(41, n=6, d=2, pos=1.5)
-    grid = UniformGrid(mins=(-2.0, -2.0), dx=0.2, counts=(20, 20))
-    field = empirical_density(ens, grid, mode="gaussian", h=0.5)
-    assert field.total_mass() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_density_strict_mode_range_error():
-    ens = AgentEnsemble(t=0.0, positions=np.array([[9.0]]), velocities=np.zeros((1, 1)))
-    grid = UniformGrid(mins=(0.0,), dx=1.0, counts=(4,))
-    with pytest.raises(ValueError):
-        empirical_density(ens, grid, mode="histogram", strict=True)
-    extended = empirical_density(ens, grid, mode="histogram", strict=False)
-    assert extended.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------- kinetic consistency

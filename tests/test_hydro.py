@@ -4,10 +4,10 @@ import pytest
 from flocklab.activeset import lemma_action_bound
 from flocklab.dynamics import AgentEnsemble, ModelSpec, simulate
 from flocklab.errors import StabilityError
+from flocklab.flocking import certify
 from flocklab.hydro import (
     HydroState1D,
     LagrangianParticles,
-    hydro_certify,
     hydro_diameters,
     lagrangian_rhs,
     nonlocal_average,
@@ -15,6 +15,7 @@ from flocklab.hydro import (
     step_lagrangian,
 )
 from flocklab.influence import InfluenceFunction
+from flocklab.rng import SplitMix64
 
 PHI1 = InfluenceFunction.power_law(1.0)
 PHI_SLOW = InfluenceFunction.power_law(0.25)
@@ -123,6 +124,20 @@ def test_cfl_and_relaxation_guards():
         step_eulerian(state, PHI1, alpha=1.0, dt=0.1)  # CFL = 2 > 0.9
     with pytest.raises(StabilityError):
         step_eulerian(state, PHI1, alpha=100.0, dt=0.04)  # alpha*dt > 1
+
+
+def test_guard_holds_courant_plus_relaxation_to_one():
+    # CFL 0.87 and alpha*dt 0.81 each pass alone, but their sum exceeds 1,
+    # so the upwind update is no convex combination: one unguarded step
+    # pushed max|u| on the support from 0.970 to 1.242 and d_V from 1.930
+    # to 2.296
+    centers = -10.0 + 0.1 * (np.arange(200) + 0.5)
+    rho = np.where(np.abs(centers) < 5.0, 1.0, 0.0)
+    u = SplitMix64(0).uniform_array(200, -1.0, 1.0)
+    state = HydroState1D(x_min=-10.0, dx=0.1, rho=rho, u=u)
+    phi = InfluenceFunction.power_law(0.5)
+    with pytest.raises(StabilityError, match=r"/dx \+ alpha\*dt <= 1"):
+        step_eulerian(state, phi, alpha=9.0, dt=0.09)
 
 
 def test_vacuum_cells_keep_velocity():
@@ -273,21 +288,21 @@ def test_hydro_diameters_validation():
 
 def test_hydro_certificate_unconditional():
     state = two_bump_state()
-    cert = hydro_certify(state, PHI_SLOW, alpha=1.0)
+    cert = certify(*hydro_diameters(state), 1.0, PHI_SLOW)
     assert cert.verdict == "unconditional"
 
 
 def test_hydro_certificate_not_guaranteed():
     state = two_bump_state(speed=5.0)  # d_v0 = 10 exceeds the (1+r)^-2 tail
     # widen dt constraints are irrelevant here; certificate only reads state0
-    cert = hydro_certify(state, PHI1, alpha=1.0)
+    cert = certify(*hydro_diameters(state), 1.0, PHI1)
     assert cert.verdict == "not-guaranteed"
 
 
 def test_hydro_certificate_rest_state():
     state = two_bump_state(speed=0.0)
-    cert = hydro_certify(state, PHI1, alpha=1.0)
-    d_x0, _ = hydro_diameters(state)
+    d_x0, d_v0 = hydro_diameters(state)
+    cert = certify(d_x0, d_v0, 1.0, PHI1)
     assert cert.verdict == "conditional-satisfied"
     assert cert.d_star == pytest.approx(d_x0)
 
