@@ -29,6 +29,7 @@ from .dynamics import diameter, diameters, simulate, step, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
 from .hydro import hydro_diameters, step_eulerian
+from .influence import tail_integral
 from .rng import PRNG_ID, SplitMix64
 from .scenario import (
     SWEEPABLE_KEYS,
@@ -36,6 +37,7 @@ from .scenario import (
     format_value,
     parse_scenario,
     scenario_to_dict,
+    sweep_points,
     with_override,
 )
 
@@ -46,9 +48,7 @@ EXIT_RUNTIME = 3
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -76,45 +76,47 @@ def _jsonable(obj):
     return obj
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
-
-
-def _load_scenario(args) -> Scenario:
-    sc = parse_scenario(Path(args.config).read_text())
-    if args.seed is not None:
-        sc = with_override(sc, seed=args.seed)
-    return sc
-
-
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
 
 
 def _certificate_payload(sc: Scenario, d_x0: float, d_v0: float):
-    """Certificate with psi = phi**2 plus the symmetric-theory phi tail, or
-    None for the vision model (its flocking analysis is open)."""
+    """Certificate with psi = phi**2 plus the symmetric-theory phi tail on the
+    same scale, or None for the vision model (its flocking analysis is open)."""
     model = sc.to_model_spec()
     if model.model == "vision":
         return None, None
     cert = certify(d_x0, d_v0, sc.alpha, model.phi, model=model)
-    comparison = certify(d_x0, d_v0, sc.alpha, model.phi, model=model, psi_kind="phi")
-    tail = "diverges" if math.isinf(comparison.tail) else comparison.tail
-    return cert, tail
+    tail = sc.alpha * cert.psi_scale * tail_integral(model.phi, 1, d_x0)
+    return cert, "diverges" if math.isinf(tail) else tail
 
 
-def cmd_simulate(sc: Scenario, out: Path, args):
+def _run(sc: Scenario, snapshot_stride: int):
+    """The one checked particle run of ``simulate`` and of each ``sweep`` value:
+    (record, decay report, certificate, symmetric-theory tail, final d_V ratio,
+    fitted rate).  Every step is held to the decay bound online, except under
+    the vision model, which has no default level (report and certificate None)."""
     initial = sc.initial_ensemble()
     model = sc.to_model_spec()
-    # the vision model has no default level: no check, margin column nan
     check = None if model.model == "vision" else DecayObserver(model, initial.n)
     record = simulate(
         initial, model, sc.dt, sc.t_final, sc.scheme,
-        snapshot_stride=sc.snapshot_stride, observers=[check] if check else (),
+        snapshot_stride=snapshot_stride, observers=[check] if check else (),
     )
     d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
-    decay = check.report(record) if check else None
+    return (
+        record,
+        check.report(record) if check else None,
+        *_certificate_payload(sc, d_x0, d_v0),
+        float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0,
+        fit_exponential_rate(record.times, record.velocity_diameter),
+    )
+
+
+def cmd_simulate(sc: Scenario, out: Path, args):
+    record, decay, cert, comparison_tail, dv_ratio, rate = _run(sc, sc.snapshot_stride)
+    # the vision model has no check: its margin column is nan
     margins = np.full(len(record.times), np.nan)
     if decay is not None:
         margins[:-1] = decay.margin_pairwise
@@ -127,16 +129,15 @@ def cmd_simulate(sc: Scenario, out: Path, args):
 
     if sc.snapshot_stride > 0:
         snap_rows = []
-        axes = [f"x{k}" for k in range(initial.d)] + [f"v{k}" for k in range(initial.d)]
+        axes = [f"{c}{k}" for c in "xv" for k in range(record.snapshots[0].d)]
         for ens in record.snapshots:
             snap_rows += _state_rows(ens.t, np.arange(ens.n), ens.positions, ens.velocities)
         _write_csv(out / sc.out_snapshots, ["t", "agent"] + axes, snap_rows)
 
-    cert, comparison_tail = _certificate_payload(sc, d_x0, d_v0)
-    dv_ratio = float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0
     body = {
         "scenario": scenario_to_dict(sc),
-        "initial": {"d_x": d_x0, "d_v": d_v0},
+        "initial": {"d_x": float(record.position_diameter[0]),
+                    "d_v": float(record.velocity_diameter[0])},
         "final": {
             "t": float(record.times[-1]),
             "d_x": float(record.position_diameter[-1]),
@@ -145,15 +146,11 @@ def cmd_simulate(sc: Scenario, out: Path, args):
             # the emergent bulk velocity; an invariant only for the cs model
             "bulk_velocity": [float(c) for c in record.momentum[-1]],
         },
-        "momentum_drift": float(
-            np.linalg.norm(record.momentum[-1] - record.momentum[0])
-        ),
-        "fitted_rate": fit_exponential_rate(record.times, record.velocity_diameter),
+        "momentum_drift": float(np.linalg.norm(record.momentum[-1] - record.momentum[0])),
+        "fitted_rate": rate,
         "certificate": cert.to_json_dict() if cert else None,
         "symmetric_theory_tail": comparison_tail,
-        "decay_check": None
-        if decay is None
-        else {
+        "decay_check": None if decay is None else {
             "passed": decay.passed,
             "worst_margin": decay.worst_margin,
             "worst_step": decay.worst_step,
@@ -269,46 +266,26 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     return body, EXIT_OK
 
 
-def _run_for_sweep(sc: Scenario):
-    record = simulate(sc.initial_ensemble(), sc.to_model_spec(), sc.dt, sc.t_final, sc.scheme)
-    d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
-    ratio = float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0
-    rate = fit_exponential_rate(record.times, record.velocity_diameter)
-    cert, _ = _certificate_payload(sc, d_x0, d_v0)
-    return ratio, rate, cert.verdict if cert else "n/a"
-
-
 def cmd_sweep(sc: Scenario, out: Path, args):
-    if args.parameter not in SWEEPABLE_KEYS:
-        raise ScenarioError(
-            f"unsweepable parameter (choose from {', '.join(SWEEPABLE_KEYS)})",
-            key=args.parameter,
-        )
-    raw_values = [v for v in args.values.split(",") if v.strip()]
-    if not raw_values:
-        raise ScenarioError("empty value list", key=args.parameter)
-
-    field = {"s": "s", "alpha": "alpha", "beta": "beta", "gamma": "gamma",
-             "N": "n", "D": "separation"}[args.parameter]
     rows = []
-    for raw in raw_values:
-        value = int(raw) if args.parameter == "N" else float(raw)
-        ratio, rate, verdict = _run_for_sweep(with_override(sc, **{field: value}))
-        rows.append((value, ratio, rate, verdict))
-    _write_csv(
-        out / "sweep.csv",
-        [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"],
-        rows,
-    )
+    for value, point in sweep_points(sc, args.parameter, args.values):
+        _, decay, cert, _, ratio, rate = _run(point, 0)
+        passed = None if decay is None else decay.passed
+        rows.append((value, ratio, rate, cert.verdict if cert else "n/a", passed))
+    header = [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"]
+    _write_csv(out / "sweep.csv", header, [row[:4] for row in rows])
+    keys = ("value", "final_d_v_ratio", "fitted_rate", "verdict", "decay_check_passed")
     body = {
         "scenario": scenario_to_dict(sc),
         "parameter": args.parameter,
-        "rows": [
-            {"value": v, "final_d_v_ratio": r, "fitted_rate": rt, "verdict": vd}
-            for v, r, rt, vd in rows
-        ],
+        "rows": [dict(zip(keys, row)) for row in rows],
     }
     _say(args, f"sweep {args.parameter}: " + ", ".join(f"{r[0]}->{r[3]}" for r in rows))
+    failed = [str(r[0]) for r in rows if r[4] is False]
+    if failed:
+        print(f"sweep: decay check failed for {args.parameter} = {', '.join(failed)}",
+              file=sys.stderr)
+        return body, EXIT_CHECK_FAILED
     return body, EXIT_OK
 
 
@@ -421,12 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        sc = _load_scenario(args) if args.config else None
+        sc = parse_scenario(Path(args.config).read_text()) if args.config else None
+        if sc is not None and args.seed is not None:
+            sc = with_override(sc, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         body, code = _COMMANDS[args.command](sc, out, args)
         summary = {"command": args.command, "prng": PRNG_ID, **body}
-        _write_summary(out / (sc.out_summary if sc else "summary.json"), summary)
+        text = json.dumps(_jsonable(summary), indent=2, allow_nan=False) + "\n"
+        (out / (sc.out_summary if sc else "summary.json")).write_text(text)
         return code
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -217,6 +217,8 @@ def step_times(t0: float, dt: float, t_final: float) -> List[float]:
     """Time stamps of steps 1..n: the horizon t_final is rounded to n whole
     steps of size dt (at least one), and step k is stamped t0 + k*dt rather
     than accumulated, so no stamp drifts off the grid."""
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
     if not (t_final > 0):
         raise ValueError("t_final must be positive")
     n_steps = max(1, int(round(t_final / dt)))

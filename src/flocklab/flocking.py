@@ -1,8 +1,7 @@
 """Energy-functional flocking certificates.
 
 The contraction argument compares the initial velocity diameter with the tail
-mass of psi = phi**power (power 2 for every builder analyzed here; power 1 is
-exposed for comparison with the symmetric-theory criterion).  A diverging
+mass of psi = phi**2, the form every builder analyzed here admits.  A diverging
 tail certifies flocking for every initial condition; a finite tail certifies
 it when d_V(0) <= alpha * integral, in which case the position diameter never
 exceeds the root d* of alpha * int_{d_X0}^{d*} psi = d_V0 and the velocity
@@ -29,13 +28,12 @@ VERDICT_NOT_GUARANTEED = "not-guaranteed"
 class FlockingCertificate:
     """Tail test, flock-diameter bound and guaranteed contraction rate.
 
-    tail is alpha * psi_scale * integral of phi**power over [d_x0, inf)
+    tail is alpha * psi_scale * integral of psi = phi**2 over [d_x0, inf)
     (math.inf when divergent).  d_star is present whenever the admissibility
     condition d_v0 <= tail holds; predicted_rate is alpha * psi_scale *
-    phi(d_star)**power, the Gronwall rate valid once the diameter bound holds.
+    phi(d_star)**2, the Gronwall rate valid once the diameter bound holds.
     """
 
-    psi_kind: str
     psi_scale: float
     d_x0: float
     d_v0: float
@@ -47,7 +45,7 @@ class FlockingCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "psi_kind": self.psi_kind,
+            "psi_kind": "phi-squared",
             "psi_scale": self.psi_scale,
             "d_x0": self.d_x0,
             "d_v0": self.d_v0,
@@ -57,14 +55,6 @@ class FlockingCertificate:
             "predicted_rate": self.predicted_rate,
             "verdict": self.verdict,
         }
-
-
-def _power_for(psi_kind: str) -> int:
-    if psi_kind == "phi-squared":
-        return 2
-    if psi_kind == "phi":
-        return 1
-    raise ValueError(f"unknown psi_kind {psi_kind!r}")
 
 
 def energy(
@@ -135,7 +125,6 @@ def certify(
     alpha: float,
     phi: InfluenceFunction,
     model: Optional[ModelSpec] = None,
-    psi_kind: str = "phi-squared",
 ) -> FlockingCertificate:
     """Build the flocking certificate for the given initial diameters.
 
@@ -145,9 +134,8 @@ def certify(
     """
     if model is not None and model.model == "vision":
         raise ValueError("the vision model has no flocking certificate")
-    power = _power_for(psi_kind)
     scale = model.beta**2 if model is not None and model.model == "leader" else 1.0
-    tail = alpha * scale * tail_integral(phi, power, d_x0)
+    tail = alpha * scale * tail_integral(phi, 2, d_x0)
     if math.isinf(tail):
         verdict = VERDICT_UNCONDITIONAL
     elif d_v0 <= tail:
@@ -158,13 +146,12 @@ def certify(
     d_star = None
     rate = None
     if verdict != VERDICT_NOT_GUARANTEED:
-        d_star = solve_flock_diameter(d_x0, d_v0, alpha, phi, power, scale)
+        d_star = solve_flock_diameter(d_x0, d_v0, alpha, phi, scale=scale)
         if d_star is not None and math.isfinite(d_star):
-            rate = alpha * scale * phi(d_star) ** power
+            rate = alpha * scale * phi(d_star) ** 2
         elif d_star is not None:
             rate = 0.0
     return FlockingCertificate(
-        psi_kind=psi_kind,
         psi_scale=scale,
         d_x0=d_x0,
         d_v0=d_v0,

@@ -15,7 +15,7 @@ positions offset by the separation along the first axis, then all velocities.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .influence import InfluenceFunction
 from .rng import SplitMix64
 
 SECTIONS = ("model", "initial", "integration", "output", "hydro")
-SWEEPABLE_KEYS = ("s", "alpha", "beta", "gamma", "N", "D")
 
 
 @dataclass(frozen=True)
@@ -225,6 +224,17 @@ _KEYMAP = {
 
 _FIELD_TO_KEY = {field: (sec, key) for (sec, key), (field, _) in _KEYMAP.items()}
 
+# sweepable key -> (section, does the scenario read it?, why it would not)
+_SWEEPABLE = {
+    "s": ("model", lambda sc: sc.phi_kind != "tabulated", "a tabulated kernel has no exponent"),
+    "alpha": ("model", lambda sc: True, ""),
+    "beta": ("model", lambda sc: sc.model == "leader", "only the leader model reads it"),
+    "gamma": ("model", lambda sc: sc.model == "vision", "only the vision model reads it"),
+    "N": ("initial", lambda sc: sc.ic_kind == "random", "only kind = random reads it"),
+    "D": ("initial", lambda sc: sc.ic_kind == "two-group", "only kind = two-group reads it"),
+}
+SWEEPABLE_KEYS = tuple(_SWEEPABLE)
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; defaults are filled in."""
@@ -385,3 +395,22 @@ def with_override(sc: Scenario, **kwargs) -> Scenario:
     updated = replace(sc, **kwargs)
     validate_scenario(updated)
     return updated
+
+
+def sweep_points(sc: Scenario, key: str, values: str) -> List[Tuple[object, Scenario]]:
+    """``(value, scenario)`` per comma-separated value of the sweepable ``key``,
+    parsed as a document would parse it.  A key the scenario never reads is
+    rejected: sweeping it would repeat one run under different labels."""
+    if key not in _SWEEPABLE:
+        raise ScenarioError(
+            f"unsweepable parameter (choose from {', '.join(SWEEPABLE_KEYS)})", key=key
+        )
+    section, reads, why = _SWEEPABLE[key]
+    if not reads(sc):
+        raise ScenarioError(f"the scenario never reads it: {why}", key=key)
+    raw_values = [v.strip() for v in values.split(",") if v.strip()]
+    if not raw_values:
+        raise ScenarioError("empty value list", key=key)
+    field_name, parser = _KEYMAP[(section, key)]
+    parsed = [parser(raw, key, None) for raw in raw_values]
+    return [(value, with_override(sc, **{field_name: value})) for value in parsed]

@@ -5,6 +5,7 @@ import pytest
 
 from flocklab.cli import main
 from flocklab.dynamics import simulate
+from flocklab.influence import InfluenceFunction, tail_integral
 from flocklab.scenario import parse_scenario
 
 MT_DOC = """
@@ -227,6 +228,21 @@ def test_certify_command(tmp_path):
     assert summary["symmetric_theory_tail"] == "diverges"
 
 
+def test_certify_leader_symmetric_tail_carries_beta_squared(tmp_path):
+    # s = 2: the phi tail is finite, and on the leader's beta**2 scale
+    doc = MT_DOC.replace("model = mt", "model = leader\nbeta = 0.5\nleader = 0")
+    cfg = write(tmp_path, doc.replace("s = 0.25", "s = 2"))
+    out = tmp_path / "leader"
+    assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    d_x0 = summary["initial"]["d_x"]
+    expected = 1.0 * 0.5**2 * tail_integral(InfluenceFunction.power_law(2.0), 1, d_x0)
+    assert math.isfinite(expected)
+    assert summary["symmetric_theory_tail"] == expected
+    assert summary["certificate"]["psi_kind"] == "phi-squared"
+    assert summary["certificate"]["psi_scale"] == 0.25
+
+
 def test_verify_lemma_command(tmp_path):
     out = tmp_path / "lemma"
     assert main(["verify-lemma", "--seed", "5", "--out", str(out), "--quiet"]) == 0
@@ -301,6 +317,58 @@ def test_sweep_rejects_bad_parameter(tmp_path):
     cfg = write(tmp_path, MT_DOC)
     assert main(["sweep", "--config", cfg, "--quiet", "phase", "1,2"]) == 2
     assert main(["sweep", "--config", cfg, "--quiet", "s", " "]) == 2
+
+
+def test_sweep_failed_decay_check_exits_one(tmp_path, capsys):
+    # the simulate blow-up scenario, swept: alpha*dt = 10 under rk4 breaks
+    # the decay bound, and the sweep may not exit 0 on it
+    doc = MT_DOC.replace("N = 6", "N = 20").replace("T = 2", "T = 1\nscheme = rk4")
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "blowup"
+    assert main(
+        ["sweep", "--config", cfg, "--out", str(out), "--quiet", "alpha", "1,200"]
+    ) == 1
+    assert "decay check failed for alpha = 200.0" in capsys.readouterr().err
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "alpha,final_d_v_ratio,fitted_rate,verdict"
+    assert len(rows) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["decay_check_passed"] for r in summary["rows"]] == [True, False]
+    assert summary["rows"][1]["final_d_v_ratio"] > 1e3
+
+
+def test_sweep_vision_rows_have_no_decay_check(tmp_path):
+    doc = MT_DOC.replace("model = mt", "model = vision\ngamma = 0.2\nnormalization = mt-style")
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "vision"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet", "s", "0.5,1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["decay_check_passed"] for r in summary["rows"]] == [None, None]
+    assert [r["verdict"] for r in summary["rows"]] == ["n/a", "n/a"]
+
+
+TABULATED_DOC = MT_DOC.replace("s = 0.25", "phi = tabulated\ntable = 0:1 2:0.5 6:0")
+
+
+@pytest.mark.parametrize(
+    "doc,key,values,message",
+    [
+        (MT_DOC, "beta", "0.2,0.5", "only the leader model reads it (key 'beta')"),
+        (MT_DOC, "gamma", "0.2", "only the vision model reads it (key 'gamma')"),
+        (MT_DOC, "D", "10", "only kind = two-group reads it (key 'D')"),
+        (GROUPS_DOC, "N", "10", "only kind = random reads it (key 'N')"),
+        (TABULATED_DOC, "s", "0.5", "a tabulated kernel has no exponent (key 's')"),
+        (MT_DOC, "N", "6,2.5", "expected an integer, got '2.5' (key 'N')"),
+        (MT_DOC, "alpha", "1,fast", "expected a number, got 'fast' (key 'alpha')"),
+    ],
+    ids=["beta-mt", "gamma-mt", "D-random", "N-two-group", "s-tabulated", "N-2.5", "alpha-word"],
+)
+def test_sweep_rejects_keys_the_scenario_never_reads(tmp_path, capsys, doc, key, values, message):
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet", key, values]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_compare_groups_reports_contrast(tmp_path):

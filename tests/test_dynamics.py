@@ -262,10 +262,20 @@ def test_step_times_are_exact_multiples_of_dt(t0, dt, t_final):
     assert all(type(t) is float and t == t0 + k * dt for k, t in enumerate(stamps, start=1))
 
 
-@pytest.mark.parametrize("t_final", [0.0, -1.0, float("nan")])
-def test_step_times_rejects_non_positive_horizon(t_final):
-    with pytest.raises(ValueError):
-        step_times(0.0, 0.1, t_final)
+@pytest.mark.parametrize(
+    "dt,t_final,message",
+    [
+        pytest.param(0.1, 0.0, "t_final", id="0.0"),
+        pytest.param(0.1, -1.0, "t_final", id="-1.0"),
+        pytest.param(0.1, float("nan"), "t_final", id="nan"),
+        pytest.param(0.0, 1.0, "dt", id="dt=0.0"),
+        pytest.param(float("nan"), 1.0, "dt", id="dt=nan"),
+    ],
+)
+def test_step_times_rejects_non_positive_horizon(dt, t_final, message):
+    # a zero or NaN step is rejected as well, not left to the division
+    with pytest.raises(ValueError, match=f"{message} must be positive"):
+        step_times(0.0, dt, t_final)
 
 
 def test_simulate_snapshot_stride():

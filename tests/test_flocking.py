@@ -12,7 +12,7 @@ from flocklab.flocking import (
     fit_exponential_rate,
     solve_flock_diameter,
 )
-from flocklab.influence import InfluenceFunction, range_integral
+from flocklab.influence import InfluenceFunction, range_integral, tail_integral
 
 PHI_S1 = InfluenceFunction.power_law(1.0)
 
@@ -149,8 +149,13 @@ def test_certificate_vision_model_rejected():
 
 
 def test_certificate_symmetric_theory_kind():
-    cert = certify(0.0, 10.0, 1.0, PHI_S1, psi_kind="phi")
-    assert cert.verdict == "unconditional"  # integral of (1+r)^-1 diverges
+    # the symmetric-theory tail, of psi = phi = (1+r)^-1, diverges; the
+    # certificate's own psi = phi**2 has tail 1, which d_v0 = 10 exceeds
+    assert math.isinf(tail_integral(PHI_S1, 1, 0.0))
+    cert = certify(0.0, 10.0, 1.0, PHI_S1)
+    assert cert.tail == pytest.approx(1.0)
+    assert cert.verdict == "not-guaranteed"
+    assert cert.to_json_dict()["psi_kind"] == "phi-squared"
 
 
 # ------------------------------------------------------------- rate fitting

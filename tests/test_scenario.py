@@ -6,6 +6,7 @@ from flocklab.scenario import (
     parse_scenario,
     scenario_to_dict,
     serialize_scenario,
+    sweep_points,
     with_override,
 )
 
@@ -187,3 +188,16 @@ def test_with_override_revalidates():
     with pytest.raises(ScenarioError):
         with_override(sc, alpha=-2.0)
     assert with_override(sc, seed=99).seed == 99
+
+
+def test_sweep_points_parse_values_as_the_document_would():
+    sc = parse_scenario(MINIMAL)
+    points = sweep_points(sc, "N", " 4, 8,")
+    assert [value for value, _ in points] == [4, 8]
+    assert all(type(value) is int for value, _ in points)
+    assert [point.n for _, point in points] == [4, 8]
+    assert sweep_points(sc, "alpha", "2")[0][1].alpha == 2.0
+    with pytest.raises(ScenarioError, match="out of range"):
+        sweep_points(sc, "alpha", "-1")
+    with pytest.raises(ScenarioError, match="empty value list"):
+        sweep_points(sc, "s", " , ")
