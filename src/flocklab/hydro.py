@@ -74,14 +74,20 @@ def nonlocal_average(state: HydroState1D, phi: InfluenceFunction) -> np.ndarray:
     Vacuum cells are excluded from numerator and denominator; a cell whose
     kernel reach contains no mass (possible for cutoff kernels) keeps its own
     velocity, i.e. feels no relaxation.
+
+    On the uniform grid the kernel between cells i and j is phi(|i - j| dx),
+    so both sums are one direct convolution with phi(k dx), k = 1-n..n-1: O(n)
+    memory, one path for every kernel kind.  A direct sum of non-negative
+    terms is exactly zero only when no mass is in reach, so the den > 0 test
+    stays exact for compact kernels (an FFT's round-off would break it).
     """
     rho_eff = np.where(state.vacuum_mask(), 0.0, state.rho)
     if rho_eff.sum() == 0.0:
         raise ValueError("nonlocal average undefined for all-zero density")
-    centers = state.centers
-    kernel = eval_influence(phi, np.abs(centers[:, None] - centers[None, :]))
-    num = kernel @ (rho_eff * state.u) * state.dx
-    den = kernel @ rho_eff * state.dx
+    g = eval_influence(phi, state.dx * np.arange(state.n_cells))
+    g = np.concatenate((g[:0:-1], g))
+    num = np.convolve(g, rho_eff * state.u, mode="valid")
+    den = np.convolve(g, rho_eff, mode="valid")
     out = state.u.copy()
     np.divide(num, den, out=out, where=den > 0.0)
     return out

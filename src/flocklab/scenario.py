@@ -14,6 +14,7 @@ positions offset by the separation along the first axis, then all velocities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
@@ -342,6 +343,14 @@ def validate_scenario(sc: Scenario) -> None:
 
     _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
     _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
+    # the grid is n whole cells of width dx; a dx that leaves a remainder
+    # would silently shorten the domain
+    cells = (sc.hydro_x_max - sc.hydro_x_min) / sc.hydro_dx
+    _require(
+        math.isfinite(cells) and round(cells) >= 1 and abs(cells - round(cells)) <= 1e-9 * cells,
+        f"must divide x_max - x_min into whole cells, got {cells:.6g} cells",
+        "dx",
+    )
     _require(
         sc.hydro_profile in ("two-bump", "gaussian", "uniform"), "unknown profile", "profile"
     )

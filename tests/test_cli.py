@@ -429,6 +429,17 @@ def test_bad_config_exits_two(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("dx", ["3", "0.3"], ids=["wider-than-domain", "leaves-remainder"])
+def test_hydro_dx_that_does_not_tile_exits_two(tmp_path, capsys, dx):
+    # dx = 3 used to fail inside the solver with a message about array
+    # lengths; dx = 0.3 used to simulate [0, 0.9] and exit 0
+    doc = HYDRO_DOC.replace("x_min = -8\nx_max = 8\ndx = 0.1", f"x_min = 0\nx_max = 1\ndx = {dx}")
+    cfg = write(tmp_path, doc)
+    assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "h"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "must divide x_max - x_min" in err and "key 'dx'" in err
+
+
 def test_stability_violation_exits_three(tmp_path):
     cfg = write(tmp_path, HYDRO_DOC.replace("dt = 0.08", "dt = 0.5"))
     assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "h"), "--quiet"]) == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,40 @@ def test_average_cutoff_with_empty_reach_keeps_velocity():
     assert avg[0] == pytest.approx(2.0)
     assert avg[4] == pytest.approx(-3.0)
     assert avg[2] == pytest.approx(7.0)  # no mass within reach: untouched
+
+
+def test_cutoff_reach_depends_on_the_offset_only():
+    # the cutoff 0.3 is an exact multiple of dx = 0.1, where |c_i - c_j|
+    # computed from the cell centers rounds to either side of it row by row;
+    # the reach of a cell must be the same set of offsets on every row
+    phi = InfluenceFunction.power_law_with_cutoff(1.0, 0.3)
+    n = 60
+    reach = []
+    for p in range(n):
+        rho = np.zeros(n)
+        rho[p] = 1.0
+        u = np.arange(n) + 10.0  # 0 at the occupied cell only
+        u[p] = 0.0
+        avg = nonlocal_average(HydroState1D(x_min=-1.3, dx=0.1, rho=rho, u=u), phi)
+        # in reach: relaxed onto the occupied cell's velocity; else untouched
+        assert np.all((avg == 0.0) | (avg == u))
+        reach.append({j - p for j in np.flatnonzero(avg == 0.0)})
+    for k in range(1 - n, n):
+        rows = {k in offsets for p, offsets in enumerate(reach) if 0 <= p + k < n}
+        assert len(rows) == 1, f"offset {k} is in reach on some rows only"
+
+
+def test_average_allocates_no_cell_by_cell_kernel():
+    state = two_bump_state(dx=0.008)  # 3000 cells: an n x n kernel is 72 MB
+    assert state.n_cells == 3000
+    for phi in (PHI_SLOW, InfluenceFunction.power_law_with_cutoff(1.0, 2.0)):
+        tracemalloc.start()
+        try:
+            nonlocal_average(state, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 # ----------------------------------------------------------------- euler step

@@ -1,15 +1,16 @@
 """Property tests of the paper's exact discrete invariants: every builder
 gives a non-negative row-stochastic matrix, explicit Euler with
-alpha*dt <= 1 never grows the velocity diameter, and the hydro step conserves
-mass while the support stays off the boundary."""
+alpha*dt <= 1 never grows the velocity diameter, the hydro step conserves
+mass while the support stays off the boundary, and the hydro nonlocal average
+agrees with the dense cell-by-cell kernel."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix, simulate
-from flocklab.hydro import HydroState1D, step_eulerian
-from flocklab.influence import ROW_SUM_TOL, InfluenceFunction
+from flocklab.hydro import HydroState1D, nonlocal_average, step_eulerian
+from flocklab.influence import ROW_SUM_TOL, InfluenceFunction, eval_influence
 
 KERNELS = st.one_of(
     st.floats(0.1, 3.0).map(InfluenceFunction.power_law),
@@ -95,3 +96,32 @@ def test_hydro_mass_conserved_while_support_is_interior(seed, width, steps, cfl,
         assert abs(state.total_mass - mass0) <= 1e-12 * mass0
         assert np.all(state.rho >= 0.0)
     assert state.rho[0] == 0.0 and state.rho[-1] == 0.0
+
+
+@given(
+    KERNELS,
+    st.integers(1, 80),
+    st.floats(0.01, 2.0),
+    st.floats(-50.0, 50.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_nonlocal_average_matches_the_dense_kernel(phi, n, dx, x_min, seed):
+    rng = np.random.default_rng(seed)
+    rho = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.01, 2.0, size=n))
+    rho[rng.integers(n)] = 1.0  # never all vacuum
+    u = rng.uniform(-5.0, 5.0, size=n)
+    state = HydroState1D(x_min=x_min, dx=dx, rho=rho, u=u)
+    # the reference: the dense Toeplitz kernel phi(dx*|i - j|)
+    offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    kernel = eval_influence(phi, dx * offsets)
+    w = np.where(state.vacuum_mask(), 0.0, rho)
+    den = kernel @ w
+    expected = u.copy()
+    np.divide(kernel @ (w * u), den, out=expected, where=den > 0.0)
+    assert np.max(np.abs(nonlocal_average(state, phi) - expected)) <= 1e-13 * np.max(np.abs(u))
+    # the cells with mass in reach are exactly the reference's: with velocity
+    # 0 on the occupied cells and 1 elsewhere, a cell averages to 0 exactly
+    # when it sees mass, and keeps its 1 otherwise
+    probe = HydroState1D(x_min=x_min, dx=dx, rho=rho, u=np.where(w > 0.0, 0.0, 1.0))
+    assert np.array_equal(nonlocal_average(probe, phi) == 0.0, den > 0.0)

@@ -201,3 +201,13 @@ def test_sweep_points_parse_values_as_the_document_would():
         sweep_points(sc, "alpha", "-1")
     with pytest.raises(ScenarioError, match="empty value list"):
         sweep_points(sc, "s", " , ")
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, dx, cells",
+    # 0.7 / 0.1 is 6.999999999999999 in floating point
+    [(-12, 12, 0.01, 2400), (-12, 12, 0.05, 480), (-8, 8, 0.1, 160), (0, 0.7, 0.1, 7), (0, 1, 1, 1)],
+)
+def test_hydro_dx_that_tiles_is_accepted_despite_rounding(x_min, x_max, dx, cells):
+    doc = MINIMAL + f"\n[hydro]\nx_min = {x_min}\nx_max = {x_max}\ndx = {dx}\n"
+    assert parse_scenario(doc).initial_hydro_state().n_cells == cells
