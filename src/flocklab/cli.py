@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .activeset import DecayObserver, lemma_action_bound
-from .dynamics import diameter, diameters, simulate, step, step_times
+from .dynamics import diameter, diameters, simulate, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
 from .hydro import hydro_diameters, step_eulerian
@@ -300,32 +300,42 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
             "group 1 starts aligned (zero velocity spread, as with N1 = 1 or "
             "vel_min = vel_max): there is no alignment to compare"
         )
-    stamps = step_times(initial.t, sc.dt, sc.t_final)
     results = {}
     runs = {}
     diag_rows = []
+    failed = []
     for model_kind in ("cs", "mt"):
         model = sc.to_model_spec(model_kind)
-        state = initial
-        times = [initial.t]
-        series = [d_v0]
-        halving = None
-        for t in stamps:
-            state = step(state, model, sc.dt, sc.scheme)
-            times.append(t)
-            series.append(diameter(state.velocities[:n1]))
-            if halving is None and series[-1] <= 0.5 * d_v0:
-                halving = times[-1]
-            if halving is not None and series[-1] <= 0.4 * d_v0:
-                break
-        runs[model_kind] = (np.array(times), np.array(series))
+        check = DecayObserver(model, initial.n)
+        spread = [d_v0]  # group 1's velocity diameter at every recorded state
+
+        def group1_aligned(state) -> bool:
+            spread.append(diameter(state.velocities[:n1]))
+            return spread[-1] <= 0.4 * d_v0
+
+        # the whole ensemble is held to the decay bound at every step taken;
+        # the run ends early once group 1 is down to 0.4 of its start
+        record = simulate(
+            initial, model, sc.dt, sc.t_final, sc.scheme, observers=[check], stop=group1_aligned
+        )
+        decay = check.report(record)
+        times, series = record.times, np.array(spread)
+        halved = np.flatnonzero(series <= 0.5 * d_v0)
+        runs[model_kind] = (times, series)
         results[model_kind] = {
-            "halving_time": halving,
+            "halving_time": float(times[halved[0]]) if halved.size else None,
             "horizon": float(times[-1]),
-            "fitted_rate": fit_exponential_rate(*runs[model_kind]),
-            "final_ratio": series[-1] / d_v0,
+            "fitted_rate": fit_exponential_rate(times, series),
+            "final_ratio": float(series[-1] / d_v0),
+            "decay_check": {
+                "passed": decay.passed,
+                "worst_margin": decay.worst_margin,
+                "worst_step": decay.worst_step,
+            },
         }
-        diag_rows.extend((model_kind, t, dv) for t, dv in zip(times, series))
+        if not decay.passed:
+            failed.append(f"{model_kind} (worst step {decay.worst_step})")
+        diag_rows.extend((model_kind, t, dv) for t, dv in zip(times.tolist(), series.tolist()))
 
     _write_csv(out / sc.out_diagnostics, ["model", "t", "g1_d_v"], diag_rows)
     t_cs = results["cs"]["halving_time"]
@@ -359,6 +369,9 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     }
     shown = "n/a" if ratio is None else f"{'>= ' if not cs_halved else ''}{ratio:.2f}"
     _say(args, f"compare-groups: halving-time ratio cs/mt = {shown}")
+    if failed:
+        print(f"compare-groups: decay check failed for {', '.join(failed)}", file=sys.stderr)
+        return body, EXIT_CHECK_FAILED
     return body, EXIT_OK
 
 

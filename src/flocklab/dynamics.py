@@ -10,12 +10,14 @@ scheme and rebuilds the matrix at every stage.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from . import influence
 from .errors import StabilityError
 from .influence import (
     InfluenceFunction,
@@ -96,16 +98,20 @@ class ModelSpec:
             raise ValueError("gamma/normalization only valid for the vision model")
 
 
-def build_matrix(ensemble: AgentEnsemble, model: ModelSpec) -> InfluenceMatrix:
-    """Assemble the influence matrix for the ensemble's current geometry."""
+def build_matrix(
+    ensemble: AgentEnsemble, model: ModelSpec, distances: Optional[np.ndarray] = None
+) -> InfluenceMatrix:
+    """Assemble the influence matrix for the ensemble's current geometry;
+    ``distances``, when given, are its positions' pairwise distances."""
+    x = ensemble.positions
     if model.model == "cs":
-        return build_cs(ensemble.positions, model.phi)
+        return build_cs(x, model.phi, distances)
     if model.model == "mt":
-        return build_mt(ensemble.positions, model.phi)
+        return build_mt(x, model.phi, distances)
     if model.model == "leader":
-        return build_leader(ensemble.positions, model.phi, model.beta, model.leader)
+        return build_leader(x, model.phi, model.beta, model.leader, distances)
     return build_vision(
-        ensemble.positions, ensemble.velocities, model.phi, model.gamma, model.normalization
+        x, ensemble.velocities, model.phi, model.gamma, model.normalization, distances
     )
 
 
@@ -173,14 +179,67 @@ def step(
     return AgentEnsemble(t=ensemble.t + dt, positions=x, velocities=v)
 
 
+@functools.lru_cache(maxsize=None)
+def _extreme_directions(d: int) -> np.ndarray:
+    """The d axes and the 2**(d-1) diagonals (1, +-1, ...), one per row
+    (in 1D the one diagonal repeats the axis)."""
+    diagonals = [(1.0, *signs) for signs in itertools.product((1.0, -1.0), repeat=d - 1)]
+    directions = np.vstack((np.eye(d), diagonals))
+    directions.flags.writeable = False
+    return directions
+
+
+def _norms(columns: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a (d, m) array, squares summed in
+    axis order: the arithmetic of :func:`~flocklab.influence.pairwise_distances`,
+    so the norm of x_i - x_j is its (i, j) entry exactly."""
+    squares = columns * columns
+    total = squares[0]
+    for k in range(1, len(squares)):
+        total = total + squares[k]
+    return np.sqrt(total)
+
+
 def diameter(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance between the rows of points."""
-    return float(np.max(cdist(points, points)))
+    """Largest pairwise Euclidean distance between the rows of points, equal
+    to the max of their :func:`~flocklab.influence.pairwise_distances`.
+
+    An extreme-point filter keeps this exact without an N x N pass in the
+    usual case.  L, the largest distance between the two points extreme
+    along one of the axes or diagonals, is a true pairwise distance, so the
+    diameter is at least L.  No pair involving a point whose farthest
+    bounding-box corner lies within L is longer than L: per axis that corner
+    is at least as far as any point, and rounding is monotone in every
+    operation of the distance, so this holds for the computed values with no
+    margin.  Only the other points are scanned; points on a circle all
+    survive and get the full scan.
+    """
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        return 0.0
+    columns = np.ascontiguousarray(points.T)
+    projections = _extreme_directions(len(columns)) @ columns
+    ends = columns[:, projections.argmax(axis=1)] - columns[:, projections.argmin(axis=1)]
+    lower = float(_norms(ends).max())
+    # |x - corner| per axis; both differences are >= 0, as computed too
+    low, high = columns.min(axis=1, keepdims=True), columns.max(axis=1, keepdims=True)
+    reach = np.maximum(columns - low, high - columns)
+    survivors = points[_norms(reach) > lower]
+    if len(survivors) < 2:
+        return lower
+    return max(lower, float(influence.pairwise_distances(survivors).max()))
 
 
-def diameters(ensemble: AgentEnsemble) -> Tuple[float, float]:
-    """Max pairwise position and velocity distances (exhaustive scan)."""
-    return diameter(ensemble.positions), diameter(ensemble.velocities)
+def diameters(
+    ensemble: AgentEnsemble, position_distances: Optional[np.ndarray] = None
+) -> Tuple[float, float]:
+    """Max pairwise position and velocity distances; ``position_distances``,
+    when given, is the positions' distance matrix and d_X is its max."""
+    if position_distances is None:
+        d_x = diameter(ensemble.positions)
+    else:
+        d_x = float(position_distances.max())
+    return d_x, diameter(ensemble.velocities)
 
 
 def bulk_momentum(ensemble: AgentEnsemble) -> np.ndarray:
@@ -233,34 +292,50 @@ def simulate(
     scheme: str = "euler",
     snapshot_stride: int = 0,
     observers: Sequence[Callable[[AgentEnsemble, float, InfluenceMatrix], None]] = (),
+    stop: Optional[Callable[[AgentEnsemble], bool]] = None,
 ) -> TrajectoryRecord:
     """Integrate to t_final, recording diameters and momentum at every step.
 
-    Steps are stamped on the :func:`step_times` grid.  Each step builds the
-    influence matrix of the state it starts from once; every observer is
-    called as ``observer(state, d_x, matrix)`` with that state, its position
-    diameter and the matrix, which then serves the step's first acceleration.
-    Snapshots are kept every ``snapshot_stride`` steps only.
+    Steps are stamped on the :func:`step_times` grid.  Each state's position
+    distances are computed once, into one N x N buffer the run allocates up
+    front: they give the state's d_X and the influence matrix of the step
+    that starts from it.  Every observer is called as
+    ``observer(state, d_x, matrix)`` with that state, its position diameter
+    and the matrix, which then serves the step's first acceleration.  The
+    matrix is a fresh array per step, so an observer may keep it.  Snapshots
+    are kept every ``snapshot_stride`` steps only.  ``stop``, when given, is
+    called with each new state once it is recorded, and a true result ends
+    the run there, before t_final.
     """
+    # Reused, not reallocated: per-step N x N temporaries that the allocator
+    # hands back to the OS and takes again cost a page fault per page.
+    dist = np.empty((initial.n, initial.n))
+
+    def measure(state: AgentEnsemble) -> Tuple[float, float]:
+        influence.pairwise_distances(state.positions, out=dist)
+        return diameters(state, dist)
+
     times = [initial.t]
-    d_x, d_v = diameters(initial)
+    d_x, d_v = measure(initial)
     dx_series, dv_series = [d_x], [d_v]
     momenta = [bulk_momentum(initial)]
     snapshots = [initial] if snapshot_stride > 0 else []
 
     state = initial
     for k, t in enumerate(step_times(initial.t, dt, t_final), start=1):
-        matrix = build_matrix(state, model)
+        matrix = build_matrix(state, model, dist)
         for observe in observers:
             observe(state, d_x, matrix)
         state = replace(step(state, model, dt, scheme, matrix), t=t)
         times.append(t)
-        d_x, d_v = diameters(state)
+        d_x, d_v = measure(state)
         dx_series.append(d_x)
         dv_series.append(d_v)
         momenta.append(bulk_momentum(state))
         if snapshot_stride > 0 and k % snapshot_stride == 0:
             snapshots.append(state)
+        if stop is not None and stop(state):
+            break
 
     return TrajectoryRecord(
         times=np.array(times),
@@ -282,7 +357,7 @@ def kinetic_consistency_check(
     against matrix rows), so the result must sit at rounding level.
     """
     x, v, n = ensemble.positions, ensemble.velocities, ensemble.n
-    w = phi(cdist(x, x))
+    w = phi(influence.pairwise_distances(x))
     # empirical-measure route, 1/N weights kept explicit
     num = alpha * ((w / n)[:, :, None] * (v[None, :, :] - v[:, None, :])).sum(axis=1)
     den = (w / n).sum(axis=1)

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dynamics import advance
 from .errors import StabilityError
-from .influence import InfluenceFunction, eval_influence
+from .influence import InfluenceFunction, eval_influence, pairwise_distances
 
 CFL_LIMIT = 0.9
 # Cells this far below the density peak are vacuum: excluded from the
@@ -183,7 +182,7 @@ def lagrangian_rhs(
     particles: LagrangianParticles, phi: InfluenceFunction, alpha: float
 ) -> np.ndarray:
     """du_i/dt: relaxation toward the mass-weighted kernel average."""
-    w = eval_influence(phi, cdist(particles.positions, particles.positions))
+    w = eval_influence(phi, pairwise_distances(particles.positions))
     mw = w * particles.masses[None, :]
     u_bar = (mw @ particles.velocities) / mw.sum(axis=1)[:, None]
     return alpha * (u_bar - particles.velocities)

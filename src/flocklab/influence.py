@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 ROW_SUM_TOL = 1e-12
 
@@ -89,10 +88,12 @@ def eval_influence(phi: InfluenceFunction, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("influence function evaluated at negative distance")
-    if phi.kind == "power-law":
-        out = (1.0 + arr) ** (-phi.s)
-    elif phi.kind == "power-law-with-cutoff":
-        out = np.where(arr < phi.cutoff, (1.0 + arr) ** (-phi.s), 0.0)
+    if phi.kind in ("power-law", "power-law-with-cutoff"):
+        # in place on the fresh 1 + r: one array, the same values as (1 + r)**-s
+        out = 1.0 + arr
+        out **= -phi.s
+        if phi.kind == "power-law-with-cutoff":
+            out = np.where(arr < phi.cutoff, out, 0.0)
     else:
         rs = np.array([p[0] for p in phi.table], dtype=float)
         vals = np.array([p[1] for p in phi.table], dtype=float)
@@ -192,32 +193,73 @@ class InfluenceMatrix:
         return self.entries.shape[0]
 
 
-def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2:
+def pairwise_distances(points: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """N x N Euclidean distances between the rows of an (N, d) array.
+
+    One numpy pass: the squared per-axis differences are summed in axis
+    order and the square root taken in place, so every entry is the
+    correctly rounded sqrt(sum_k (x_ik - x_jk)**2) of the per-pair loop, bit
+    for bit, and the matrix is exactly symmetric with a zero diagonal.
+    ``out``, when given, is an N x N float array that receives the result,
+    so a caller can reuse one buffer across states; each further axis's
+    term (d > 1) goes through one temporary of the same size.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
         raise ValueError("positions must be an (N, d) array")
-    if not np.all(np.isfinite(positions)):
+    if not np.all(np.isfinite(points)):
         raise ValueError("positions must be finite")
-    return cdist(positions, positions)
+    n, d = points.shape
+    if out is None:
+        out = np.empty((n, n))
+    scratch = np.empty((n, n)) if d > 1 else None
+    for k, column in enumerate(np.ascontiguousarray(points.T)):
+        term = scratch if k else out
+        # x_ik - x_jk as a row fill then a row subtraction, which numpy runs
+        # faster than the equal np.subtract.outer
+        np.copyto(term, column[:, None])
+        term -= column
+        np.square(term, out=term)
+        if k:
+            out += term
+    return np.sqrt(out, out=out)
 
 
-def build_cs(positions: np.ndarray, phi: InfluenceFunction) -> InfluenceMatrix:
-    """Symmetric all-to-all average: a_ij = phi(|x_i-x_j|)/N off diagonal."""
-    dist = pairwise_distances(positions)
+def _distances(positions: np.ndarray, distances: Optional[np.ndarray]) -> np.ndarray:
+    """The positions' distance matrix: ``distances`` when the caller already
+    holds it, else one :func:`pairwise_distances` pass."""
+    if distances is None:
+        return pairwise_distances(positions)
+    n = len(positions)
+    if distances.shape != (n, n):
+        raise ValueError("distances must be an N x N matrix for N positions")
+    return distances
+
+
+def build_cs(
+    positions: np.ndarray, phi: InfluenceFunction, distances: Optional[np.ndarray] = None
+) -> InfluenceMatrix:
+    """Symmetric all-to-all average: a_ij = phi(|x_i-x_j|)/N off diagonal.
+
+    ``distances``, here and in the other builders, is the positions'
+    precomputed :func:`pairwise_distances` matrix; it is only read."""
+    dist = _distances(positions, distances)
     n = dist.shape[0]
-    a = eval_influence(phi, dist) / n
+    a = eval_influence(phi, dist)
+    a /= n
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     return InfluenceMatrix(entries=a, model_tag="cs")
 
 
-def build_mt(positions: np.ndarray, phi: InfluenceFunction) -> InfluenceMatrix:
+def build_mt(
+    positions: np.ndarray, phi: InfluenceFunction, distances: Optional[np.ndarray] = None
+) -> InfluenceMatrix:
     """Relative-influence normalization: each row divided by the total
     influence received, self term included."""
-    dist = pairwise_distances(positions)
-    w = eval_influence(phi, dist)
-    a = w / w.sum(axis=1, keepdims=True)
-    return InfluenceMatrix(entries=a, model_tag="mt")
+    w = eval_influence(phi, _distances(positions, distances))
+    w /= w.sum(axis=1, keepdims=True)
+    return InfluenceMatrix(entries=w, model_tag="mt")
 
 
 def build_leader(
@@ -225,19 +267,21 @@ def build_leader(
     phi: InfluenceFunction,
     beta: float,
     leader: int,
+    distances: Optional[np.ndarray] = None,
 ) -> InfluenceMatrix:
     """Leader matrix: the leader row is the unit row (uninfluenced), every
     other agent gives the leader weight beta*phi and spreads (1-beta)/N over
     the rest."""
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie strictly between 0 and 1")
-    dist = pairwise_distances(positions)
+    dist = _distances(positions, distances)
     n = dist.shape[0]
     if not (0 <= leader < n):
         raise ValueError("leader index out of range")
-    w = eval_influence(phi, dist)
-    a = (1.0 - beta) / n * w
-    a[:, leader] = beta * w[:, leader]
+    a = eval_influence(phi, dist)
+    leader_column = beta * a[:, leader]
+    a *= (1.0 - beta) / n
+    a[:, leader] = leader_column
     np.fill_diagonal(a, 0.0)
     a[leader, :] = 0.0
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
@@ -250,6 +294,7 @@ def build_vision(
     phi: InfluenceFunction,
     gamma: float,
     normalization: str,
+    distances: Optional[np.ndarray] = None,
 ) -> InfluenceMatrix:
     """Vision-cone matrix: agent i only weights agents j whose direction from
     i makes cos-angle >= gamma with i's heading v_i/|v_i|.
@@ -266,7 +311,7 @@ def build_vision(
         raise ValueError("normalization must be 'cs-style' or 'mt-style'")
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
-    dist = pairwise_distances(positions)
+    dist = _distances(positions, distances)
     n = dist.shape[0]
 
     disp = positions[None, :, :] - positions[:, None, :]

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flocklab
 from flocklab.cli import main
 from flocklab.dynamics import simulate
 from flocklab.influence import InfluenceFunction, tail_integral
@@ -409,6 +414,35 @@ def test_compare_groups_time_stamps_are_exact(tmp_path):
     assert cs_times == [k * 0.05 for k in range(len(cs_times))]
 
 
+def test_compare_groups_failed_decay_check_exits_one(tmp_path, capsys):
+    # rk4 with alpha*dt = 10 blows the contrast runs up; every step taken is
+    # held to the decay bound, so this no longer passes with exit 0
+    doc = GROUPS_DOC.replace("alpha = 1", "alpha = 200").replace("T = 150", "T = 1\nscheme = rk4")
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "blowup"
+    assert main(["compare-groups", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "compare-groups: decay check failed for" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mt"]["final_ratio"] > 10.0
+    assert summary["mt"]["decay_check"]["passed"] is False
+
+
+def test_compare_groups_checks_every_step_taken(tmp_path):
+    # group 1 of mt reaches 0.4 of its start early, so its run stops before T
+    cfg = write(tmp_path, GROUPS_DOC)
+    out = tmp_path / "groups"
+    assert main(["compare-groups", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    mt_rows = [r for r in rows if r[0] == "mt"]
+    assert float(mt_rows[-1][1]) == summary["mt"]["horizon"] < 150.0
+    assert float(mt_rows[-1][2]) <= 0.4 * float(mt_rows[0][2])
+    for kind in ("cs", "mt"):
+        check = summary[kind]["decay_check"]
+        assert check["passed"] is True and check["worst_margin"] >= 0.0
+    assert summary["mt"]["decay_check"]["worst_step"] < len(mt_rows) - 1
+
+
 @pytest.mark.parametrize(
     "edit", [("N1 = 3", "N1 = 1"), ("seed = 11", "seed = 11\nvel_min = 0.5\nvel_max = 0.5")]
 )
@@ -443,6 +477,27 @@ def test_hydro_dx_that_does_not_tile_exits_two(tmp_path, capsys, dx):
 def test_stability_violation_exits_three(tmp_path):
     cfg = write(tmp_path, HYDRO_DOC.replace("dt = 0.08", "dt = 0.5"))
     assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "h"), "--quiet"]) == 3
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    # scipy is a test dependency only, and no numpy submodule that loads on
+    # first use (np.unique pulls in numpy.ma) may run inside a command
+    simulate_cfg = write(tmp_path, MT_DOC, "simulate.cfg")
+    hydro_cfg = write(tmp_path, HYDRO_DOC, "hydro.cfg")
+    code = f"""
+import sys
+from flocklab.cli import main
+assert main(["simulate", "--config", {simulate_cfg!r}, "--out", {str(tmp_path / "s")!r}, "--quiet"]) == 0
+assert main(["hydro", "--config", {hydro_cfg!r}, "--out", {str(tmp_path / "h")!r}, "--quiet"]) == 0
+print(sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
+"""
+    src = str(Path(flocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

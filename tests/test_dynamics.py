@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from flocklab import influence
 from flocklab.dynamics import (
     MODEL_KINDS,
     AgentEnsemble,
     ModelSpec,
     build_matrix,
     bulk_momentum,
+    diameter,
     diameters,
     kinetic_consistency_check,
     rhs,
@@ -185,6 +188,76 @@ def test_diameters_match_permuted_bruteforce():
     d_x, d_v = diameters(ens)
     assert d_x == pytest.approx(best_x, abs=1e-12)
     assert d_v == pytest.approx(best_v, abs=1e-12)
+
+
+def exhaustive_diameter(points):
+    return float(cdist(points, points).max())
+
+
+def sphere_points(n, d, seed):
+    u = np.random.default_rng(seed).normal(size=(n, d))
+    return 3.0 * u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(1, 3),
+    st.sampled_from(["uniform", "gaussian", "duplicates", "sphere", "collinear", "grid"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_diameter_equals_the_exhaustive_max(n, d, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "uniform":
+        x = rng.uniform(-1.0, 1.0, size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    elif shape == "gaussian":
+        x = rng.normal(size=(n, d)) + 100.0
+    elif shape == "duplicates":
+        x = rng.uniform(-1.0, 1.0, size=(3, d))[rng.integers(0, 3, size=n)]
+    elif shape == "sphere":
+        # every point lies on the bounding sphere: none is filtered out
+        x = sphere_points(n, d, seed)
+    elif shape == "collinear":
+        x = np.outer(rng.uniform(-2.0, 2.0, size=n), rng.normal(size=d))
+    else:
+        # integer lattice: many pairs tie for the diameter
+        x = rng.integers(-2, 3, size=(n, d)).astype(float)
+    assert diameter(x) == exhaustive_diameter(x)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.array([[1.5, -2.0]]),
+        np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]),
+        np.array([[2.0], [2.0], [2.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),  # two diagonals tie
+        np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]),  # four-way tie
+        sphere_points(500, 2, 0),
+        sphere_points(300, 3, 1),
+    ],
+    ids=["one", "two", "coincident", "square", "cross", "circle", "sphere"],
+)
+def test_diameter_edge_cases(points):
+    assert diameter(points) == (exhaustive_diameter(points) if len(points) > 1 else 0.0)
+
+
+def test_euler_simulate_computes_position_distances_once_per_state(monkeypatch):
+    ens = random_ensemble(3, n=30, d=2)
+    handed = []
+    real = influence.pairwise_distances
+
+    def counted(points, *args, **kwargs):
+        handed.append(np.array(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(influence, "pairwise_distances", counted)
+    record = simulate(ens, model_for("mt", ens.n), dt=0.1, t_final=1.0, snapshot_stride=1)
+    # d_X and the next step's matrix share the state's one N x N pass; the
+    # d_V filter only scans a few velocities
+    for snap in record.snapshots:
+        assert sum(np.array_equal(p, snap.positions) for p in handed) == 1
+    assert sum(len(p) == ens.n for p in handed) == len(record.times) == 11
 
 
 def test_bulk_momentum_trivial_cases():

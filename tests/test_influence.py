@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
 from flocklab.influence import (
     InfluenceFunction,
@@ -12,6 +13,7 @@ from flocklab.influence import (
     build_mt,
     build_vision,
     eval_influence,
+    pairwise_distances,
     range_integral,
     tail_integral,
 )
@@ -33,6 +35,57 @@ def positions_strategy(max_n=8, dims=(1, 2, 3)):
             ).map(np.array)
         )
     )
+
+
+# ---------------------------------------------------------------- distances
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_pairwise_distances_equal_cdist_bit_for_bit(n, d, exponent, seed, into_buffer):
+    # cdist (test-only reference) sums the squared per-axis terms in axis
+    # order and takes one correctly rounded sqrt: the numpy pass must match
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, d)) * 10.0**exponent + rng.normal(size=d)
+    x[rng.integers(0, n, size=n // 4)] = x[0]  # exact duplicates
+    if into_buffer:
+        out = np.full((n, n), np.nan)
+        got = pairwise_distances(x, out=out)
+        assert got is out
+    else:
+        got = pairwise_distances(x)
+    assert np.array_equal(got, cdist(x, x))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [200, 1000])
+def test_pairwise_distances_equal_cdist_at_size(n, d):
+    x = np.random.default_rng(n + d).uniform(0.0, 20.0, size=(n, d))
+    assert np.array_equal(pairwise_distances(x), cdist(x, x))
+
+
+def test_builders_accept_the_precomputed_distances():
+    rng = np.random.default_rng(4)
+    x, v = rng.uniform(0, 5, size=(9, 2)), rng.uniform(-1, 1, size=(9, 2))
+    phi = InfluenceFunction.power_law(0.5)
+    dist = pairwise_distances(x)
+    kept = dist.copy()
+    for build in (
+        lambda **kw: build_cs(x, phi, **kw),
+        lambda **kw: build_mt(x, phi, **kw),
+        lambda **kw: build_leader(x, phi, 0.3, 2, **kw),
+        lambda **kw: build_vision(x, v, phi, 0.2, "mt-style", **kw),
+    ):
+        assert np.array_equal(build(distances=dist).entries, build().entries)
+    assert np.array_equal(dist, kept)
+    with pytest.raises(ValueError, match="N x N"):
+        build_mt(x, phi, distances=dist[:-1])
 
 
 # ---------------------------------------------------------------- evaluation
