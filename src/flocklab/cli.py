@@ -34,7 +34,6 @@ from .rng import PRNG_ID, SplitMix64
 from .scenario import (
     SWEEPABLE_KEYS,
     Scenario,
-    format_value,
     parse_scenario,
     scenario_to_dict,
     sweep_points,
@@ -48,14 +47,23 @@ EXIT_RUNTIME = 3
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header and the rows, formatted by one ``%`` over the table's
+    flat list of cells.  ``rows`` is a 2D float array or a list of rows whose
+    every column holds one type; a float column is written ``%.17g`` (the text
+    of :func:`flocklab.scenario.format_value`), any other ``%s``."""
+    if isinstance(rows, np.ndarray):
+        cells, first = rows.ravel().tolist(), [0.0] * rows.shape[1]
+    else:
+        cells, first = [v for row in rows for v in row], rows[0] if rows else ()
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    path.write_text(",".join(header) + "\n" + (line * len(rows)) % tuple(cells))
 
 
-def _state_rows(t, *columns) -> list:
-    """CSV rows ``[t, columns...]``, one per item; t is a scalar shared by all
-    rows or one value per item, and 2D columns contribute one cell per axis."""
-    return np.column_stack((np.broadcast_to(t, len(columns[0])), *columns)).tolist()
+def _state_rows(t, *columns) -> np.ndarray:
+    """CSV rows ``[t, columns...]`` as one 2D array, one row per item; t is a
+    scalar shared by all rows or one value per item, and 2D columns contribute
+    one cell per axis."""
+    return np.column_stack((np.broadcast_to(t, len(columns[0])), *columns))
 
 
 def _jsonable(obj):
@@ -128,10 +136,11 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
 
     if sc.snapshot_stride > 0:
-        snap_rows = []
         axes = [f"{c}{k}" for c in "xv" for k in range(record.snapshots[0].d)]
-        for ens in record.snapshots:
-            snap_rows += _state_rows(ens.t, np.arange(ens.n), ens.positions, ens.velocities)
+        snap_rows = np.concatenate([
+            _state_rows(ens.t, np.arange(ens.n), ens.positions, ens.velocities)
+            for ens in record.snapshots
+        ])
         _write_csv(out / sc.out_snapshots, ["t", "agent"] + axes, snap_rows)
 
     body = {
@@ -227,7 +236,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
         diag_rows.append((float(s.t), d_x, d_v, s.total_mass))
 
     def snapshot(s):
-        field_rows.extend(_state_rows(s.t, s.centers, s.rho, s.u))
+        field_rows.append(_state_rows(s.t, s.centers, s.rho, s.u))
 
     record(state)
     _, d_x0, d_v0, mass0 = diag_rows[0]
@@ -244,9 +253,9 @@ def cmd_hydro(sc: Scenario, out: Path, args):
         if stride > 0 and k % stride == 0:
             snapshot(state)
 
-    _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "mass"], diag_rows)
+    _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "mass"], np.array(diag_rows))
     if stride > 0:
-        _write_csv(out / sc.out_fields, ["t", "x", "rho", "u"], field_rows)
+        _write_csv(out / sc.out_fields, ["t", "x", "rho", "u"], np.concatenate(field_rows))
 
     t_f, d_xf, d_vf, mass_f = diag_rows[-1]
     body = {

@@ -75,18 +75,24 @@ def nonlocal_average(state: HydroState1D, phi: InfluenceFunction) -> np.ndarray:
     velocity, i.e. feels no relaxation.
 
     On the uniform grid the kernel between cells i and j is phi(|i - j| dx),
-    so both sums are one direct convolution with phi(k dx), k = 1-n..n-1: O(n)
-    memory, one path for every kernel kind.  A direct sum of non-negative
-    terms is exactly zero only when no mass is in reach, so the den > 0 test
-    stays exact for compact kernels (an FFT's round-off would break it).
+    so both sums are one direct convolution with phi(k dx): O(n) memory, one
+    path for every kernel kind.  Only the occupied span lo..hi (first to last
+    cell with mass) is convolved, with the offsets k = -hi..n-1-lo that reach
+    it from every cell: n*(hi - lo + 1) work, and the terms dropped are exact
+    zeros.  A direct sum of non-negative terms is exactly zero only when no
+    mass is in reach, so the den > 0 test stays exact for compact kernels (an
+    FFT's round-off would break it).
     """
     rho_eff = np.where(state.vacuum_mask(), 0.0, state.rho)
-    if rho_eff.sum() == 0.0:
+    occupied = np.flatnonzero(rho_eff)
+    if occupied.size == 0:
         raise ValueError("nonlocal average undefined for all-zero density")
-    g = eval_influence(phi, state.dx * np.arange(state.n_cells))
-    g = np.concatenate((g[:0:-1], g))
-    num = np.convolve(g, rho_eff * state.u, mode="valid")
-    den = np.convolve(g, rho_eff, mode="valid")
+    n, lo, hi = state.n_cells, occupied[0], occupied[-1]
+    g = eval_influence(phi, state.dx * np.arange(max(hi, n - 1 - lo) + 1))
+    g = np.concatenate((g[hi:0:-1], g[: n - lo]))
+    w = rho_eff[lo : hi + 1]
+    num = np.convolve(g, w * state.u[lo : hi + 1], mode="valid")
+    den = np.convolve(g, w, mode="valid")
     out = state.u.copy()
     np.divide(num, den, out=out, where=den > 0.0)
     return out

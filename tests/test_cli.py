@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flocklab
-from flocklab.cli import main
-from flocklab.dynamics import simulate
+from flocklab.cli import _write_csv, main
+from flocklab.dynamics import simulate, step_times
+from flocklab.hydro import step_eulerian
 from flocklab.influence import InfluenceFunction, tail_integral
-from flocklab.scenario import parse_scenario
+from flocklab.scenario import format_value, parse_scenario
 
 MT_DOC = """
 [model]
@@ -279,6 +282,62 @@ def test_hydro_command(tmp_path):
     assert fields[0] == "t,x,rho,u"
     diag = (out / "diagnostics.csv").read_text().splitlines()
     assert diag[0] == "t,d_x,d_v,mass"
+    # every cell round-trips exactly to the stepped states (initial + steps 10, 20)
+    sc = parse_scenario(HYDRO_DOC)
+    state, phi = sc.initial_hydro_state(), sc.build_phi()
+    expected = [state]
+    for k, t in enumerate(step_times(state.t, sc.dt, sc.t_final), start=1):
+        state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t)
+        if k % sc.snapshot_stride == 0:
+            expected.append(state)
+    cells = [[float(c) for c in line.split(",")] for line in fields[1:]]
+    assert len(cells) == 3 * state.n_cells
+    rows = [[s.t, x, r, u] for s in expected for x, r, u in zip(s.centers, s.rho, s.u)]
+    assert cells == rows
+
+
+def test_hydro_is_byte_deterministic(tmp_path):
+    cfg = write(tmp_path, HYDRO_DOC)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["hydro", "--config", cfg, "--out", str(out_a), "--quiet"]) == 0
+    assert main(["hydro", "--config", cfg, "--out", str(out_b), "--quiet"]) == 0
+    for name in ("diagnostics.csv", "fields.csv", "summary.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _per_cell_csv(header, rows) -> bytes:
+    """The CSV text cell by cell through format_value: what the writer must match."""
+    lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_matches_per_cell_formatting_on_float_tables(tmp_path):
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 1 / 3, 2.0, -7.5e-300]
+    table = np.column_stack((odd, np.arange(len(odd)), odd[::-1], np.sqrt(np.arange(len(odd)))))
+    path = tmp_path / "floats.csv"
+    _write_csv(path, ["t", "agent", "x0", "v0"], table)
+    assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "v0"], table.tolist())
+    assert path.read_text().splitlines()[1:4] == ["nan,0,-7.4999999999999996e-300,0",
+                                                  "inf,1,2,1", "-inf,2,0.33333333333333331,"
+                                                  "1.4142135623730951"]
+    _write_csv(path, ["t", "x"], np.empty((0, 2)))
+    assert path.read_bytes() == b"t,x\n"
+
+
+def test_write_csv_matches_per_cell_formatting_on_mixed_tables(tmp_path):
+    # as in sweep.csv (an int or float value, floats, a str verdict) and
+    # compare-groups' diagnostics.csv (a str model, floats)
+    rows = [(5, 0.1, math.nan, "unconditional"), (12, 1 / 3, -0.0, "not-guaranteed"),
+            (200, 1e22, 5e-324, "n/a")]
+    path = tmp_path / "mixed.csv"
+    header = ["N", "final_d_v_ratio", "fitted_rate", "verdict"]
+    _write_csv(path, header, rows)
+    assert path.read_bytes() == _per_cell_csv(header, rows)
+    groups = [("cs", 0.0, 1.5), ("cs", 0.05, 1 / 3), ("mt", 0.0, math.inf)]
+    _write_csv(path, ["model", "t", "g1_d_v"], groups)
+    assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], groups)
+    _write_csv(path, ["s", "verdict"], [])
+    assert path.read_bytes() == b"s,verdict\n"
 
 
 def test_sweep_exponent_flips_verdict(tmp_path):

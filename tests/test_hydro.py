@@ -16,7 +16,7 @@ from flocklab.hydro import (
     step_eulerian,
     step_lagrangian,
 )
-from flocklab.influence import InfluenceFunction
+from flocklab.influence import InfluenceFunction, eval_influence
 from flocklab.rng import SplitMix64
 
 PHI1 = InfluenceFunction.power_law(1.0)
@@ -110,6 +110,53 @@ def test_average_allocates_no_cell_by_cell_kernel():
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def _occupied(n, cells):
+    rho = np.zeros(n)
+    rho[list(cells)] = np.linspace(0.5, 2.0, len(cells))
+    return rho
+
+
+SPAN_CASES = {
+    "cell 0 only": _occupied(40, [0]),
+    "cell n-1 only": _occupied(40, [39]),
+    "one interior cell": _occupied(40, [17]),
+    "both edges": _occupied(40, [0, 1, 2, 20, 38, 39]),
+    "1-cell grid": _occupied(1, [0]),
+    # the gap (cells 8..51, 4.4 wide) is wider than the cutoff 1.5
+    "two blocks, wide gap": _occupied(60, [*range(3, 8), *range(52, 57)]),
+}
+
+
+@pytest.mark.parametrize("rho", SPAN_CASES.values(), ids=SPAN_CASES.keys())
+@pytest.mark.parametrize(
+    "phi", [PHI_SLOW, InfluenceFunction.power_law_with_cutoff(1.0, 1.5)], ids=["slow", "cutoff"]
+)
+def test_occupied_span_edge_cases_match_the_dense_kernel(rho, phi):
+    n, dx = rho.size, 0.1
+    u = np.linspace(-3.0, 4.0, n) + 0.25
+    state = HydroState1D(x_min=-2.0, dx=dx, rho=rho, u=u)
+    # the reference: the dense Toeplitz kernel phi(dx*|i - j|) over every cell
+    kernel = eval_influence(phi, dx * np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]))
+    den = kernel @ rho
+    expected = u.copy()
+    np.divide(kernel @ (rho * u), den, out=expected, where=den > 0.0)
+    avg = nonlocal_average(state, phi)
+    assert np.max(np.abs(avg - expected)) <= 1e-13 * np.max(np.abs(u))
+    # cells with mass in reach average to 0 exactly; the rest keep their 1
+    probe = HydroState1D(x_min=-2.0, dx=dx, rho=rho, u=np.where(rho > 0.0, 0.0, 1.0))
+    assert np.array_equal(nonlocal_average(probe, phi) == 0.0, den > 0.0)
+    if phi.cutoff is not None and n == 60:
+        # the middle of the gap sees neither block and keeps its velocity
+        assert np.array_equal(avg[25:35], u[25:35])
+
+
+def test_occupied_span_all_vacuum_still_raises():
+    for n in (1, 5):
+        state = HydroState1D(x_min=0.0, dx=0.1, rho=np.zeros(n), u=np.ones(n))
+        with pytest.raises(ValueError, match="all-zero density"):
+            nonlocal_average(state, PHI1)
 
 
 # ----------------------------------------------------------------- euler step
