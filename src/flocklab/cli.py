@@ -8,7 +8,10 @@ Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
 and the PRNG identifier and writes it to the scenario's ``[output] summary``
 file (summary.json without a scenario).  CSV files carry a header row and
 17-significant-digit floats so doubles round-trip losslessly; identical
-scenarios produce byte-identical outputs.
+scenarios produce byte-identical outputs.  ``snapshots.csv`` and
+``fields.csv`` are written block by block (:class:`_BlockCSV`), ``hydro``'s
+fields at each snapshot as it is taken; the other tables in one pass
+(:func:`_write_csv`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -59,11 +63,42 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.write_text(",".join(header) + "\n" + (line * len(rows)) % tuple(cells))
 
 
-def _state_rows(t, *columns) -> np.ndarray:
-    """CSV rows ``[t, columns...]`` as one 2D array, one row per item; t is a
-    scalar shared by all rows or one value per item, and 2D columns contribute
-    one cell per axis."""
-    return np.column_stack((np.broadcast_to(t, len(columns[0])), *columns))
+class _BlockCSV:
+    """A CSV table written block by block as the run produces its states.
+
+    A block is one time stamp t, the index column (agent number or cell
+    centre, the same in every block) and the state columns, one row per item,
+    written ``t, index, state...``.  The index text is formatted once per
+    table and t once per block; only the state cells go through ``%.17g`` per
+    row.  The bytes are those of :func:`_write_csv` on the stacked float
+    table.  The file is open inside a ``with`` block, and a run that raises
+    there removes the unfinished file.
+    """
+
+    def __init__(self, path: Path, header: Sequence[str], index: np.ndarray):
+        self._path, self._header = path, header
+        self._index = ["%.17g" % v for v in np.asarray(index, dtype=float).tolist()]
+
+    def write(self, t: float, *columns: np.ndarray) -> None:
+        """One block: 1D columns give one cell per row, 2D ones one per axis."""
+        cols = [c for col in columns for c in (col.T if col.ndim == 2 else (col,))]
+        width = len(cols) + 1
+        cells = [None] * (len(self._index) * width)
+        cells[::width] = self._index
+        for k, col in enumerate(cols, start=1):
+            cells[k::width] = col.tolist()
+        line = "%.17g," % t + "%s" + ",%.17g" * len(cols) + "\n"
+        self._file.write((line * len(self._index)) % tuple(cells))
+
+    def __enter__(self) -> "_BlockCSV":
+        self._file = self._path.open("w")
+        self._file.write(",".join(self._header) + "\n")
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._file.close()
+        if exc_type is not None:
+            self._path.unlink()
 
 
 def _jsonable(obj):
@@ -130,18 +165,17 @@ def cmd_simulate(sc: Scenario, out: Path, args):
         margins[:-1] = decay.margin_pairwise
 
     momentum_norm = np.linalg.norm(record.momentum, axis=1)
-    rows = _state_rows(
+    rows = np.column_stack((
         record.times, record.position_diameter, record.velocity_diameter, momentum_norm, margins
-    )
+    ))
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
 
     if sc.snapshot_stride > 0:
-        axes = [f"{c}{k}" for c in "xv" for k in range(record.snapshots[0].d)]
-        snap_rows = np.concatenate([
-            _state_rows(ens.t, np.arange(ens.n), ens.positions, ens.velocities)
-            for ens in record.snapshots
-        ])
-        _write_csv(out / sc.out_snapshots, ["t", "agent"] + axes, snap_rows)
+        first = record.snapshots[0]
+        axes = [f"{c}{k}" for c in "xv" for k in range(first.d)]
+        with _BlockCSV(out / sc.out_snapshots, ["t", "agent"] + axes, np.arange(first.n)) as snaps:
+            for ens in record.snapshots:
+                snaps.write(ens.t, ens.positions, ens.velocities)
 
     body = {
         "scenario": scenario_to_dict(sc),
@@ -229,33 +263,32 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     stamps = step_times(state.t, sc.dt, sc.t_final)
     stride = sc.snapshot_stride
     diag_rows = []
-    field_rows = []
 
     def record(s):
         d_x, d_v = hydro_diameters(s, sc.hydro_epsilon)
         diag_rows.append((float(s.t), d_x, d_v, s.total_mass))
 
-    def snapshot(s):
-        field_rows.append(_state_rows(s.t, s.centers, s.rho, s.u))
-
     record(state)
     _, d_x0, d_v0, mass0 = diag_rows[0]
     cert = certify(d_x0, d_v0, sc.alpha, phi)
-    if stride > 0:
-        snapshot(state)
     max_mass_drift = 0.0
-    for k, t in enumerate(stamps, start=1):
-        prev_mass = state.total_mass
-        state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t)
-        if prev_mass > 0:
-            max_mass_drift = max(max_mass_drift, abs(state.total_mass - prev_mass) / prev_mass)
-        record(state)
-        if stride > 0 and k % stride == 0:
-            snapshot(state)
+    # each field snapshot is written as it is taken; none is held
+    header = ["t", "x", "rho", "u"]
+    with (
+        _BlockCSV(out / sc.out_fields, header, state.centers) if stride > 0 else nullcontext()
+    ) as fields:
+        if fields is not None:
+            fields.write(state.t, state.rho, state.u)
+        for k, t in enumerate(stamps, start=1):
+            prev_mass = state.total_mass
+            state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t)
+            if prev_mass > 0:
+                max_mass_drift = max(max_mass_drift, abs(state.total_mass - prev_mass) / prev_mass)
+            record(state)
+            if fields is not None and k % stride == 0:
+                fields.write(state.t, state.rho, state.u)
 
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "mass"], np.array(diag_rows))
-    if stride > 0:
-        _write_csv(out / sc.out_fields, ["t", "x", "rho", "u"], np.concatenate(field_rows))
 
     t_f, d_xf, d_vf, mass_f = diag_rows[-1]
     body = {

@@ -7,6 +7,9 @@ exterior is vacuum, so mass only changes if the support actually reaches the
 boundary.  The Lagrangian form follows mass particles along characteristics
 in any dimension; with equal masses it is identical to the relative-influence
 particle model.
+
+:func:`nonlocal_average` averages every cell of a state; the Eulerian step
+calls it on the occupied span only, since vacuum cells are never relaxed.
 """
 
 from __future__ import annotations
@@ -98,6 +101,11 @@ def nonlocal_average(state: HydroState1D, phi: InfluenceFunction) -> np.ndarray:
     return out
 
 
+def _edge_padded(a: np.ndarray) -> np.ndarray:
+    """``a`` with its edge values repeated once on each side."""
+    return np.concatenate((a[:1], a, a[-1:]))
+
+
 def step_eulerian(
     state: HydroState1D,
     phi: InfluenceFunction,
@@ -105,7 +113,10 @@ def step_eulerian(
     dt: float,
 ) -> HydroState1D:
     """One forward step: donor-cell mass flux, upwind velocity advection,
-    relaxation toward the nonlocal average.  Vacuum cells keep their velocity.
+    relaxation toward the nonlocal average.  Vacuum cells keep their velocity,
+    so the average is taken by :func:`nonlocal_average` on the occupied span
+    (first to last non-vacuum cell) alone, bit for bit what it gives those
+    cells on the whole grid.
 
     The boundary is outflow against a vacuum exterior (nothing comes in,
     outgoing mass leaves and is lost); grids should be sized so the support
@@ -132,18 +143,28 @@ def step_eulerian(
     # one ghost cell per side: a vacuum exterior (no mass) whose velocity
     # and vacuum flag copy the edge (zero gradient); flux[k] is the mass flux
     # through the interface left of cell k
-    rho_g, u_eff_g = np.pad(rho, 1), np.pad(u_eff, 1, mode="edge")
+    rho_g = np.concatenate(([0.0], rho, [0.0]))
+    u_eff_g = _edge_padded(u_eff)
     flux = rho_g[:-1] * np.maximum(u_eff_g[:-1], 0.0) + rho_g[1:] * np.minimum(u_eff_g[1:], 0.0)
     rho_new = rho - dt / dx * (flux[1:] - flux[:-1])
 
     # velocity: upwind gradient; a vacuum upwind neighbor contributes no
     # gradient (nothing advects in)
-    vacuum_g = np.pad(vacuum, 1, mode="edge")
-    jump = np.diff(np.pad(u, 1, mode="edge")) / dx
+    vacuum_g = _edge_padded(vacuum)
+    jump = np.diff(_edge_padded(u)) / dx
     grad_minus = np.where(vacuum_g[:-2], 0.0, jump[:-1])
     grad_plus = np.where(vacuum_g[2:], 0.0, jump[1:])
     dudx = np.where(u > 0.0, grad_minus, np.where(u < 0.0, grad_plus, 0.0))
-    u_bar = nonlocal_average(state, phi)
+    # relaxation: every cell outside the occupied span lo..hi is vacuum and
+    # keeps its velocity, so only the span's own state is averaged; each span
+    # cell gets the same dot product over the same kernel window as on the
+    # whole grid, m^2 work instead of n*m (an all-zero density has no vacuum
+    # cell, so its span is the grid and nonlocal_average raises)
+    occupied = np.flatnonzero(~vacuum)
+    lo, hi = occupied[0], occupied[-1] + 1
+    span = HydroState1D(x_min=state.x_min + lo * dx, dx=dx, rho=rho[lo:hi], u=u[lo:hi])
+    u_bar = u.copy()
+    u_bar[lo:hi] = nonlocal_average(span, phi)
     u_new = u - dt * u * dudx + dt * alpha * (u_bar - u)
     u_new[vacuum] = u[vacuum]
 

@@ -86,8 +86,9 @@ class InfluenceFunction:
 def eval_influence(phi: InfluenceFunction, r):
     """Evaluate phi at distance(s) r >= 0.  Accepts scalars or arrays."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("influence function evaluated at negative distance")
+    # one reduction; written so that a NaN distance fails it too
+    if not (arr.min(initial=0.0) >= 0.0):
+        raise ValueError("influence function evaluated at negative or NaN distance")
     if phi.kind in ("power-law", "power-law-with-cutoff"):
         # in place on the fresh 1 + r: one array, the same values as (1 + r)**-s
         out = 1.0 + arr
@@ -179,13 +180,14 @@ class InfluenceMatrix:
         a = self.entries
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("influence matrix must be square")
-        if np.any(a < 0):
+        # each check is written to fail on NaN, which compares false
+        if not (a.min() >= 0.0):
             raise ValueError("influence matrix entries must be non-negative")
-        if np.max(np.abs(a.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+        if not (np.max(np.abs(a.sum(axis=1) - 1.0)) <= ROW_SUM_TOL):
             raise ValueError("influence matrix rows must sum to 1")
         if self.model_tag == "cs":
             off = a - np.diag(np.diag(a))
-            if np.max(np.abs(off - off.T)) > 1e-15:
+            if not (np.max(np.abs(off - off.T)) <= 1e-15):
                 raise ValueError("cs matrices must be symmetric off the diagonal")
 
     @property

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import flocklab
+from flocklab import cli
 from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import step_eulerian
@@ -338,6 +340,54 @@ def test_write_csv_matches_per_cell_formatting_on_mixed_tables(tmp_path):
     assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], groups)
     _write_csv(path, ["s", "verdict"], [])
     assert path.read_bytes() == b"s,verdict\n"
+
+
+def test_block_csv_matches_per_cell_formatting(tmp_path):
+    odd = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 1 / 3, 2.0, -7.5e-300])
+    centers = -12.0 + 0.01 * (np.arange(odd.size) + 0.5)
+    path = tmp_path / "fields.csv"
+    blocks = [(0.0, odd, odd[::-1]), (0.1, odd[::-1], np.sqrt(np.arange(odd.size))), (0.2, odd, odd)]
+    with cli._BlockCSV(path, ["t", "x", "rho", "u"], centers) as table:
+        for t, rho, u in blocks:
+            table.write(t, rho, u)
+    rows = [[t, x, r, v] for t, rho, u in blocks for x, r, v in zip(centers, rho, u)]
+    assert path.read_bytes() == _per_cell_csv(["t", "x", "rho", "u"], rows)
+    # 2D columns give one cell per axis, as in snapshots.csv
+    x, v = odd.reshape(5, 2), np.arange(10.0).reshape(5, 2) / 3
+    with cli._BlockCSV(path, ["t", "agent", "x0", "x1", "v0", "v1"], np.arange(5)) as table:
+        table.write(0.1, x, v)
+    rows = [[0.1, k, *x[k], *v[k]] for k in range(5)]
+    assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "x1", "v0", "v1"], rows)
+
+
+def test_block_csv_removes_the_file_of_a_failed_run(tmp_path):
+    path = tmp_path / "fields.csv"
+    with pytest.raises(RuntimeError):
+        with cli._BlockCSV(path, ["t", "x", "rho", "u"], np.arange(3.0)) as table:
+            table.write(0.0, np.ones(3), np.zeros(3))
+            raise RuntimeError("step failed")
+    assert not path.exists()
+
+
+def test_hydro_fields_memory_does_not_grow_with_snapshots(tmp_path):
+    # stride 1 on 320 cells: held and formatted whole, 80 snapshots took
+    # megabytes more than 20; written block by block, only the per-step
+    # diagnostics rows grow
+    doc = HYDRO_DOC.replace("dt = 0.08", "dt = 0.02").replace("dx = 0.1", "dx = 0.05")
+    doc = doc.replace("snapshot_stride = 10", "snapshot_stride = 1")
+    peaks = []
+    for t_final in (0.4, 1.6):
+        cfg = write(tmp_path, doc.replace("T = 2", f"T = {t_final}"))
+        argv = ["hydro", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == 0  # warm up
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "out" / "fields.csv").read_text().splitlines()) == 1 + 81 * 320
+    assert peaks[1] < peaks[0] + 100_000, peaks
 
 
 def test_sweep_exponent_flips_verdict(tmp_path):

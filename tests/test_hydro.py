@@ -1,8 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from flocklab import hydro
 from flocklab.activeset import lemma_action_bound
 from flocklab.dynamics import AgentEnsemble, ModelSpec, simulate
 from flocklab.errors import StabilityError
@@ -126,6 +128,7 @@ SPAN_CASES = {
     "1-cell grid": _occupied(1, [0]),
     # the gap (cells 8..51, 4.4 wide) is wider than the cutoff 1.5
     "two blocks, wide gap": _occupied(60, [*range(3, 8), *range(52, 57)]),
+    "gaps inside the cutoff": _occupied(50, [6, 8, 9, 13, 14, 22, 23, 24, 31]),
 }
 
 
@@ -150,6 +153,30 @@ def test_occupied_span_edge_cases_match_the_dense_kernel(rho, phi):
     if phi.cutoff is not None and n == 60:
         # the middle of the gap sees neither block and keeps its velocity
         assert np.array_equal(avg[25:35], u[25:35])
+
+
+def span_step_average(state, phi, dt):
+    """The state step_eulerian hands to nonlocal_average, and lo..hi, the
+    first and last non-vacuum cell of ``state``."""
+    with mock.patch.object(hydro, "nonlocal_average", wraps=nonlocal_average) as spy:
+        step_eulerian(state, phi, alpha=1.0, dt=dt)
+    [(span, _)] = [call.args for call in spy.call_args_list]
+    lo, hi = np.flatnonzero(~state.vacuum_mask())[[0, -1]]
+    assert np.array_equal(span.rho, state.rho[lo : hi + 1])
+    assert np.array_equal(span.u, state.u[lo : hi + 1])
+    return span, lo, hi
+
+
+@pytest.mark.parametrize("rho", SPAN_CASES.values(), ids=SPAN_CASES.keys())
+@pytest.mark.parametrize(
+    "phi", [PHI_SLOW, InfluenceFunction.power_law_with_cutoff(1.0, 1.5)], ids=["slow", "cutoff"]
+)
+def test_step_averages_the_span_as_the_whole_grid_does(rho, phi):
+    u = np.linspace(-3.0, 4.0, rho.size) + 0.25
+    state = HydroState1D(x_min=-2.0, dx=0.1, rho=rho, u=u)
+    span, lo, hi = span_step_average(state, phi, dt=0.01)
+    # every span cell, vacuum gaps included, gets the whole grid's value bit for bit
+    assert np.array_equal(nonlocal_average(span, phi), nonlocal_average(state, phi)[lo : hi + 1])
 
 
 def test_occupied_span_all_vacuum_still_raises():
@@ -221,6 +248,12 @@ def test_guard_holds_courant_plus_relaxation_to_one():
     phi = InfluenceFunction.power_law(0.5)
     with pytest.raises(StabilityError, match=r"/dx \+ alpha\*dt <= 1"):
         step_eulerian(state, phi, alpha=9.0, dt=0.09)
+
+
+def test_all_zero_density_step_raises():
+    state = HydroState1D(x_min=0.0, dx=0.1, rho=np.zeros(5), u=np.ones(5))
+    with pytest.raises(ValueError, match="all-zero density"):
+        step_eulerian(state, PHI1, alpha=1.0, dt=0.01)
 
 
 def test_vacuum_cells_keep_velocity():

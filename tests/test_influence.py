@@ -110,6 +110,23 @@ def test_negative_distance_rejected():
         eval_influence(InfluenceFunction.power_law(1.0), -0.1)
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        InfluenceFunction.power_law(0.5),
+        InfluenceFunction.power_law_with_cutoff(0.5, 2.0),
+        InfluenceFunction.tabulated([(0.0, 1.0), (2.0, 0.0)]),
+    ],
+    ids=["power-law", "cutoff", "tabulated"],
+)
+def test_nan_distance_rejected(phi):
+    # NaN compares false both ways, so a "< 0" test alone lets it through
+    for r in ([0.0, np.nan], np.nan, np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="negative or NaN distance"):
+            eval_influence(phi, r)
+    assert eval_influence(phi, np.empty(0)).shape == (0,)
+
+
 def test_tabulated_interpolation_and_clamp():
     phi = InfluenceFunction.tabulated([(0.0, 1.0), (1.0, 0.5), (2.0, 0.5)])
     assert phi(0.5) == pytest.approx(0.75)
@@ -350,3 +367,15 @@ def test_influence_matrix_validation():
         InfluenceMatrix(entries=np.array([[1.2, -0.2], [0.5, 0.5]]), model_tag="x")
     with pytest.raises(ValueError):
         InfluenceMatrix(entries=np.array([[0.9, 0.0], [0.5, 0.5]]), model_tag="x")
+    # NaN compares false both ways, so each check must be written to fail on it
+    nan_entries = [np.full((2, 2), np.nan), np.array([[np.nan, 1.0], [0.5, 0.5]])]
+    for entries in nan_entries:
+        for tag in ("mt", "cs"):
+            with pytest.raises(ValueError, match="non-negative"):
+                InfluenceMatrix(entries=entries, model_tag=tag)
+    with pytest.raises(ValueError, match="sum to 1"):
+        InfluenceMatrix(entries=np.array([[np.inf, 0.0], [0.5, 0.5]]), model_tag="mt")
+    asymmetric = np.array([[0.5, 0.5], [0.4, 0.6]])
+    assert InfluenceMatrix(entries=asymmetric, model_tag="mt").n == 2
+    with pytest.raises(ValueError, match="symmetric"):
+        InfluenceMatrix(entries=asymmetric, model_tag="cs")

@@ -2,7 +2,8 @@
 gives a non-negative row-stochastic matrix, explicit Euler with
 alpha*dt <= 1 never grows the velocity diameter, the hydro step conserves
 mass while the support stays off the boundary, and the hydro nonlocal average
-agrees with the dense cell-by-cell kernel."""
+agrees with the dense cell-by-cell kernel, and the step's average over the
+occupied span alone equals the whole grid's bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix, simulate
 from flocklab.hydro import HydroState1D, nonlocal_average, step_eulerian
 from flocklab.influence import ROW_SUM_TOL, InfluenceFunction, eval_influence
+from test_hydro import span_step_average
 
 KERNELS = st.one_of(
     st.floats(0.1, 3.0).map(InfluenceFunction.power_law),
@@ -125,3 +127,20 @@ def test_nonlocal_average_matches_the_dense_kernel(phi, n, dx, x_min, seed):
     # when it sees mass, and keeps its 1 otherwise
     probe = HydroState1D(x_min=x_min, dx=dx, rho=rho, u=np.where(w > 0.0, 0.0, 1.0))
     assert np.array_equal(nonlocal_average(probe, phi) == 0.0, den > 0.0)
+
+
+@given(
+    KERNELS,
+    st.integers(1, 80),
+    st.floats(0.01, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_step_averages_the_span_as_the_whole_grid_does(phi, n, dx, seed):
+    # vacuum gaps anywhere, spans that touch either edge or are one cell wide
+    rng = np.random.default_rng(seed)
+    rho = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.01, 2.0, size=n))
+    rho[rng.integers(n)] = 1.0  # never all vacuum
+    state = HydroState1D(x_min=-1.0, dx=dx, rho=rho, u=rng.uniform(-5.0, 5.0, size=n))
+    span, lo, hi = span_step_average(state, phi, dt=dx / 50.0)
+    assert np.array_equal(nonlocal_average(span, phi), nonlocal_average(state, phi)[lo : hi + 1])
