@@ -11,7 +11,6 @@ from .activeset import (
     active_sets,
     default_theta,
     lemma_action_bound,
-    verify_diameter_decay,
 )
 from .dynamics import (
     AgentEnsemble,
@@ -103,7 +102,6 @@ __all__ = [
     "step_lagrangian",
     "step_times",
     "tail_integral",
-    "verify_diameter_decay",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .dynamics import AgentEnsemble, ModelSpec, TrajectoryRecord, build_matrix
+from .dynamics import AgentEnsemble, ModelSpec, TrajectoryRecord
 from .influence import InfluenceMatrix
 
 ANTISYMMETRY_TOL = 1e-12
@@ -203,16 +203,3 @@ class DecayObserver:
             worst_step=worst_step,
             passed=bool(worst[worst_step] >= 0.0),
         )
-
-
-def verify_diameter_decay(trajectory: TrajectoryRecord, model: ModelSpec) -> DecayReport:
-    """The :class:`DecayObserver` check of a finished run whose record holds
-    a snapshot at every step: each snapshot's matrix is built and fed to the
-    observer, as ``simulate(..., observers=...)`` would have."""
-    snaps = trajectory.snapshots
-    if trajectory.snapshot_stride != 1 or len(snaps) != len(trajectory.times):
-        raise ValueError("trajectory must carry snapshots at every step")
-    check = DecayObserver(model, snaps[0].n)
-    for state, d_x in zip(snaps[:-1], trajectory.position_diameter):
-        check(state, float(d_x), build_matrix(state, model))
-    return check.report(trajectory)

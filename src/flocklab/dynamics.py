@@ -253,15 +253,14 @@ class TrajectoryRecord:
 
     times, position_diameter, velocity_diameter and momentum all have one
     entry per recorded instant (initial state included).  snapshots holds the
-    full ensembles every ``snapshot_stride`` steps (and always the initial
-    one) when the stride is positive.
+    full ensembles that :func:`simulate` kept: the initial one and every
+    ``snapshot_stride``-th step, or none when the stride is 0.
     """
 
     times: np.ndarray
     position_diameter: np.ndarray
     velocity_diameter: np.ndarray
     momentum: np.ndarray
-    snapshot_stride: int = 0
     snapshots: List[AgentEnsemble] = field(default_factory=list)
 
     def __post_init__(self):
@@ -342,7 +341,6 @@ def simulate(
         position_diameter=np.array(dx_series),
         velocity_diameter=np.array(dv_series),
         momentum=np.array(momenta),
-        snapshot_stride=snapshot_stride,
         snapshots=snapshots,
     )
 

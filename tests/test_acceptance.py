@@ -7,7 +7,7 @@ lines; every tolerance is pinned here, nothing is calibrated at runtime.
 import numpy as np
 import pytest
 
-from flocklab.activeset import lemma_action_bound, verify_diameter_decay
+from flocklab.activeset import DecayObserver, lemma_action_bound
 from flocklab.dynamics import (
     AgentEnsemble,
     ModelSpec,
@@ -111,12 +111,13 @@ MT_DT = 0.02
 @pytest.fixture(scope="module")
 def mt_flagship_run():
     ens = seeded_ensemble(4, n=50, d=2, pos=(0.0, 10.0), vel=(-1.0, 1.0))
-    record = simulate(ens, MT_MODEL, dt=MT_DT, t_final=200.0, snapshot_stride=1)
-    return ens, record
+    check = DecayObserver(MT_MODEL, ens.n)
+    record = simulate(ens, MT_MODEL, dt=MT_DT, t_final=200.0, observers=[check])
+    return ens, record, check.report(record)
 
 
 def test_acceptance_04_mt_unconditional_flocking(mt_flagship_run):
-    ens, record = mt_flagship_run
+    ens, record, _ = mt_flagship_run
     d_x0, d_v0 = diameters(ens)
     cert = certify(d_x0, d_v0, 1.0, PHI_MT, model=MT_MODEL)
     assert cert.verdict == "unconditional"
@@ -137,7 +138,7 @@ def test_acceptance_04_mt_unconditional_flocking(mt_flagship_run):
 
 
 def test_acceptance_05_per_step_decay_bound(mt_flagship_run):
-    _, record = mt_flagship_run
+    _, record, report = mt_flagship_run
     n = 50
     d_v = record.velocity_diameter
     d_x = record.position_diameter
@@ -146,14 +147,13 @@ def test_acceptance_05_per_step_decay_bound(mt_flagship_run):
     bound = d_v[:-1] * factor + 10.0 * MT_DT**2
     margin = bound - d_v[1:]
     assert np.all(margin >= 0.0)
-    report = verify_diameter_decay(record, MT_MODEL)
     assert report.passed
     assert np.all(report.count_global == n)  # the proof's level activates everyone
     ok(5, f"per-step contraction bound holds at every step, worst margin {margin.min():.3e}")
 
 
 def test_acceptance_06_energy_monotone(mt_flagship_run):
-    _, record = mt_flagship_run
+    _, record, _ = mt_flagship_run
     series = np.array(
         [
             energy(dx, dv, 1.0, PHI_MT, power=2)

@@ -8,9 +8,8 @@ from flocklab.activeset import (
     active_sets,
     default_theta,
     lemma_action_bound,
-    verify_diameter_decay,
 )
-from flocklab.dynamics import AgentEnsemble, ModelSpec, diameter, simulate
+from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix, diameter, simulate
 from flocklab.influence import (
     InfluenceFunction,
     InfluenceMatrix,
@@ -235,12 +234,18 @@ def mt_model(alpha=1.0, s=1.0):
     return ModelSpec(model="mt", phi=InfluenceFunction.power_law(s), alpha=alpha)
 
 
+def checked_run(ens, model, **kwargs):
+    """``simulate`` with a :class:`DecayObserver`: the record and its report."""
+    check = DecayObserver(model, ens.n)
+    record = simulate(ens, model, observers=[check], **kwargs)
+    return record, check.report(record)
+
+
 def test_decay_check_equal_velocities():
     ens = AgentEnsemble(
         t=0.0, positions=np.array([[0.0], [2.0]]), velocities=np.full((2, 1), 0.5)
     )
-    record = simulate(ens, mt_model(), dt=0.1, t_final=1.0, snapshot_stride=1)
-    report = verify_diameter_decay(record, mt_model())
+    record, report = checked_run(ens, mt_model(), dt=0.1, t_final=1.0)
     assert report.passed
     assert np.all(record.velocity_diameter == 0.0)
 
@@ -250,12 +255,11 @@ def test_decay_check_two_agent_hand_rate():
     ens = AgentEnsemble(
         t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])
     )
-    record = simulate(ens, mt_model(), dt=dt, t_final=dt, snapshot_stride=1)
+    record, report = checked_run(ens, mt_model(), dt=dt, t_final=dt)
     # hand Euler step: d_V drops from 1 to 1 - 2*dt/3
     assert record.velocity_diameter[1] == pytest.approx(1.0 - 2.0 * dt / 3.0, abs=1e-14)
     # guaranteed contraction at level phi(1)/2: rate alpha*phi(1)**2 = 1/4
     assert record.velocity_diameter[1] <= (1.0 - 0.25 * dt) * record.velocity_diameter[0]
-    report = verify_diameter_decay(record, mt_model())
     assert report.passed
     assert report.count_global[0] == 2
     assert report.theta[0] == pytest.approx(0.25)
@@ -269,8 +273,7 @@ def test_decay_check_cs_random_run():
         velocities=rng.uniform(-1, 1, size=(3, 2)),
     )
     model = ModelSpec(model="cs", phi=InfluenceFunction.power_law(0.5), alpha=1.0)
-    record = simulate(ens, model, dt=0.05, t_final=5.0, snapshot_stride=1)
-    report = verify_diameter_decay(record, model)
+    _, report = checked_run(ens, model, dt=0.05, t_final=5.0)
     assert report.passed
     assert report.worst_margin >= 0.0
     assert np.all(report.margin_pairwise <= report.margin_global + 1e-15)
@@ -288,8 +291,7 @@ def test_decay_check_leader_schedule():
     model = ModelSpec(
         model="leader", phi=InfluenceFunction.power_law(0.5), alpha=1.0, beta=0.3, leader=2
     )
-    record = simulate(ens, model, dt=0.1, t_final=5.0, snapshot_stride=1)
-    report = verify_diameter_decay(record, model)
+    _, report = checked_run(ens, model, dt=0.1, t_final=5.0)
     assert report.passed
     assert np.all(report.count_global >= 1)  # the leader is always active
 
@@ -302,8 +304,7 @@ def test_decay_check_holds_for_rk4_runs_too():
         velocities=rng.uniform(-1, 1, size=(6, 2)),
     )
     model = mt_model(s=0.25)
-    record = simulate(ens, model, dt=0.05, t_final=4.0, scheme="rk4", snapshot_stride=1)
-    report = verify_diameter_decay(record, model)
+    _, report = checked_run(ens, model, dt=0.05, t_final=4.0, scheme="rk4")
     assert report.passed
 
 
@@ -319,8 +320,7 @@ def test_decay_check_zero_level_is_maximum_principle():
     model = ModelSpec(
         model="mt", phi=InfluenceFunction.power_law_with_cutoff(1.0, 2.0), alpha=1.0
     )
-    record = simulate(ens, model, dt=dt, t_final=1.0, snapshot_stride=1)
-    report = verify_diameter_decay(record, model)
+    record, report = checked_run(ens, model, dt=dt, t_final=1.0)
     assert np.all(report.theta == 0.0)
     assert np.all(report.count_global == 0)
     assert np.all(report.count_pairwise_min == 0)
@@ -358,7 +358,11 @@ def test_online_check_equals_replay(kind, scheme):
     streamed = simulate(ens, model, dt=0.05, t_final=2.0, scheme=scheme, observers=[online])
     full = simulate(ens, model, dt=0.05, t_final=2.0, scheme=scheme, snapshot_stride=1)
     assert streamed.snapshots == []
-    got, want = online.report(streamed), verify_diameter_decay(full, model)
+    # the replay: each stride-1 snapshot's matrix built afresh and fed to an observer
+    replay = DecayObserver(model, ens.n)
+    for state, d_x in zip(full.snapshots[:-1], full.position_diameter):
+        replay(state, float(d_x), build_matrix(state, model))
+    got, want = online.report(streamed), replay.report(full)
     for name in ("times", "theta", "count_global", "count_pairwise_min",
                  "margin_global", "margin_pairwise"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -378,15 +382,6 @@ def test_observer_report_needs_the_observed_run():
     other = simulate(ens, model, dt=0.05, t_final=2.0)
     with pytest.raises(ValueError):
         online.report(other)
-
-
-def test_decay_check_missing_snapshots():
-    ens = AgentEnsemble(
-        t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])
-    )
-    record = simulate(ens, mt_model(), dt=0.1, t_final=1.0, snapshot_stride=0)
-    with pytest.raises(ValueError):
-        verify_diameter_decay(record, mt_model())
 
 
 def test_default_schedule_leader_and_vision():
