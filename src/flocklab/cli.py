@@ -332,9 +332,9 @@ def cmd_sweep(sc: Scenario, out: Path, args):
 
 
 def cmd_compare_groups(sc: Scenario, out: Path, args):
+    initial = sc.initial_ensemble()
     if sc.ic_kind != "two-group":
         raise ScenarioError("compare-groups needs kind = two-group", key="kind")
-    initial = sc.initial_ensemble()
     n1 = sc.n1
     d_v0 = diameter(initial.velocities[:n1])
     if d_v0 == 0.0:

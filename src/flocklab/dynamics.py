@@ -101,18 +101,21 @@ class ModelSpec:
 def build_matrix(
     ensemble: AgentEnsemble, model: ModelSpec, distances: Optional[np.ndarray] = None
 ) -> InfluenceMatrix:
-    """Assemble the influence matrix for the ensemble's current geometry;
-    ``distances``, when given, are its positions' pairwise distances."""
-    x = ensemble.positions
+    """The influence matrix of the ensemble's geometry, built from its positions'
+    N x N distance matrix: ``distances`` when the caller holds it (only read),
+    else one :func:`~flocklab.influence.pairwise_distances` pass."""
+    if distances is None:
+        distances = influence.pairwise_distances(ensemble.positions)
+    elif distances.shape != (ensemble.n, ensemble.n):
+        raise ValueError("distances must be an N x N matrix for N positions")
     if model.model == "cs":
-        return build_cs(x, model.phi, distances)
+        return build_cs(distances, model.phi)
     if model.model == "mt":
-        return build_mt(x, model.phi, distances)
+        return build_mt(distances, model.phi)
     if model.model == "leader":
-        return build_leader(x, model.phi, model.beta, model.leader, distances)
-    return build_vision(
-        x, ensemble.velocities, model.phi, model.gamma, model.normalization, distances
-    )
+        return build_leader(distances, model.phi, model.beta, model.leader)
+    x, v = ensemble.positions, ensemble.velocities
+    return build_vision(x, v, distances, model.phi, model.gamma, model.normalization)
 
 
 def rhs(

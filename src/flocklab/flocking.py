@@ -23,6 +23,9 @@ VERDICT_UNCONDITIONAL = "unconditional"
 VERDICT_CONDITIONAL = "conditional-satisfied"
 VERDICT_NOT_GUARANTEED = "not-guaranteed"
 
+# a decaying series at this fraction of its start is round-off, not decay
+ROUND_OFF = 1e3 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class FlockingCertificate:
@@ -166,17 +169,19 @@ def certify(
 def fit_exponential_rate(times, values) -> float:
     """Negated least-squares slope of log(values) over the trailing half.
 
-    Series containing zeros are truncated at the first zero; with fewer than
-    three positive samples left there is no rate to fit, and the result is NaN.
+    A series is cut at its first sample at or below ROUND_OFF times its first
+    (a zero included); with fewer than three samples left there is no rate to
+    fit, and the result is NaN.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be equal-length 1D arrays")
-    nonpos = np.flatnonzero(values <= 0.0)
-    if nonpos.size:
-        times = times[: nonpos[0]]
-        values = values[: nonpos[0]]
+    # values[:1] is empty for an empty series, and so is the comparison
+    spent = np.flatnonzero(values <= ROUND_OFF * np.maximum(values[:1], 0.0))
+    if spent.size:
+        times = times[: spent[0]]
+        values = values[: spent[0]]
     if values.size < 3:
         return math.nan
     half = values.size // 2

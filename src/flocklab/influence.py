@@ -5,12 +5,12 @@ An influence function is a non-increasing, non-negative kernel normalized to
 same law truncated to 0 at a cutoff radius, and a tabulated kernel that is
 linearly interpolated between knots and clamped to 0 beyond the last knot.
 
-Four builders turn agent geometry into an N x N matrix with non-negative
-entries and unit row sums: the classic symmetric average over all agents
-(``build_cs``), the relative-influence normalization that divides each row by
-the total influence received (``build_mt``), a leader matrix whose designated
-row is the unit row (``build_leader``), and a vision-cone matrix that zeroes
-the weight of agents outside a heading-aligned cone (``build_vision``).
+Four builders turn the agents' N x N distance matrix, which they only read,
+into a matrix with non-negative entries and unit row sums: the classic
+symmetric average (``build_cs``), the relative-influence normalization that
+divides each row by the total influence received (``build_mt``), a leader
+matrix whose designated row is the unit row (``build_leader``), and a
+vision-cone matrix over each agent's heading-aligned cone (``build_vision``).
 """
 
 from __future__ import annotations
@@ -94,14 +94,14 @@ def eval_influence(phi: InfluenceFunction, r):
         out = 1.0 + arr
         out **= -phi.s
         if phi.kind == "power-law-with-cutoff":
-            out = np.where(arr < phi.cutoff, out, 0.0)
+            # zeroed in place through the mask (out *= mask casts it through a
+            # ufunc buffer); asarray after the power keeps a scalar's arithmetic
+            out = np.asarray(out)
+            out[arr >= phi.cutoff] = 0.0
     else:
-        rs = np.array([p[0] for p in phi.table], dtype=float)
-        vals = np.array([p[1] for p in phi.table], dtype=float)
-        out = np.where(arr > rs[-1], 0.0, np.interp(arr, rs, vals))
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
+        rs, vals = np.array(phi.table, dtype=float).T
+        out = np.interp(arr, rs, vals, right=0.0)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _power_law_segment(s: float, power: int, a: float, b: float) -> float:
@@ -186,8 +186,9 @@ class InfluenceMatrix:
         if not (np.max(np.abs(a.sum(axis=1) - 1.0)) <= ROW_SUM_TOL):
             raise ValueError("influence matrix rows must sum to 1")
         if self.model_tag == "cs":
-            off = a - np.diag(np.diag(a))
-            if not (np.max(np.abs(off - off.T)) <= 1e-15):
+            # the diagonal of a - a.T cancels exactly: only off-diagonal pairs count
+            asym = a - a.T
+            if not (np.abs(asym, out=asym).max() <= 1e-15):
                 raise ValueError("cs matrices must be symmetric off the diagonal")
 
     @property
@@ -227,60 +228,38 @@ def pairwise_distances(points: np.ndarray, out: Optional[np.ndarray] = None) -> 
     return np.sqrt(out, out=out)
 
 
-def _distances(positions: np.ndarray, distances: Optional[np.ndarray]) -> np.ndarray:
-    """The positions' distance matrix: ``distances`` when the caller already
-    holds it, else one :func:`pairwise_distances` pass."""
-    if distances is None:
-        return pairwise_distances(positions)
-    n = len(positions)
-    if distances.shape != (n, n):
-        raise ValueError("distances must be an N x N matrix for N positions")
-    return distances
-
-
-def build_cs(
-    positions: np.ndarray, phi: InfluenceFunction, distances: Optional[np.ndarray] = None
-) -> InfluenceMatrix:
+def build_cs(distances: np.ndarray, phi: InfluenceFunction) -> InfluenceMatrix:
     """Symmetric all-to-all average: a_ij = phi(|x_i-x_j|)/N off diagonal.
 
     ``distances``, here and in the other builders, is the positions'
-    precomputed :func:`pairwise_distances` matrix; it is only read."""
-    dist = _distances(positions, distances)
-    n = dist.shape[0]
-    a = eval_influence(phi, dist)
-    a /= n
+    :func:`pairwise_distances` matrix; it is only read."""
+    a = eval_influence(phi, distances)
+    a /= len(distances)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     return InfluenceMatrix(entries=a, model_tag="cs")
 
 
-def build_mt(
-    positions: np.ndarray, phi: InfluenceFunction, distances: Optional[np.ndarray] = None
-) -> InfluenceMatrix:
+def build_mt(distances: np.ndarray, phi: InfluenceFunction) -> InfluenceMatrix:
     """Relative-influence normalization: each row divided by the total
     influence received, self term included."""
-    w = eval_influence(phi, _distances(positions, distances))
+    w = eval_influence(phi, distances)
     w /= w.sum(axis=1, keepdims=True)
     return InfluenceMatrix(entries=w, model_tag="mt")
 
 
 def build_leader(
-    positions: np.ndarray,
-    phi: InfluenceFunction,
-    beta: float,
-    leader: int,
-    distances: Optional[np.ndarray] = None,
+    distances: np.ndarray, phi: InfluenceFunction, beta: float, leader: int
 ) -> InfluenceMatrix:
     """Leader matrix: the leader row is the unit row (uninfluenced), every
     other agent gives the leader weight beta*phi and spreads (1-beta)/N over
     the rest."""
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie strictly between 0 and 1")
-    dist = _distances(positions, distances)
-    n = dist.shape[0]
+    n = distances.shape[0]
     if not (0 <= leader < n):
         raise ValueError("leader index out of range")
-    a = eval_influence(phi, dist)
+    a = eval_influence(phi, distances)
     leader_column = beta * a[:, leader]
     a *= (1.0 - beta) / n
     a[:, leader] = leader_column
@@ -293,10 +272,10 @@ def build_leader(
 def build_vision(
     positions: np.ndarray,
     velocities: np.ndarray,
+    distances: np.ndarray,
     phi: InfluenceFunction,
     gamma: float,
     normalization: str,
-    distances: Optional[np.ndarray] = None,
 ) -> InfluenceMatrix:
     """Vision-cone matrix: agent i only weights agents j whose direction from
     i makes cos-angle >= gamma with i's heading v_i/|v_i|.
@@ -313,8 +292,7 @@ def build_vision(
         raise ValueError("normalization must be 'cs-style' or 'mt-style'")
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
-    dist = _distances(positions, distances)
-    n = dist.shape[0]
+    n = distances.shape[0]
 
     disp = positions[None, :, :] - positions[:, None, :]
     speeds = np.linalg.norm(velocities, axis=1)
@@ -325,13 +303,13 @@ def build_vision(
         headings[moving] = velocities[moving] / speeds[moving, None]
         proj = np.einsum("id,ijd->ij", headings, disp)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.where(dist > 0.0, proj / dist, 1.0)
+            cosang = np.where(distances > 0.0, proj / distances, 1.0)
         sees[moving] = cosang[moving] >= gamma
         sees[np.arange(n), np.arange(n)] = True
         # coincident pairs have no direction and are always seen
-        sees |= dist == 0.0
+        sees |= distances == 0.0
 
-    w = eval_influence(phi, dist) * sees
+    w = eval_influence(phi, distances) * sees
     if normalization == "cs-style":
         a = w / sees.sum(axis=1, keepdims=True)
     else:

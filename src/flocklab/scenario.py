@@ -5,6 +5,8 @@ starts a comment.  Unknown sections or keys are rejected with their line
 number, missing required keys and out-of-range values name the key.  Parsing
 returns a fully resolved Scenario (defaults filled in), and serialize() is
 its canonical inverse, so serialize(parse(doc)) reparses to an equal value.
+A scenario whose [initial] values, the seed aside, are all defaults (a hydro
+document) skips the [initial] checks until a particle command builds its state.
 
 Random initial conditions use the splitmix64 generator (see
 :mod:`flocklab.rng`): positions agent by agent, axis by axis, then velocities
@@ -94,6 +96,8 @@ class Scenario:
         return ModelSpec(model=kind, phi=self.build_phi(), alpha=self.alpha, **kwargs)
 
     def initial_ensemble(self) -> AgentEnsemble:
+        """The particles a particle command starts from, [initial] checked first."""
+        _validate_initial(self)
         if self.ic_kind == "explicit":
             return AgentEnsemble(
                 t=0.0, positions=np.array(self.positions), velocities=np.array(self.velocities)
@@ -224,6 +228,9 @@ _KEYMAP = {
 }
 
 _FIELD_TO_KEY = {field: (sec, key) for (sec, key), (field, _) in _KEYMAP.items()}
+# [initial] less the seed, which verify-lemma reads too and --seed sets for every command
+_PARTICLE_FIELDS = [f for (s, k), (f, _) in _KEYMAP.items() if s == "initial" and k != "seed"]
+_DEFAULTS = Scenario()
 
 # sweepable key -> (section, does the scenario read it?, why it would not)
 _SWEEPABLE = {
@@ -306,6 +313,36 @@ def validate_scenario(sc: Scenario) -> None:
             "normalization",
         )
 
+    # described particles are checked now, else when a particle command builds them
+    if any(getattr(sc, name) != getattr(_DEFAULTS, name) for name in _PARTICLE_FIELDS):
+        _validate_initial(sc)
+
+    _require(sc.dt > 0, "out of range: must be positive", "dt")
+    _require(sc.t_final > 0, "out of range: must be positive", "T")
+    _require(sc.scheme in ("euler", "rk4"), "unknown scheme", "scheme")
+    _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
+
+    _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
+    _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
+    # the grid is n whole cells of width dx; a dx that leaves a remainder
+    # would silently shorten the domain
+    cells = (sc.hydro_x_max - sc.hydro_x_min) / sc.hydro_dx
+    _require(
+        math.isfinite(cells) and round(cells) >= 1 and abs(cells - round(cells)) <= 1e-9 * cells,
+        f"must divide x_max - x_min into whole cells, got {cells:.6g} cells",
+        "dx",
+    )
+    _require(
+        sc.hydro_profile in ("two-bump", "gaussian", "uniform"), "unknown profile", "profile"
+    )
+    _require(sc.hydro_width > 0, "out of range: must be positive", "width")
+    _require(len(sc.hydro_centers) >= 1, "need at least one center", "centers")
+    _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
+    _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")
+
+
+def _validate_initial(sc: Scenario) -> None:
+    """The [initial] checks: the particles a particle command starts from."""
     _require(sc.ic_kind in ("random", "two-group", "explicit"), "unknown kind", "kind")
     _require(sc.dim in (1, 2, 3), "out of range: must be 1, 2 or 3", "dim")
     if sc.ic_kind == "random":
@@ -333,31 +370,7 @@ def validate_scenario(sc: Scenario) -> None:
         total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(
             sc.ic_kind, len(sc.positions or ())
         )
-        if total is not None:
-            _require(0 <= sc.leader < total, "out of range: leader index", "leader")
-
-    _require(sc.dt > 0, "out of range: must be positive", "dt")
-    _require(sc.t_final > 0, "out of range: must be positive", "T")
-    _require(sc.scheme in ("euler", "rk4"), "unknown scheme", "scheme")
-    _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
-
-    _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
-    _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
-    # the grid is n whole cells of width dx; a dx that leaves a remainder
-    # would silently shorten the domain
-    cells = (sc.hydro_x_max - sc.hydro_x_min) / sc.hydro_dx
-    _require(
-        math.isfinite(cells) and round(cells) >= 1 and abs(cells - round(cells)) <= 1e-9 * cells,
-        f"must divide x_max - x_min into whole cells, got {cells:.6g} cells",
-        "dx",
-    )
-    _require(
-        sc.hydro_profile in ("two-bump", "gaussian", "uniform"), "unknown profile", "profile"
-    )
-    _require(sc.hydro_width > 0, "out of range: must be positive", "width")
-    _require(len(sc.hydro_centers) >= 1, "need at least one center", "centers")
-    _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
-    _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")
+        _require(0 <= sc.leader < total, "out of range: leader index", "leader")
 
 
 def serialize_scenario(sc: Scenario) -> str:

@@ -16,6 +16,7 @@ from flocklab.influence import (
     build_cs,
     build_leader,
     build_mt,
+    pairwise_distances,
 )
 
 PHI1 = InfluenceFunction.power_law(1.0)
@@ -56,7 +57,7 @@ def test_min_entry_level_activates_everyone():
     rng = np.random.default_rng(0)
     x = rng.uniform(-4, 4, size=(6, 2))
     for builder in (build_cs, build_mt):
-        m = builder(x, PHI1)
+        m = builder(pairwise_distances(x), PHI1)
         report = active_sets(m, float(m.entries.min()))
         assert report.global_count == m.n
         assert report.pairwise_min == m.n
@@ -80,7 +81,7 @@ def test_active_sets_requires_positive_level():
 def test_active_set_monotonicity_in_level(t1, t2, seed):
     lo, hi = sorted((t1, t2))
     rng = np.random.default_rng(seed)
-    m = build_mt(rng.uniform(-3, 3, size=(5, 2)), PHI1)
+    m = build_mt(pairwise_distances(rng.uniform(-3, 3, size=(5, 2))), PHI1)
     at_lo = active_sets(m, lo)
     at_hi = active_sets(m, hi)
     for p in range(5):
@@ -92,7 +93,7 @@ def test_active_set_monotonicity_in_level(t1, t2, seed):
 @settings(max_examples=50, deadline=None)
 def test_count_times_level_bounded_by_one(seed, theta):
     rng = np.random.default_rng(seed)
-    m = build_mt(rng.uniform(-3, 3, size=(6, 2)), PHI1)
+    m = build_mt(pairwise_distances(rng.uniform(-3, 3, size=(6, 2))), PHI1)
     report = active_sets(m, theta)
     for p in range(6):
         assert len(report.per_agent[p]) * theta <= 1.0 + 1e-12
@@ -137,11 +138,11 @@ def test_default_levels_take_the_shortcut():
     x = rng.uniform(0, 6, size=(9, 2))
     phi = InfluenceFunction.power_law(0.5)
     for model, matrix in (
-        (ModelSpec(model="mt", phi=phi, alpha=1.0), build_mt(x, phi)),
-        (ModelSpec(model="cs", phi=phi, alpha=1.0), build_cs(x, phi)),
+        (ModelSpec(model="mt", phi=phi, alpha=1.0), build_mt(pairwise_distances(x), phi)),
+        (ModelSpec(model="cs", phi=phi, alpha=1.0), build_cs(pairwise_distances(x), phi)),
         (
             ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.2, leader=4),
-            build_leader(x, phi, 0.2, 4),
+            build_leader(pairwise_distances(x), phi, 0.2, 4),
         ),
     ):
         theta = default_theta(model, 9, diameter(x))
@@ -173,7 +174,7 @@ def test_active_sets_match_reference_on_leader_matrices(seed, n, beta, scale):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 4, size=(n, 2))
     phi = InfluenceFunction.power_law(0.5)
-    m = build_leader(x, phi, beta, int(rng.integers(n)))
+    m = build_leader(pairwise_distances(x), phi, beta, int(rng.integers(n)))
     base = beta * float(phi(diameter(x)))
     # the default level and multiples of it, above and below
     for theta in (base * 0.999999999999, base * scale, base / scale):

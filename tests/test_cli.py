@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import flocklab
-from flocklab import cli
+from flocklab import cli, dynamics
 from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import step_eulerian
@@ -60,6 +60,9 @@ centers = -3 3
 width = 0.5
 speeds = 0.5 -0.5
 """
+
+# hydro reads no particles, so its document needs no [initial] section
+BARE_HYDRO_DOC = HYDRO_DOC.replace("[initial]\nN = 2\nseed = 1\n\n", "")
 
 GROUPS_DOC = """
 [model]
@@ -305,6 +308,58 @@ def test_hydro_is_byte_deterministic(tmp_path):
     assert main(["hydro", "--config", cfg, "--out", str(out_b), "--quiet"]) == 0
     for name in ("diagnostics.csv", "fields.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_hydro_document_needs_no_initial_section(tmp_path):
+    assert "[initial]" not in BARE_HYDRO_DOC
+    bare, full = write(tmp_path, BARE_HYDRO_DOC, "bare.cfg"), write(tmp_path, HYDRO_DOC)
+    assert main(["hydro", "--config", bare, "--out", str(tmp_path / "bare"), "--quiet"]) == 0
+    assert main(["hydro", "--config", full, "--out", str(tmp_path / "full"), "--quiet"]) == 0
+    for name in ("diagnostics.csv", "fields.csv"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    # --seed sets only the seed, which describes no particles
+    argv = ["hydro", "--config", bare, "--out", str(tmp_path / "seeded"), "--seed", "4", "--quiet"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["certify"], ["compare-groups"], ["sweep", "s", "0.25,0.5"]],
+    ids=lambda argv: argv[0],
+)
+def test_particle_commands_reject_a_document_without_particles(tmp_path, capsys, monkeypatch, argv):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(dynamics, "advance", no_step)
+    cfg = write(tmp_path, BARE_HYDRO_DOC)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) == 2
+    assert "missing required key (key 'N')" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "uniform"])
+def test_hydro_single_profiles(tmp_path, profile):
+    # gaussian: rho = exp(-(x - c)^2 / (2 w^2)) about the first center c;
+    # uniform: rho = 1; both move at the first speed
+    doc = BARE_HYDRO_DOC.replace("profile = two-bump", f"profile = {profile}")
+    state = parse_scenario(doc).initial_hydro_state()
+    x = -8.0 + 0.1 * (np.arange(160) + 0.5)
+    rho = np.exp(-((x + 3.0) ** 2) / (2.0 * 0.5**2)) if profile == "gaussian" else np.ones(160)
+    np.testing.assert_allclose(state.centers, x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(state.rho, rho, rtol=1e-12, atol=0)
+    assert np.all(state.u == 0.5)
+    cfg = write(tmp_path, doc)
+    assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "h"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "h" / "summary.json").read_text())
+    assert summary["scenario"]["hydro"]["profile"] == profile
+    if profile == "gaussian":
+        assert summary["max_step_mass_drift"] <= 1e-12
+    else:
+        # one speed everywhere stays one speed; mass leaves through the outflow edge
+        assert summary["initial"]["d_v"] == summary["final"]["d_v"] == 0.0
+        assert summary["final"]["mass"] < summary["initial"]["mass"]
 
 
 def _per_cell_csv(header, rows) -> bytes:

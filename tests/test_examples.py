@@ -56,3 +56,16 @@ def test_portrait_meets_its_certificate(tmp_path):
     assert summary["decay_check"]["passed"] is True
     assert all(float(row["d_x"]) <= cert["d_star"] for row in rows)
     assert summary["fitted_rate"] >= cert["predicted_rate"]
+
+
+def test_portrait_meets_its_certificate_until_round_off(tmp_path):
+    # run to T = 60, d_V ends at about 3e-16 of its start: the fit stops
+    # where the series reaches round-off and still reads the decay
+    doc = (EXAMPLES / "portrait.cfg").read_text().replace("\nT = 10\n", "\nT = 60\n")
+    assert "\nT = 60\n" in doc
+    cfg = tmp_path / "portrait60.cfg"
+    cfg.write_text(doc)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["final"]["d_v_ratio"] < 1e-15
+    assert summary["fitted_rate"] >= summary["certificate"]["predicted_rate"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flocklab.dynamics import AgentEnsemble, ModelSpec, diameters, simulate
 from flocklab.flocking import (
+    ROUND_OFF,
     certify,
     energy,
     fit_exponential_rate,
@@ -182,6 +183,22 @@ def test_fit_rate_truncates_at_first_zero():
     assert math.isnan(fit_exponential_rate(t[:2], np.exp(-t[:2])))
     with pytest.raises(ValueError):  # mismatched shapes are still bad input
         fit_exponential_rate(t[:4], v[:3])
+
+
+def test_fit_rate_cuts_the_round_off_tail():
+    # a decay to round-off of its start, then noise at that level: the fit
+    # reads the decay, not the flat tail
+    t = np.linspace(0.0, 60.0, 601)
+    v = 3.0 * np.exp(-t)
+    spent = v <= ROUND_OFF * v[0]
+    v[spent] = 3.0 * np.random.default_rng(1).uniform(0.1, 1.0, spent.sum()) * 1e-16
+    assert 0 < spent.argmax() < 601 // 2
+    assert fit_exponential_rate(t, v) == pytest.approx(1.0, abs=1e-9)
+    # the cut takes a sample at round-off of the start and keeps one above it
+    t = np.arange(4.0)
+    at, above = [1.0, 1e-4, 1e-8, ROUND_OFF], [1.0, 1e-4, 1e-8, 2.0 * ROUND_OFF]
+    assert fit_exponential_rate(t, np.array(at)) == pytest.approx(math.log(1e4))
+    assert fit_exponential_rate(t, np.array(above)) == pytest.approx(math.log(1e-8 / above[3]))
 
 
 # --------------------------------------------------- simulation conformance

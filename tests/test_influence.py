@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
+from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix
 from flocklab.influence import (
     InfluenceFunction,
     InfluenceMatrix,
@@ -70,22 +73,97 @@ def test_pairwise_distances_equal_cdist_at_size(n, d):
     assert np.array_equal(pairwise_distances(x), cdist(x, x))
 
 
+KERNELS = {
+    "power-law": InfluenceFunction.power_law(0.5),
+    "cutoff": InfluenceFunction.power_law_with_cutoff(0.5, 2.0),
+    "tabulated": InfluenceFunction.tabulated([(0.0, 1.0), (1.0, 0.6), (2.5, 0.0)]),
+}
+
+
 def test_builders_accept_the_precomputed_distances():
     rng = np.random.default_rng(4)
     x, v = rng.uniform(0, 5, size=(9, 2)), rng.uniform(-1, 1, size=(9, 2))
-    phi = InfluenceFunction.power_law(0.5)
+    ens = AgentEnsemble(t=0.0, positions=x, velocities=v)
     dist = pairwise_distances(x)
     kept = dist.copy()
-    for build in (
-        lambda **kw: build_cs(x, phi, **kw),
-        lambda **kw: build_mt(x, phi, **kw),
-        lambda **kw: build_leader(x, phi, 0.3, 2, **kw),
-        lambda **kw: build_vision(x, v, phi, 0.2, "mt-style", **kw),
-    ):
-        assert np.array_equal(build(distances=dist).entries, build().entries)
-    assert np.array_equal(dist, kept)
+    for phi in KERNELS.values():
+        for model in (
+            ModelSpec(model="cs", phi=phi, alpha=1.0),
+            ModelSpec(model="mt", phi=phi, alpha=1.0),
+            ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.3, leader=2),
+            ModelSpec(model="vision", phi=phi, alpha=1.0, gamma=0.2, normalization="mt-style"),
+        ):
+            # the builders only read the matrix; without one, build_matrix computes it
+            built = build_matrix(ens, model, dist).entries
+            assert np.array_equal(dist, kept)
+            assert np.array_equal(built, build_matrix(ens, model).entries)
     with pytest.raises(ValueError, match="N x N"):
-        build_mt(x, phi, distances=dist[:-1])
+        build_matrix(ens, ModelSpec(model="mt", phi=phi, alpha=1.0), dist[:-1])
+
+
+@pytest.mark.parametrize("kind", list(KERNELS))
+def test_dense_builds_copy_no_matrix_they_do_not_return(kind):
+    # peak traced bytes of one build beyond its distance matrix, in N x N
+    # arrays: the result itself, the cs symmetry check's a - a.T, and the
+    # cutoff kernel's boolean mask (an eighth of an array)
+    n = 300
+    phi = KERNELS[kind]
+    x = np.random.default_rng(9).uniform(0, 5, size=(n, 2))
+    ens = AgentEnsemble(t=0.0, positions=x, velocities=np.zeros_like(x))
+    dist = pairwise_distances(x)
+    for model, bound in (
+        (ModelSpec(model="cs", phi=phi, alpha=1.0), 2.1),
+        (ModelSpec(model="mt", phi=phi, alpha=1.0), 1.2),
+        (ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.3, leader=0), 1.2),
+    ):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            build_matrix(ens, model, dist)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak / dist.nbytes <= bound, model.model
+
+
+def where_form(phi, r):
+    """The compact kernels as np.where selections over a second array."""
+    arr = np.asarray(r, dtype=float)
+    if phi.kind == "power-law-with-cutoff":
+        out = 1.0 + arr
+        out **= -phi.s
+        return np.where(arr < phi.cutoff, out, 0.0)
+    rs = np.array([p[0] for p in phi.table])
+    vals = np.array([p[1] for p in phi.table])
+    return np.where(arr > rs[-1], 0.0, np.interp(arr, rs, vals))
+
+
+@st.composite
+def compact_kernels(draw):
+    if draw(st.booleans()):
+        s, cutoff = draw(st.floats(0.05, 6.0)), draw(st.floats(0.01, 30.0))
+        phi = InfluenceFunction.power_law_with_cutoff(s, cutoff)
+        return phi, phi.cutoff
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6))
+    drops = draw(st.lists(st.floats(0.0, 1.0), min_size=len(steps), max_size=len(steps)))
+    radii = np.concatenate(([0.0], np.cumsum(steps)))
+    values = np.concatenate(([1.0], 1.0 - np.cumsum(drops) / max(1.0, sum(drops))))
+    phi = InfluenceFunction.tabulated(list(zip(radii, np.maximum(values, 0.0))))
+    return phi, phi.table[-1][0]
+
+
+@given(compact_kernels(), st.lists(st.floats(0.0, 40.0), max_size=12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_compact_kernels_equal_their_where_forms(kernel, radii, scalar):
+    # bit for bit, with r exactly at the cutoff or at the last knot
+    phi, edge = kernel
+    r = np.array(radii + [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 0.0])
+    got, want = eval_influence(phi, r), where_form(phi, r)
+    assert got.tobytes() == want.tobytes()
+    for value in r.tolist() if scalar else (edge,):
+        got = eval_influence(phi, value)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(where_form(phi, value)).tobytes()
 
 
 # ---------------------------------------------------------------- evaluation
@@ -216,50 +294,50 @@ def test_cutoff_tail_is_finite_even_for_small_s():
 
 
 def test_cs_single_agent():
-    m = build_cs(np.array([[0.0]]), InfluenceFunction.power_law(1.0))
+    m = build_cs(pairwise_distances(np.array([[0.0]])), InfluenceFunction.power_law(1.0))
     assert m.entries == pytest.approx(np.array([[1.0]]))
 
 
 def test_cs_two_agents_hand_values():
-    m = build_cs(np.array([[0.0], [1.0]]), InfluenceFunction.power_law(1.0))
+    m = build_cs(pairwise_distances(np.array([[0.0], [1.0]])), InfluenceFunction.power_law(1.0))
     assert m.entries == pytest.approx(np.array([[0.75, 0.25], [0.25, 0.75]]), abs=1e-15)
 
 
 def test_cs_offdiagonal_symmetric():
     rng = np.random.default_rng(7)
     x = rng.uniform(-5, 5, size=(6, 3))
-    m = build_cs(x, InfluenceFunction.power_law(0.7)).entries
+    m = build_cs(pairwise_distances(x), InfluenceFunction.power_law(0.7)).entries
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off - off.T)) <= 1e-15
 
 
 def test_cs_rejects_nonfinite_positions():
     with pytest.raises(ValueError):
-        build_cs(np.array([[0.0], [np.nan]]), InfluenceFunction.power_law(1.0))
+        build_cs(pairwise_distances(np.array([[0.0], [np.nan]])), InfluenceFunction.power_law(1.0))
 
 
 def test_mt_two_agents_hand_values():
-    m = build_mt(np.array([[0.0], [1.0]]), InfluenceFunction.power_law(1.0))
+    m = build_mt(pairwise_distances(np.array([[0.0], [1.0]])), InfluenceFunction.power_law(1.0))
     expected = np.array([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
     assert m.entries == pytest.approx(expected, abs=1e-15)
 
 
 def test_mt_coincident_agents_give_uniform_rows():
     x = np.zeros((4, 2))
-    m = build_mt(x, InfluenceFunction.power_law(2.0))
+    m = build_mt(pairwise_distances(x), InfluenceFunction.power_law(2.0))
     assert m.entries == pytest.approx(np.full((4, 4), 0.25), abs=1e-15)
 
 
 def test_mt_asymmetry_witness():
     x = np.array([[0.0], [1.0], [10.0]])
-    m = build_mt(x, InfluenceFunction.power_law(1.0)).entries
+    m = build_mt(pairwise_distances(x), InfluenceFunction.power_law(1.0)).entries
     assert m[0, 1] == pytest.approx(11.0 / 35.0, abs=1e-15)
     assert m[1, 0] == pytest.approx(5.0 / 16.0, abs=1e-15)
     assert m[0, 1] != m[1, 0]
 
 
 def test_mt_single_agent():
-    m = build_mt(np.array([[3.0, 1.0]]), InfluenceFunction.power_law(1.0))
+    m = build_mt(pairwise_distances(np.array([[3.0, 1.0]])), InfluenceFunction.power_law(1.0))
     assert m.entries == pytest.approx(np.array([[1.0]]))
 
 
@@ -267,13 +345,14 @@ def test_mt_single_agent():
 @settings(max_examples=60, deadline=None)
 def test_mt_entry_lower_bound(x):
     phi = InfluenceFunction.power_law(1.3)
-    m = build_mt(x, phi).entries
+    m = build_mt(pairwise_distances(x), phi).entries
     d_x = np.max(np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1))
     assert np.all(m >= phi(d_x) / x.shape[0] - 1e-12)
 
 
 def test_leader_two_agents_hand_values():
-    m = build_leader(np.array([[0.0], [1.0]]), InfluenceFunction.power_law(1.0), beta=0.5, leader=0)
+    dist = pairwise_distances(np.array([[0.0], [1.0]]))
+    m = build_leader(dist, InfluenceFunction.power_law(1.0), beta=0.5, leader=0)
     assert m.entries == pytest.approx(np.array([[1.0, 0.0], [0.25, 0.75]]), abs=1e-15)
 
 
@@ -282,7 +361,7 @@ def test_leader_row_lower_bound():
     x = rng.uniform(-4, 4, size=(3, 2))
     phi = InfluenceFunction.power_law(0.8)
     beta = 0.4
-    m = build_leader(x, phi, beta=beta, leader=1).entries
+    m = build_leader(pairwise_distances(x), phi, beta=beta, leader=1).entries
     d_x = np.max(np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1))
     assert np.allclose(m.sum(axis=1), 1.0, atol=ROW_TOL)
     for i in range(3):
@@ -294,13 +373,14 @@ def test_leader_beta_out_of_range():
     x = np.zeros((2, 1))
     for beta in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValueError):
-            build_leader(x, InfluenceFunction.power_law(1.0), beta=beta, leader=0)
+            build_leader(pairwise_distances(x), InfluenceFunction.power_law(1.0), beta, 0)
 
 
 def test_vision_asymmetry_witness():
     x = np.array([[0.0, 0.0], [1.0, 0.0]])
     v = np.array([[1.0, 0.0], [1.0, 0.0]])
-    m = build_vision(x, v, InfluenceFunction.power_law(1.0), gamma=0.0, normalization="mt-style").entries
+    phi = InfluenceFunction.power_law(1.0)
+    m = build_vision(x, v, pairwise_distances(x), phi, gamma=0.0, normalization="mt-style").entries
     assert m[0, 1] > 0.0  # agent 0 sees agent 1 ahead
     assert m[1, 0] == 0.0  # agent 1 looks away from agent 0
 
@@ -311,8 +391,9 @@ def test_vision_full_cone_matches_base_builder(normalization, builder):
     x = rng.uniform(-3, 3, size=(5, 2))
     v = rng.uniform(0.5, 1.5, size=(5, 2))  # all speeds positive
     phi = InfluenceFunction.power_law(1.0)
-    vis = build_vision(x, v, phi, gamma=-1.0, normalization=normalization).entries
-    base = builder(x, phi).entries
+    dist = pairwise_distances(x)
+    vis = build_vision(x, v, dist, phi, gamma=-1.0, normalization=normalization).entries
+    base = builder(dist, phi).entries
     assert vis == pytest.approx(base, abs=1e-15)
 
 
@@ -320,8 +401,9 @@ def test_vision_zero_velocity_sees_everyone():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     v = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     phi = InfluenceFunction.power_law(1.0)
-    vis = build_vision(x, v, phi, gamma=0.5, normalization="mt-style").entries
-    full = build_mt(x, phi).entries
+    dist = pairwise_distances(x)
+    vis = build_vision(x, v, dist, phi, gamma=0.5, normalization="mt-style").entries
+    full = build_mt(dist, phi).entries
     assert vis[0] == pytest.approx(full[0], abs=1e-15)
 
 
@@ -329,17 +411,19 @@ def test_vision_sees_no_one_gets_unit_row():
     # both agents heading away from each other
     x = np.array([[0.0, 0.0], [1.0, 0.0]])
     v = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    m = build_vision(x, v, InfluenceFunction.power_law(1.0), gamma=0.0, normalization="cs-style").entries
+    phi = InfluenceFunction.power_law(1.0)
+    m = build_vision(x, v, pairwise_distances(x), phi, gamma=0.0, normalization="cs-style").entries
     assert m == pytest.approx(np.eye(2), abs=1e-15)
 
 
 def test_vision_gamma_range():
     x = np.zeros((2, 1))
     v = np.ones((2, 1))
+    dist, phi = pairwise_distances(x), InfluenceFunction.power_law(1.0)
     with pytest.raises(ValueError):
-        build_vision(x, v, InfluenceFunction.power_law(1.0), gamma=1.5, normalization="cs-style")
+        build_vision(x, v, dist, phi, gamma=1.5, normalization="cs-style")
     with pytest.raises(ValueError):
-        build_vision(x, v, InfluenceFunction.power_law(1.0), gamma=0.0, normalization="weird")
+        build_vision(x, v, dist, phi, gamma=0.0, normalization="weird")
 
 
 @given(positions_strategy(max_n=6, dims=(2, 2)), st.integers(0, 3))
@@ -348,14 +432,14 @@ def test_all_builders_are_row_stochastic(x, which):
     phi = InfluenceFunction.power_law(0.9)
     n = x.shape[0]
     if which == 0:
-        m = build_cs(x, phi)
+        m = build_cs(pairwise_distances(x), phi)
     elif which == 1:
-        m = build_mt(x, phi)
+        m = build_mt(pairwise_distances(x), phi)
     elif which == 2:
-        m = build_leader(x, phi, beta=0.3, leader=n - 1)
+        m = build_leader(pairwise_distances(x), phi, beta=0.3, leader=n - 1)
     else:
         v = np.cos(x) + 0.1  # deterministic velocities from positions
-        m = build_vision(x, v, phi, gamma=0.2, normalization="mt-style")
+        m = build_vision(x, v, pairwise_distances(x), phi, gamma=0.2, normalization="mt-style")
     assert np.all(m.entries >= 0.0)
     assert np.max(np.abs(m.entries.sum(axis=1) - 1.0)) <= ROW_TOL
 

@@ -183,6 +183,25 @@ def test_hydro_defaults_and_state():
     assert d["integration"]["T"] == 10.0
 
 
+def test_document_without_particles_parses_and_round_trips():
+    # a hydro document: the [initial] checks wait for a particle command
+    doc = MINIMAL.replace("[initial]\nN = 10\nseed = 1\n", "")
+    sc = parse_scenario(doc)
+    assert sc.n is None and sc.seed is None
+    assert parse_scenario(serialize_scenario(sc)) == sc
+    assert with_override(sc, seed=5).seed == 5
+    with pytest.raises(ScenarioError) as err:
+        sc.initial_ensemble()
+    assert err.value.key == "N"
+    # any particle field brings the checks back at parse
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc + "\n[initial]\ndim = 3\n")
+    assert err.value.key == "N"
+    with pytest.raises(ScenarioError) as err:
+        with_override(sc, n=4)
+    assert err.value.key == "seed"
+
+
 def test_with_override_revalidates():
     sc = parse_scenario(MINIMAL)
     with pytest.raises(ScenarioError):
