@@ -146,26 +146,26 @@ class DecayObserver:
     Pass it to ``simulate(..., observers=[check])``: before each step it is
     called with the state the step starts from, that state's position
     diameter and its influence matrix, and records the default level theta
-    and both active-set counts there.  ``report(record)`` then holds every
-    step to
+    (N read from the matrix) and both active-set counts there.
+    ``report(record)`` then holds every step to
 
         d_V(k+1) <= d_V(k) * (1 - alpha * count**2 * theta**2 * dt) + DECAY_SLACK * dt**2,
 
     where the slack covers time-discretization curvature, for the global
-    count and for the sharper pairwise minimum.  A zero level (a compactly
-    supported kernel shorter than d_X) guarantees no contraction: both counts
-    are 0 and the bound is the maximum principle
-    d_V(k+1) <= d_V(k) + DECAY_SLACK * dt**2.
+    count and for the sharper pairwise minimum, whose margin is never the
+    larger (the margin never rises with the count) and alone decides the
+    verdict.  A zero level (a compactly supported kernel shorter than d_X)
+    guarantees no contraction: both counts are 0 and the bound is the
+    maximum principle d_V(k+1) <= d_V(k) + DECAY_SLACK * dt**2.
     """
 
-    def __init__(self, model: ModelSpec, n: int):
+    def __init__(self, model: ModelSpec):
         self.model = model
-        self.n = n
         self.theta: List[float] = []
         self.counts: List[Tuple[int, int]] = []  # global, pairwise minimum
 
     def __call__(self, state: AgentEnsemble, d_x: float, matrix: InfluenceMatrix) -> None:
-        theta = default_theta(self.model, self.n, d_x)
+        theta = default_theta(self.model, matrix.n, d_x)
         counts = (0, 0)
         if theta > 0.0:
             found = active_sets(matrix, theta)
@@ -190,8 +190,7 @@ class DecayObserver:
             + DECAY_SLACK * dt * dt
             - d_v[1:]
         )
-        worst = np.minimum(m_glob, m_pair)
-        worst_step = int(np.argmin(worst))
+        worst_step = int(np.argmin(m_pair))
         return DecayReport(
             times=times[:-1].copy(),
             theta=theta,
@@ -199,7 +198,7 @@ class DecayObserver:
             count_pairwise_min=counts[1],
             margin_global=m_glob,
             margin_pairwise=m_pair,
-            worst_margin=float(worst[worst_step]),
+            worst_margin=float(m_pair[worst_step]),
             worst_step=worst_step,
-            passed=bool(worst[worst_step] >= 0.0),
+            passed=bool(m_pair[worst_step] >= 0.0),
         )

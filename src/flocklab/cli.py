@@ -6,12 +6,13 @@ Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
 ``cmd_x(scenario, out, args)``, which writes its CSV files and returns
 ``(summary body, exit code)``.  ``main`` heads the body with the command name
 and the PRNG identifier and writes it to the scenario's ``[output] summary``
-file (summary.json without a scenario).  CSV files carry a header row and
-17-significant-digit floats so doubles round-trip losslessly; identical
-scenarios produce byte-identical outputs.  ``snapshots.csv`` and
-``fields.csv`` are written block by block (:class:`_BlockCSV`), ``hydro``'s
-fields at each snapshot as it is taken; the other tables in one pass
-(:func:`_write_csv`).
+file (summary.json without a scenario).  ``simulate``, each ``sweep`` value
+and the cs and mt runs of ``compare-groups`` are one checked particle run,
+:func:`_run`.  CSV files carry a header row and 17-significant-digit floats
+so doubles round-trip losslessly; identical scenarios produce byte-identical
+outputs.  ``snapshots.csv`` and ``fields.csv`` are written block by block
+(:class:`_BlockCSV`), ``hydro``'s fields at each snapshot as it is taken;
+the other tables in one pass (:func:`_write_csv`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .activeset import DecayObserver, lemma_action_bound
-from .dynamics import diameter, diameters, simulate, step_times
+from .dynamics import ModelSpec, diameter, diameters, simulate, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
 from .hydro import hydro_diameters, step_eulerian
@@ -124,37 +125,42 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _certificate_payload(sc: Scenario, d_x0: float, d_v0: float):
+def _certificate_payload(model: ModelSpec, d_x0: float, d_v0: float):
     """Certificate with psi = phi**2 plus the symmetric-theory phi tail on the
     same scale, or None for the vision model (its flocking analysis is open)."""
-    model = sc.to_model_spec()
     if model.model == "vision":
         return None, None
-    cert = certify(d_x0, d_v0, sc.alpha, model.phi, model=model)
-    tail = sc.alpha * cert.psi_scale * tail_integral(model.phi, 1, d_x0)
+    cert = certify(d_x0, d_v0, model.alpha, model.phi, model=model)
+    tail = model.alpha * cert.psi_scale * tail_integral(model.phi, 1, d_x0)
     return cert, "diverges" if math.isinf(tail) else tail
 
 
-def _run(sc: Scenario, snapshot_stride: int):
-    """The one checked particle run of ``simulate`` and of each ``sweep`` value:
-    (record, decay report, certificate, symmetric-theory tail, final d_V ratio,
-    fitted rate).  Every step is held to the decay bound online, except under
-    the vision model, which has no default level (report and certificate None)."""
+def _run(sc: Scenario, snapshot_stride: int = 0, stop=None):
+    """The one checked particle run of ``simulate``, each ``sweep`` value and
+    each ``compare-groups`` model: (record, decay report, certificate,
+    symmetric-theory tail, final d_V ratio, fitted rate).  Every step taken is
+    held to the decay bound online, except under vision, which has no default
+    level (report and certificate None); ``stop`` is passed to ``simulate``."""
     initial = sc.initial_ensemble()
     model = sc.to_model_spec()
-    check = None if model.model == "vision" else DecayObserver(model, initial.n)
+    check = None if model.model == "vision" else DecayObserver(model)
     record = simulate(
         initial, model, sc.dt, sc.t_final, sc.scheme,
-        snapshot_stride=snapshot_stride, observers=[check] if check else (),
+        snapshot_stride=snapshot_stride, observers=[check] if check else (), stop=stop,
     )
     d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
     return (
         record,
         check.report(record) if check else None,
-        *_certificate_payload(sc, d_x0, d_v0),
+        *_certificate_payload(model, d_x0, d_v0),
         float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0,
         fit_exponential_rate(record.times, record.velocity_diameter),
     )
+
+
+def _decay_block(decay) -> dict:
+    """The ``decay_check`` summary block of a checked run."""
+    return {key: getattr(decay, key) for key in ("passed", "worst_margin", "worst_step")}
 
 
 def cmd_simulate(sc: Scenario, out: Path, args):
@@ -193,12 +199,9 @@ def cmd_simulate(sc: Scenario, out: Path, args):
         "fitted_rate": rate,
         "certificate": cert.to_json_dict() if cert else None,
         "symmetric_theory_tail": comparison_tail,
-        "decay_check": None if decay is None else {
-            "passed": decay.passed,
-            "worst_margin": decay.worst_margin,
-            "worst_step": decay.worst_step,
-            "margin_per_step": [float(m) for m in decay.margin_pairwise],
-        },
+        "decay_check": None if decay is None else dict(
+            _decay_block(decay), margin_per_step=[float(m) for m in decay.margin_pairwise]
+        ),
     }
     verdict = cert.verdict if cert else "n/a"
     _say(args, f"simulate: T={record.times[-1]:g} d_V ratio {dv_ratio:.3e} verdict {verdict}")
@@ -210,7 +213,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
 
 def cmd_certify(sc: Scenario, out: Path, args):
     d_x0, d_v0 = diameters(sc.initial_ensemble())
-    cert, comparison_tail = _certificate_payload(sc, d_x0, d_v0)
+    cert, comparison_tail = _certificate_payload(sc.to_model_spec(), d_x0, d_v0)
     if cert is None:
         raise ScenarioError("the vision model has no flocking certificate", key="model")
     body = {
@@ -311,7 +314,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
 def cmd_sweep(sc: Scenario, out: Path, args):
     rows = []
     for value, point in sweep_points(sc, args.parameter, args.values):
-        _, decay, cert, _, ratio, rate = _run(point, 0)
+        _, decay, cert, _, ratio, rate = _run(point)
         passed = None if decay is None else decay.passed
         rows.append((value, ratio, rate, cert.verdict if cert else "n/a", passed))
     header = [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"]
@@ -347,8 +350,6 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     diag_rows = []
     failed = []
     for model_kind in ("cs", "mt"):
-        model = sc.to_model_spec(model_kind)
-        check = DecayObserver(model, initial.n)
         spread = [d_v0]  # group 1's velocity diameter at every recorded state
 
         def group1_aligned(state) -> bool:
@@ -357,10 +358,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
 
         # the whole ensemble is held to the decay bound at every step taken;
         # the run ends early once group 1 is down to 0.4 of its start
-        record = simulate(
-            initial, model, sc.dt, sc.t_final, sc.scheme, observers=[check], stop=group1_aligned
-        )
-        decay = check.report(record)
+        record, decay, *_ = _run(replace(sc, model=model_kind), stop=group1_aligned)
         times, series = record.times, np.array(spread)
         halved = np.flatnonzero(series <= 0.5 * d_v0)
         runs[model_kind] = (times, series)
@@ -369,11 +367,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
             "horizon": float(times[-1]),
             "fitted_rate": fit_exponential_rate(times, series),
             "final_ratio": float(series[-1] / d_v0),
-            "decay_check": {
-                "passed": decay.passed,
-                "worst_margin": decay.worst_margin,
-                "worst_step": decay.worst_step,
-            },
+            "decay_check": _decay_block(decay),
         }
         if not decay.passed:
             failed.append(f"{model_kind} (worst step {decay.worst_step})")

@@ -86,14 +86,15 @@ class Scenario:
             return InfluenceFunction.power_law_with_cutoff(self.s, self.cutoff)
         return InfluenceFunction.tabulated(self.table)
 
-    def to_model_spec(self, model: Optional[str] = None) -> ModelSpec:
-        kind = model if model is not None else self.model
+    def to_model_spec(self) -> ModelSpec:
+        """The [model] section as the spec a particle run takes; beta/leader or
+        gamma/normalization are passed only to the model that reads them."""
         kwargs = {}
-        if kind == "leader":
+        if self.model == "leader":
             kwargs = {"beta": self.beta, "leader": self.leader}
-        elif kind == "vision":
+        elif self.model == "vision":
             kwargs = {"gamma": self.gamma, "normalization": self.normalization}
-        return ModelSpec(model=kind, phi=self.build_phi(), alpha=self.alpha, **kwargs)
+        return ModelSpec(model=self.model, phi=self.build_phi(), alpha=self.alpha, **kwargs)
 
     def initial_ensemble(self) -> AgentEnsemble:
         """The particles a particle command starts from, [initial] checked first."""
@@ -299,6 +300,10 @@ def validate_scenario(sc: Scenario) -> None:
             _require(sc.cutoff > 0, "out of range: must be positive", "cutoff")
     else:
         _require(sc.table is not None, "missing required key", "table")
+        try:
+            sc.build_phi()
+        except ValueError as exc:
+            raise ScenarioError(str(exc), key="table") from None
     _require(sc.alpha > 0, "out of range: must be positive", "alpha")
     if sc.model == "leader":
         _require(sc.beta is not None, "missing required key", "beta")

@@ -111,7 +111,7 @@ MT_DT = 0.02
 @pytest.fixture(scope="module")
 def mt_flagship_run():
     ens = seeded_ensemble(4, n=50, d=2, pos=(0.0, 10.0), vel=(-1.0, 1.0))
-    check = DecayObserver(MT_MODEL, ens.n)
+    check = DecayObserver(MT_MODEL)
     record = simulate(ens, MT_MODEL, dt=MT_DT, t_final=200.0, observers=[check])
     return ens, record, check.report(record)
 

@@ -519,6 +519,12 @@ def test_sweep_vision_rows_have_no_decay_check(tmp_path):
 TABULATED_DOC = MT_DOC.replace("s = 0.25", "phi = tabulated\ntable = 0:1 2:0.5 6:0")
 
 
+def test_invalid_table_exits_two_naming_its_key(tmp_path, capsys):
+    cfg = write(tmp_path, MT_DOC.replace("s = 0.25", "phi = tabulated\ntable = 0:1 1:1.5"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t"), "--quiet"]) == 2
+    assert "table values must be non-increasing (key 'table')" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc,key,values,message",
     [
@@ -605,6 +611,23 @@ def test_compare_groups_checks_every_step_taken(tmp_path):
         check = summary[kind]["decay_check"]
         assert check["passed"] is True and check["worst_margin"] >= 0.0
     assert summary["mt"]["decay_check"]["worst_step"] < len(mt_rows) - 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    ["model = leader\nbeta = 0.3\nleader = 4", "model = vision\ngamma = 0\nnormalization = mt-style"],
+    ids=["leader", "vision"],
+)
+def test_compare_groups_runs_cs_and_mt_whatever_the_document_model(tmp_path, model):
+    # the document's model and its keys are replaced: only the scenario echo differs
+    mt, other = tmp_path / "mt", tmp_path / "other"
+    for out, doc in ((mt, GROUPS_DOC), (other, GROUPS_DOC.replace("model = mt", model))):
+        cfg = write(tmp_path, doc, f"{out.name}.cfg")
+        assert main(["compare-groups", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (mt / "diagnostics.csv").read_bytes() == (other / "diagnostics.csv").read_bytes()
+    want, got = (json.loads((d / "summary.json").read_text()) for d in (mt, other))
+    assert got.pop("scenario")["model"] != want.pop("scenario")["model"]
+    assert got == want
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,17 @@ def test_tabulated_phi_through_config():
     assert parse_scenario(serialize_scenario(sc)) == sc
 
 
+@pytest.mark.parametrize(
+    "table", ["0:1 1:1.5", "0.5:1 1:0", "0:1 1:-0.5 2:0"],
+    ids=["increasing", "not-from-0-1", "negative"],
+)
+def test_invalid_table_rejected_at_parse_naming_its_key(table):
+    doc = MINIMAL.replace("s = 0.25", f"phi = tabulated\ntable = {table}")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.key == "table"
+
+
 def test_hydro_defaults_and_state():
     sc = parse_scenario(MINIMAL)
     state = sc.initial_hydro_state()
