@@ -129,29 +129,29 @@ def rhs(
     return model.alpha * (a @ ensemble.velocities - ensemble.velocities)
 
 
-def advance(x, v, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.ndarray, np.ndarray]:
+def advance(x, v, a0, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.ndarray, np.ndarray]:
     """One step of dx/dt = v, dv/dt = accel(x, v) with 'euler' or 'rk4'.
 
-    accel is evaluated once per Euler step and at each of the four rk4
-    stages.  Euler needs alpha*dt <= 1 (the convex-combination guard for
-    relaxation at rate alpha); a non-finite result raises FloatingPointError.
+    a0 is the acceleration at the starting state (x, v), Euler's only one and
+    rk4's stage 1; accel is evaluated at rk4's three later stages only.  Euler
+    needs alpha*dt <= 1 (the convex-combination guard for relaxation at rate
+    alpha); a non-finite result raises FloatingPointError.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if scheme == "euler":
         if alpha * dt > 1.0:
             raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
-        x_new, v_new = x + dt * v, v + dt * accel(x, v)
+        x_new, v_new = x + dt * v, v + dt * a0
     elif scheme == "rk4":
-        kv1 = accel(x, v)
-        kx2 = v + 0.5 * dt * kv1
+        kx2 = v + 0.5 * dt * a0
         kv2 = accel(x + 0.5 * dt * v, kx2)
         kx3 = v + 0.5 * dt * kv2
         kv3 = accel(x + 0.5 * dt * kx2, kx3)
         kx4 = v + dt * kv3
         kv4 = accel(x + dt * kx3, kx4)
         x_new = x + dt / 6.0 * (v + 2.0 * (kx2 + kx3) + kx4)
-        v_new = v + dt / 6.0 * (kv1 + 2.0 * (kv2 + kv3) + kv4)
+        v_new = v + dt / 6.0 * (a0 + 2.0 * (kv2 + kv3) + kv4)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
@@ -170,15 +170,14 @@ def step(
 
     ``matrix``, when given, is the ensemble's own influence matrix and serves
     the acceleration at the step's starting state (Euler's only one, rk4's
-    stage 1); every other rk4 stage builds its own.
+    stage 1); every later rk4 stage builds its own.
     """
 
     def accel(x, v):
-        at_start = x is ensemble.positions and v is ensemble.velocities
-        state = AgentEnsemble(t=ensemble.t, positions=x, velocities=v)
-        return rhs(state, model, matrix if at_start else None)
+        return rhs(AgentEnsemble(t=ensemble.t, positions=x, velocities=v), model)
 
-    x, v = advance(ensemble.positions, ensemble.velocities, accel, model.alpha, dt, scheme)
+    x, v = ensemble.positions, ensemble.velocities
+    x, v = advance(x, v, rhs(ensemble, model, matrix), accel, model.alpha, dt, scheme)
     return AgentEnsemble(t=ensemble.t + dt, positions=x, velocities=v)
 
 

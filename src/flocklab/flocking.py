@@ -33,8 +33,9 @@ class FlockingCertificate:
 
     tail is alpha * psi_scale * integral of psi = phi**2 over [d_x0, inf)
     (math.inf when divergent).  d_star is present whenever the admissibility
-    condition d_v0 <= tail holds; predicted_rate is alpha * psi_scale *
-    phi(d_star)**2, the Gronwall rate valid once the diameter bound holds.
+    condition d_v0 <= tail holds, math.inf at d_v0 == tail; predicted_rate is
+    alpha * psi_scale * phi(d_star)**2, the Gronwall rate valid once the
+    diameter bound holds, and 0.0 for an infinite d_star.
     """
 
     psi_scale: float
@@ -60,18 +61,11 @@ class FlockingCertificate:
         }
 
 
-def energy(
-    d_x: float,
-    d_v: float,
-    alpha: float,
-    phi: InfluenceFunction,
-    power: int = 2,
-    scale: float = 1.0,
-) -> float:
-    """d_V + alpha * scale * integral of phi**power over [0, d_X]."""
+def energy(d_x: float, d_v: float, alpha: float, phi: InfluenceFunction, power: int = 2) -> float:
+    """d_V + alpha * integral of phi**power over [0, d_X]."""
     if d_x < 0 or d_v < 0:
         raise ValueError("diameters must be non-negative")
-    return d_v + alpha * scale * range_integral(phi, power, 0.0, d_x)
+    return d_v + alpha * range_integral(phi, power, 0.0, d_x)
 
 
 def solve_flock_diameter(
@@ -99,6 +93,8 @@ def solve_flock_diameter(
         return None
     if d_v0 == 0.0:
         return d_x0
+    if d_v0 == tail:
+        return math.inf
 
     def deficit(d: float) -> float:
         return eff * range_integral(phi, power, d_x0, d) - d_v0
@@ -149,11 +145,9 @@ def certify(
     d_star = None
     rate = None
     if verdict != VERDICT_NOT_GUARANTEED:
+        # the solver compares d_v0 with this same tail, so d_star is a number
         d_star = solve_flock_diameter(d_x0, d_v0, alpha, phi, scale=scale)
-        if d_star is not None and math.isfinite(d_star):
-            rate = alpha * scale * phi(d_star) ** 2
-        elif d_star is not None:
-            rate = 0.0
+        rate = alpha * scale * phi(d_star) ** 2 if math.isfinite(d_star) else 0.0
     return FlockingCertificate(
         psi_scale=scale,
         d_x0=d_x0,

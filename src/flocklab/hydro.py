@@ -231,7 +231,8 @@ def step_lagrangian(
         state = LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t)
         return lagrangian_rhs(state, phi, alpha)
 
-    x, v = advance(particles.positions, particles.velocities, accel, alpha, dt, scheme)
+    x, v = particles.positions, particles.velocities
+    x, v = advance(x, v, lagrangian_rhs(particles, phi, alpha), accel, alpha, dt, scheme)
     return LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t + dt)
 
 

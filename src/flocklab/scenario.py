@@ -3,10 +3,9 @@
 Sections are [model], [initial], [integration], [output] and [hydro]; a #
 starts a comment.  Unknown sections or keys are rejected with their line
 number, missing required keys and out-of-range values name the key.  Parsing
-returns a fully resolved Scenario (defaults filled in), and serialize() is
-its canonical inverse, so serialize(parse(doc)) reparses to an equal value.
-A scenario whose [initial] values, the seed aside, are all defaults (a hydro
-document) skips the [initial] checks until a particle command builds its state.
+returns a fully resolved Scenario (defaults filled in).  A scenario whose
+[initial] values, the seed aside, are all defaults (a hydro document) skips
+the [initial] checks until a particle command builds its state.
 
 Random initial conditions use the splitmix64 generator (see
 :mod:`flocklab.rng`): positions agent by agent, axis by axis, then velocities
@@ -376,32 +375,6 @@ def _validate_initial(sc: Scenario) -> None:
             sc.ic_kind, len(sc.positions or ())
         )
         _require(0 <= sc.leader < total, "out of range: leader index", "leader")
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    """Canonical text form; parse(serialize(sc)) == sc."""
-    by_section = {name: [] for name in SECTIONS}
-    for f in fields(Scenario):
-        value = getattr(sc, f.name)
-        if value is None:
-            continue
-        section, key = _FIELD_TO_KEY[f.name]
-        if f.name in ("positions", "velocities"):
-            text = "; ".join(" ".join(format_value(c) for c in p) for p in value)
-        elif f.name == "table":
-            text = " ".join(f"{format_value(r)}:{format_value(v)}" for r, v in value)
-        elif isinstance(value, tuple):
-            text = " ".join(format_value(v) for v in value)
-        else:
-            text = format_value(value)
-        by_section[section].append(f"{key} = {text}")
-    lines = []
-    for name in SECTIONS:
-        if by_section[name]:
-            lines.append(f"[{name}]")
-            lines.extend(by_section[name])
-            lines.append("")
-    return "\n".join(lines)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -256,6 +256,31 @@ def test_certify_leader_symmetric_tail_carries_beta_squared(tmp_path):
     assert summary["certificate"]["psi_scale"] == 0.25
 
 
+CRITICAL_DOC = """
+[model]
+model = mt
+s = 1
+alpha = 1
+
+[initial]
+kind = explicit
+positions = 0 0; 0 0
+velocities = 0 0; 1 0
+"""
+
+
+def test_certify_at_exact_criticality_reports_an_infinite_diameter(tmp_path):
+    # d_X0 = 0 and d_V0 = 1 = alpha * integral of (1+r)^-2 over [0, inf)
+    cfg = write(tmp_path, CRITICAL_DOC)
+    out = tmp_path / "critical"
+    assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    certificate = json.loads((out / "summary.json").read_text())["certificate"]
+    assert certificate["tail"] == 1.0
+    assert certificate["verdict"] == "conditional-satisfied"
+    assert certificate["d_star"] == "infinite"
+    assert certificate["predicted_rate"] == 0.0
+
+
 def test_verify_lemma_command(tmp_path):
     out = tmp_path / "lemma"
     assert main(["verify-lemma", "--seed", "5", "--out", str(out), "--quiet"]) == 0

@@ -390,6 +390,25 @@ def test_step_with_a_prebuilt_matrix_is_identical(kind, scheme):
     assert np.array_equal(given.velocities, built.velocities)
 
 
+@pytest.mark.parametrize("scheme, expected", [("euler", 1), ("rk4", 4)])
+def test_step_builds_no_ensemble_for_its_starting_state(monkeypatch, scheme, expected):
+    # the returned state, plus rk4's three later stages; the starting
+    # acceleration is taken from the ensemble as given
+    ens = random_ensemble(9, n=6)
+    model = model_for("mt", 6)
+    matrix = build_matrix(ens, model)
+    built = []
+    post_init = AgentEnsemble.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AgentEnsemble, "__post_init__", counting)
+    step(ens, model, 0.05, scheme, matrix)
+    assert len(built) == expected
+
+
 def test_leader_run_converges_to_leader_velocity():
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 3, size=(8, 2))

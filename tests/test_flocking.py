@@ -123,6 +123,17 @@ def test_certificate_conditional_with_finite_diameter():
     assert cert.d_star == pytest.approx(1.0, abs=1e-10)
 
 
+def test_certificate_at_exact_criticality_has_no_finite_diameter():
+    # tail of (1+r)^-2 from 0 is exactly 1 = d_v0: the root of the integral
+    # lies at infinity, so the diameter bound and the rate are void
+    assert tail_integral(PHI_S1, 2, 0.0) == 1.0
+    assert solve_flock_diameter(0.0, 1.0, 1.0, PHI_S1) == math.inf
+    cert = certify(0.0, 1.0, 1.0, PHI_S1)
+    assert cert.verdict == "conditional-satisfied"
+    assert cert.d_star == math.inf
+    assert cert.predicted_rate == 0.0
+
+
 def test_certificate_alpha_scales_admissibility():
     # tail value includes alpha: d_v0 = 1.5 is admissible once alpha = 2
     cert = certify(0.0, 1.5, 2.0, PHI_S1)
