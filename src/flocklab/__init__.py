@@ -20,7 +20,6 @@ from .dynamics import (
     bulk_momentum,
     diameter,
     diameters,
-    kinetic_consistency_check,
     rhs,
     simulate,
     step,
@@ -36,9 +35,7 @@ from .flocking import (
 )
 from .hydro import (
     HydroState1D,
-    LagrangianParticles,
     hydro_diameters,
-    lagrangian_rhs,
     nonlocal_average,
     step_eulerian,
     step_lagrangian,
@@ -67,7 +64,6 @@ __all__ = [
     "HydroState1D",
     "InfluenceFunction",
     "InfluenceMatrix",
-    "LagrangianParticles",
     "ModelSpec",
     "PRNG_ID",
     "ScenarioError",
@@ -89,8 +85,6 @@ __all__ = [
     "eval_influence",
     "fit_exponential_rate",
     "hydro_diameters",
-    "kinetic_consistency_check",
-    "lagrangian_rhs",
     "lemma_action_bound",
     "nonlocal_average",
     "range_integral",

@@ -54,8 +54,9 @@ EXIT_RUNTIME = 3
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Write the header and the rows, formatted by one ``%`` over the table's
     flat list of cells.  ``rows`` is a 2D float array or a list of rows whose
-    every column holds one type; a float column is written ``%.17g`` (the text
-    of :func:`flocklab.scenario.format_value`), any other ``%s``."""
+    every column holds one type; a float column is written ``%.17g``, 17
+    significant digits, so every double reads back exactly, and any other
+    column ``%s``."""
     if isinstance(rows, np.ndarray):
         cells, first = rows.ravel().tolist(), [0.0] * rows.shape[1]
     else:

@@ -5,8 +5,9 @@ donor-cell upwind flux and cell velocities with non-conservative upwind
 advection plus relaxation toward the density-weighted nonlocal average.  The
 exterior is vacuum, so mass only changes if the support actually reaches the
 boundary.  The Lagrangian form follows mass particles along characteristics
-in any dimension; with equal masses it is identical to the relative-influence
-particle model.
+in 1, 2 or 3 dimensions: an :class:`~flocklab.dynamics.AgentEnsemble` stepped
+by the relative-influence (mt) model with mass-weighted matrix columns, so
+with unit masses it is that particle model bit for bit.
 
 :func:`nonlocal_average` averages every cell of a state; the Eulerian step
 calls it on the occupied span only, since vacuum cells are never relaxed.
@@ -19,9 +20,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .dynamics import advance
+from .dynamics import AgentEnsemble, ModelSpec, advance, rhs
 from .errors import StabilityError
-from .influence import InfluenceFunction, eval_influence, pairwise_distances
+from .influence import InfluenceFunction, build_mt, eval_influence, pairwise_distances
 
 CFL_LIMIT = 0.9
 # Cells this far below the density peak are vacuum: excluded from the
@@ -171,69 +172,29 @@ def step_eulerian(
     return HydroState1D(x_min=state.x_min, dx=dx, rho=rho_new, u=u_new, t=state.t + dt)
 
 
-@dataclass(frozen=True)
-class LagrangianParticles:
-    """Mass particles following the hydrodynamic characteristics."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    masses: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        v = np.asarray(self.velocities, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "velocities", v)
-        object.__setattr__(self, "masses", m)
-        if x.ndim != 2 or x.shape != v.shape:
-            raise ValueError("positions and velocities must be matching (N, d) arrays")
-        if m.shape != (x.shape[0],):
-            raise ValueError("one mass per particle required")
-        if np.any(m <= 0):
-            raise ValueError("masses must be positive")
-        if not all(np.all(np.isfinite(a)) for a in (x, v, m)):
-            raise ValueError("particle state must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-
-def lagrangian_rhs(
-    particles: LagrangianParticles, phi: InfluenceFunction, alpha: float
-) -> np.ndarray:
-    """du_i/dt: relaxation toward the mass-weighted kernel average."""
-    w = eval_influence(phi, pairwise_distances(particles.positions))
-    mw = w * particles.masses[None, :]
-    u_bar = (mw @ particles.velocities) / mw.sum(axis=1)[:, None]
-    return alpha * (u_bar - particles.velocities)
-
-
 def step_lagrangian(
-    particles: LagrangianParticles,
+    particles: AgentEnsemble,
+    masses: np.ndarray,
     phi: InfluenceFunction,
     alpha: float,
     dt: float,
     scheme: str = "euler",
-) -> LagrangianParticles:
-    """Advance the mass particles one step with 'euler' or 'rk4' through the
-    particle integrator :func:`flocklab.dynamics.advance`; the kernel weights
-    are rebuilt at every rk4 stage."""
-    m = particles.masses
+) -> AgentEnsemble:
+    """Advance mass particles one step with 'euler' or 'rk4': the mt model
+    with its matrix columns weighted by the masses, one finite positive mass
+    per particle, rebuilt at every rk4 stage."""
+    masses = np.asarray(masses, dtype=float)
+    if masses.shape != (particles.n,) or not np.all(np.isfinite(masses) & (masses > 0)):
+        raise ValueError("masses must be one finite positive value per particle")
+    model = ModelSpec(model="mt", phi=phi, alpha=alpha)
 
     def accel(x, v):
-        state = LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t)
-        return lagrangian_rhs(state, phi, alpha)
+        stage = AgentEnsemble(t=particles.t, positions=x, velocities=v)
+        return rhs(stage, model, build_mt(pairwise_distances(x), phi, masses))
 
     x, v = particles.positions, particles.velocities
-    x, v = advance(x, v, lagrangian_rhs(particles, phi, alpha), accel, alpha, dt, scheme)
-    return LagrangianParticles(positions=x, velocities=v, masses=m, t=particles.t + dt)
+    x, v = advance(x, v, accel(x, v), accel, alpha, dt, scheme)
+    return AgentEnsemble(t=particles.t + dt, positions=x, velocities=v)
 
 
 def hydro_diameters(

@@ -240,10 +240,15 @@ def build_cs(distances: np.ndarray, phi: InfluenceFunction) -> InfluenceMatrix:
     return InfluenceMatrix(entries=a, model_tag="cs")
 
 
-def build_mt(distances: np.ndarray, phi: InfluenceFunction) -> InfluenceMatrix:
+def build_mt(
+    distances: np.ndarray, phi: InfluenceFunction, masses: Optional[np.ndarray] = None
+) -> InfluenceMatrix:
     """Relative-influence normalization: each row divided by the total
-    influence received, self term included."""
+    influence received, self term included.  ``masses``, when given, weights
+    column j by m_j (mass particles); unit masses give the agents' matrix."""
     w = eval_influence(phi, distances)
+    if masses is not None:
+        w *= masses
     w /= w.sum(axis=1, keepdims=True)
     return InfluenceMatrix(entries=w, model_tag="mt")
 

@@ -134,14 +134,6 @@ class Scenario:
         return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
 
 
-def format_value(value) -> str:
-    """Text form of a scenario value or CSV cell; floats carry 17 significant
-    digits so doubles round-trip exactly."""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _parse_float(raw: str, key: str, line: int) -> float:
     try:
         return float(raw)
@@ -370,6 +362,15 @@ def _validate_initial(sc: Scenario) -> None:
             "positions and velocities must list the same number of points",
             "velocities",
         )
+        dim = len(sc.positions[0])
+        _require(dim in (1, 2, 3), "out of range: need 1, 2 or 3 coordinates", "positions")
+        _require(
+            len(sc.velocities[0]) == dim,
+            "velocities must have as many coordinates as positions",
+            "velocities",
+        )
+        for key, points in (("positions", sc.positions), ("velocities", sc.velocities)):
+            _require(np.all(np.isfinite(points)), "coordinates must be finite", key)
     if sc.model == "leader" and sc.leader is not None:
         total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(
             sc.ic_kind, len(sc.positions or ())

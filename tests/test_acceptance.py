@@ -12,20 +12,19 @@ from flocklab.dynamics import (
     AgentEnsemble,
     ModelSpec,
     diameters,
-    kinetic_consistency_check,
     simulate,
     step,
 )
 from flocklab.flocking import certify, energy, fit_exponential_rate, solve_flock_diameter
 from flocklab.hydro import (
     HydroState1D,
-    LagrangianParticles,
     hydro_diameters,
     step_lagrangian,
     step_eulerian,
 )
 from flocklab.influence import InfluenceFunction
 from flocklab.rng import SplitMix64
+from oracles import kinetic_consistency_check
 
 
 def ok(num, text):
@@ -268,17 +267,12 @@ def test_acceptance_11_lagrangian_oracle_equivalence():
         scheme="rk4",
         snapshot_stride=1,
     )
-    parts = LagrangianParticles(positions=x, velocities=v, masses=np.ones(8))
-    worst = 0.0
+    parts = record.snapshots[0]
     for snap in record.snapshots[1:]:
-        parts = step_lagrangian(parts, phi, alpha=1.0, dt=0.01, scheme="rk4")
-        worst = max(
-            worst,
-            float(np.max(np.abs(parts.positions - snap.positions))),
-            float(np.max(np.abs(parts.velocities - snap.velocities))),
-        )
-    assert worst <= 1e-10
-    ok(11, f"equal-mass trajectories match the particle model to {worst:.3e} over T=10")
+        parts = step_lagrangian(parts, np.ones(8), phi, alpha=1.0, dt=0.01, scheme="rk4")
+        assert np.array_equal(parts.positions, snap.positions)
+        assert np.array_equal(parts.velocities, snap.velocities)
+    ok(11, "unit-mass trajectories equal the particle model bit for bit over T=10")
 
 
 # --------------------------------------------------------------- criterion 12

@@ -16,7 +16,7 @@ from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import step_eulerian
 from flocklab.influence import InfluenceFunction, tail_integral
-from flocklab.scenario import format_value, parse_scenario
+from flocklab.scenario import parse_scenario
 
 MT_DOC = """
 [model]
@@ -281,6 +281,34 @@ def test_certify_at_exact_criticality_reports_an_infinite_diameter(tmp_path):
     assert certificate["predicted_rate"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        (
+            "positions = 0 0; 1 0\nvelocities = 0 1 0; 1 0 0",
+            "velocities must have as many coordinates as positions (key 'velocities')",
+        ),
+        (
+            "positions = 0 0 0 0; 1 0 0 0\nvelocities = 0 1 0 0; 1 0 0 0",
+            "out of range: need 1, 2 or 3 coordinates (key 'positions')",
+        ),
+        (
+            "positions = 0 nan; 1 0\nvelocities = 0 1; 1 0",
+            "coordinates must be finite (key 'positions')",
+        ),
+    ],
+    ids=["dimension-mismatch", "four-coordinates", "nan"],
+)
+def test_explicit_points_that_form_no_ensemble_exit_two_naming_the_key(
+    tmp_path, capsys, points, message
+):
+    doc = "[model]\nmodel = mt\ns = 1\nalpha = 1\n[initial]\nkind = explicit\n" + points
+    cfg = write(tmp_path, doc)
+    for command in ("simulate", "certify", "hydro"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_verify_lemma_command(tmp_path):
     out = tmp_path / "lemma"
     assert main(["verify-lemma", "--seed", "5", "--out", str(out), "--quiet"]) == 0
@@ -385,6 +413,14 @@ def test_hydro_single_profiles(tmp_path, profile):
         # one speed everywhere stays one speed; mass leaves through the outflow edge
         assert summary["initial"]["d_v"] == summary["final"]["d_v"] == 0.0
         assert summary["final"]["mass"] < summary["initial"]["mass"]
+
+
+def format_value(value) -> str:
+    """Text form of one CSV cell; floats carry 17 significant digits so
+    doubles round-trip exactly."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def _per_cell_csv(header, rows) -> bytes:

@@ -13,7 +13,6 @@ from flocklab.dynamics import (
     bulk_momentum,
     diameter,
     diameters,
-    kinetic_consistency_check,
     rhs,
     simulate,
     step,
@@ -21,6 +20,7 @@ from flocklab.dynamics import (
 )
 from flocklab.errors import StabilityError
 from flocklab.influence import InfluenceFunction
+from oracles import kinetic_consistency_check
 
 PHI1 = InfluenceFunction.power_law(1.0)
 

@@ -6,19 +6,17 @@ import pytest
 
 from flocklab import hydro
 from flocklab.activeset import lemma_action_bound
-from flocklab.dynamics import AgentEnsemble, ModelSpec, simulate
+from flocklab.dynamics import AgentEnsemble, ModelSpec, rhs, simulate
 from flocklab.errors import StabilityError
 from flocklab.flocking import certify
 from flocklab.hydro import (
     HydroState1D,
-    LagrangianParticles,
     hydro_diameters,
-    lagrangian_rhs,
     nonlocal_average,
     step_eulerian,
     step_lagrangian,
 )
-from flocklab.influence import InfluenceFunction, eval_influence
+from flocklab.influence import InfluenceFunction, build_mt, eval_influence, pairwise_distances
 from flocklab.rng import SplitMix64
 
 PHI1 = InfluenceFunction.power_law(1.0)
@@ -280,26 +278,26 @@ def test_macroscopic_decay_two_bump_run():
 
 
 def test_lagrangian_two_mass_hand_value():
-    parts = LagrangianParticles(
-        positions=np.array([[0.0], [1.0]]),
-        velocities=np.array([[0.0], [1.0]]),
-        masses=np.array([1.0, 3.0]),
+    parts = AgentEnsemble(
+        t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])
     )
-    acc = lagrangian_rhs(parts, PHI1, alpha=1.0)
+    matrix = build_mt(pairwise_distances(parts.positions), PHI1, np.array([1.0, 3.0]))
+    expected = np.array([[0.4, 0.6], [1.0 / 7.0, 6.0 / 7.0]])
+    assert matrix.entries == pytest.approx(expected, abs=1e-15)
+    acc = rhs(parts, ModelSpec(model="mt", phi=PHI1, alpha=1.0), matrix)
     assert acc[0, 0] == pytest.approx(0.6, abs=1e-15)
     assert acc[1, 0] == pytest.approx(3.0 / 3.5 - 1.0, abs=1e-15)
 
 
 def test_single_particle_moves_straight():
-    parts = LagrangianParticles(
-        positions=np.array([[0.0, 0.0]]),
-        velocities=np.array([[0.3, -0.4]]),
-        masses=np.array([2.0]),
+    parts = AgentEnsemble(
+        t=0.0, positions=np.array([[0.0, 0.0]]), velocities=np.array([[0.3, -0.4]])
     )
     for _ in range(10):
-        parts = step_lagrangian(parts, PHI1, alpha=1.0, dt=0.1)
+        parts = step_lagrangian(parts, np.array([2.0]), PHI1, alpha=1.0, dt=0.1)
     assert parts.positions[0] == pytest.approx(np.array([0.3, -0.4]), abs=1e-12)
     assert parts.velocities[0] == pytest.approx(np.array([0.3, -0.4]), abs=1e-15)
+    assert parts.t == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
@@ -316,46 +314,49 @@ def test_equal_mass_lagrangian_matches_particle_model(scheme):
         scheme=scheme,
         snapshot_stride=1,
     )
-    parts = LagrangianParticles(positions=x, velocities=v, masses=np.ones(8))
-    worst = 0.0
+    parts = record.snapshots[0]
     for snap in record.snapshots[1:]:
-        parts = step_lagrangian(parts, PHI1, alpha=1.0, dt=0.01, scheme=scheme)
-        worst = max(
-            worst,
-            float(np.max(np.abs(parts.positions - snap.positions))),
-            float(np.max(np.abs(parts.velocities - snap.velocities))),
-        )
-    assert worst <= 1e-10
+        parts = step_lagrangian(parts, np.ones(8), PHI1, alpha=1.0, dt=0.01, scheme=scheme)
+        assert np.array_equal(parts.positions, snap.positions)
+        assert np.array_equal(parts.velocities, snap.velocities)
 
 
 def test_lagrangian_euler_velocity_diameter_monotone():
     rng = np.random.default_rng(30)
-    parts = LagrangianParticles(
+    parts = AgentEnsemble(
+        t=0.0,
         positions=rng.uniform(0, 3, size=(7, 2)),
         velocities=rng.uniform(-1, 1, size=(7, 2)),
-        masses=rng.uniform(0.5, 2.0, size=7),
     )
+    masses = rng.uniform(0.5, 2.0, size=7)
 
     def spread(p):
         v = p.velocities
         return float(np.max(np.linalg.norm(v[:, None] - v[None, :], axis=-1)))
 
     for _ in range(50):
-        new = step_lagrangian(parts, PHI1, alpha=2.0, dt=0.5)  # alpha*dt = 1
+        new = step_lagrangian(parts, masses, PHI1, alpha=2.0, dt=0.5)  # alpha*dt = 1
         assert spread(new) <= spread(parts) + 1e-12
         parts = new
 
 
 def test_lagrangian_euler_guard_and_mass_validation():
-    parts = LagrangianParticles(
-        positions=np.zeros((2, 1)), velocities=np.ones((2, 1)), masses=np.ones(2)
-    )
+    parts = AgentEnsemble(t=0.0, positions=np.zeros((2, 1)), velocities=np.ones((2, 1)))
     with pytest.raises(StabilityError):
-        step_lagrangian(parts, PHI1, alpha=3.0, dt=0.5)
-    with pytest.raises(ValueError):
-        LagrangianParticles(
-            positions=np.zeros((2, 1)), velocities=np.ones((2, 1)), masses=np.array([1.0, 0.0])
-        )
+        step_lagrangian(parts, np.ones(2), PHI1, alpha=3.0, dt=0.5)
+    # wrong shapes, a zero mass and an infinite one
+    for masses in (np.ones(3), np.ones((2, 1)), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
+        with pytest.raises(ValueError, match="masses"):
+            step_lagrangian(parts, masses, PHI1, alpha=1.0, dt=0.1)
+
+
+def test_lagrangian_rejects_a_negative_alpha():
+    # the mt model's own check: a negative rate would push the particles apart
+    parts = AgentEnsemble(
+        t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])
+    )
+    with pytest.raises(ValueError, match="alpha"):
+        step_lagrangian(parts, np.ones(2), PHI1, alpha=-1.0, dt=0.1)
 
 
 # ------------------------------------------------------------------ diameters

@@ -105,25 +105,34 @@ def test_builders_accept_the_precomputed_distances():
 def test_dense_builds_copy_no_matrix_they_do_not_return(kind):
     # peak traced bytes of one build beyond its distance matrix, in N x N
     # arrays: the result itself, the cs symmetry check's a - a.T, and the
-    # cutoff kernel's boolean mask (an eighth of an array)
+    # cutoff kernel's boolean mask (an eighth of an array); mass particles'
+    # column weights are applied in place
     n = 300
     phi = KERNELS[kind]
-    x = np.random.default_rng(9).uniform(0, 5, size=(n, 2))
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 5, size=(n, 2))
+    masses = rng.uniform(0.5, 2.0, size=n)
     ens = AgentEnsemble(t=0.0, positions=x, velocities=np.zeros_like(x))
     dist = pairwise_distances(x)
-    for model, bound in (
-        (ModelSpec(model="cs", phi=phi, alpha=1.0), 2.1),
-        (ModelSpec(model="mt", phi=phi, alpha=1.0), 1.2),
-        (ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.3, leader=0), 1.2),
+    for label, build, args, bound in (
+        ("cs", build_matrix, (ens, ModelSpec(model="cs", phi=phi, alpha=1.0), dist), 2.1),
+        ("mt", build_matrix, (ens, ModelSpec(model="mt", phi=phi, alpha=1.0), dist), 1.2),
+        ("mt with masses", build_mt, (dist, phi, masses), 1.2),
+        (
+            "leader",
+            build_matrix,
+            (ens, ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.3, leader=0), dist),
+            1.2,
+        ),
     ):
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            build_matrix(ens, model, dist)
+            build(*args)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak / dist.nbytes <= bound, model.model
+        assert peak / dist.nbytes <= bound, label
 
 
 def where_form(phi, r):
