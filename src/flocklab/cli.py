@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
-:func:`main` is the one frame around them: it loads the scenario document
+:func:`parse_args` reads the fixed command line word by word (a usage error
+exits 2 before anything is written).  :func:`main` is the one frame around
+the commands: it loads the scenario document
 (--config, with --seed applied) and creates --out, then calls
 ``cmd_x(scenario, out, args)``, which writes its CSV files and returns
 ``(summary body, exit code)``.  ``main`` heads the body with the command name
@@ -17,12 +19,11 @@ the other tables in one pass (:func:`_write_csv`).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -417,31 +418,89 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flocklab",
-        description="Alignment-dynamics simulation and verification lab",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument(
-            "--config",
-            required=name != "verify-lemma",
-            help="scenario document path",
-        )
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--quiet", action="store_true")
-        if name == "sweep":
-            p.add_argument("parameter", help=f"one of {', '.join(SWEEPABLE_KEYS)}")
-            p.add_argument("values", help="comma-separated values")
-    return parser
+USAGE = (
+    "usage: flocklab COMMAND [--config PATH] [--out DIR] [--seed N] [--quiet] [PARAMETER VALUES]"
+)
+
+HELP = f"""{USAGE}
+
+Alignment-dynamics simulation and verification lab.
+
+COMMAND: {", ".join(_COMMANDS)}
+The flags follow it in any order, a valued one as --flag VALUE or --flag=VALUE.
+  --config PATH      scenario document (every command but verify-lemma needs one)
+  --out DIR          output directory (default .)
+  --seed N           override the scenario seed
+  --quiet            print no progress line
+  PARAMETER VALUES   sweep only: one of {", ".join(SWEEPABLE_KEYS)}, then
+                     comma-separated values
+  -h, --help         print this text
+  --version          print the version"""
+
+
+@dataclass
+class Args:
+    """One parsed command line: the command, its flags and sweep's positionals."""
+
+    command: str
+    config: Optional[str] = None
+    out: str = "."
+    seed: Optional[int] = None
+    quiet: bool = False
+    parameter: Optional[str] = None
+    values: Optional[str] = None
+
+
+def parse_args(argv: Sequence[str]) -> Args:
+    """Parse ``COMMAND [--config PATH] [--out DIR] [--seed N] [--quiet]``, plus
+    ``PARAMETER VALUES`` for sweep.  A flag is a word that starts with ``--``;
+    every other word after the command is a positional, so a sweep value list
+    may start with ``-``.  ``-h``/``--help`` or ``--version`` anywhere makes
+    the command that word.  A usage error raises ``ValueError``."""
+    for word in argv:
+        if word in ("-h", "--help", "--version"):
+            return Args(command=word)
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"the first word must be a command: {', '.join(_COMMANDS)}")
+    args, positionals = Args(command=argv[0]), []
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        if word == "--quiet":
+            args.quiet = True
+        elif name in ("--config", "--out", "--seed"):
+            if not eq:
+                value = next(words, None)
+                if value is None or value.startswith("--"):
+                    raise ValueError(f"{name} needs a value")
+            try:
+                setattr(args, name[2:], int(value) if name == "--seed" else value)
+            except ValueError:
+                raise ValueError(f"--seed needs an integer, not {value!r}") from None
+        elif word.startswith("--"):
+            raise ValueError(f"unknown flag {word}")
+        else:
+            positionals.append(word)
+    if not args.config and args.command != "verify-lemma":
+        raise ValueError(f"{args.command} needs --config PATH")
+    if args.command == "sweep":
+        if len(positionals) != 2:
+            raise ValueError("sweep needs exactly two positionals, PARAMETER VALUES")
+        args.parameter, args.values = positionals
+    elif positionals:
+        raise ValueError(f"unexpected argument {positionals[0]!r}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.command in ("-h", "--help", "--version"):
+        print(__version__ if args.command == "--version" else HELP)
+        return EXIT_OK
     try:
         sc = parse_scenario(Path(args.config).read_text()) if args.config else None
         if sc is not None and args.seed is not None:

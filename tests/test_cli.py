@@ -759,3 +759,74 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+def test_sweep_values_may_start_with_a_negative_decimal(tmp_path):
+    doc = MT_DOC.replace("model = mt", "model = vision\ngamma = 0.2\nnormalization = mt-style")
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "vision"
+    assert main(
+        ["sweep", "--config", cfg, "--out", str(out), "--quiet", "gamma", "-0.5,0.5"]
+    ) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["gamma", "-0.5", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope", "--out", "OUT"],
+        ["simulate", "--out", "OUT"],
+        ["simulate", "--config", "CFG", "--out", "OUT", "--bogus"],
+        ["verify-lemma", "--out", "OUT", "--seed", "x"],
+        ["verify-lemma", "--out", "OUT", "--seed"],
+        ["sweep", "--config", "CFG", "--out", "OUT", "alpha"],
+        ["simulate", "--config", "CFG", "--out", "OUT", "stray"],
+        ["simulate", "--config=", "--out", "OUT"],
+    ],
+    ids=["empty", "unknown-command", "no-config", "unknown-flag", "seed-word",
+         "seed-last", "sweep-one-positional", "stray-positional", "empty-config"],
+)
+def test_usage_errors_exit_two_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    names = {"CFG": write(tmp_path, MT_DOC), "OUT": str(out)}
+    assert main([names.get(word, word) for word in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(cli.USAGE + "\nerror: ")
+    assert not out.exists()
+
+
+def test_accepted_flag_forms(tmp_path, capsys):
+    cfg = write(tmp_path, MT_DOC)
+    out = tmp_path / "certify"
+    assert main(["certify", f"--config={cfg}", f"--out={out}", "--seed=5", "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["scenario"]["initial"]["seed"] == 5
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(sweep), "s", "0.5,1", "--quiet"]) == 0
+    assert len((sweep / "sweep.csv").read_text().splitlines()) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith(cli.USAGE + "\n")
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == flocklab.__version__ + "\n"
+
+
+def test_cli_start_up_imports_no_argument_parser(tmp_path):
+    # argparse, with the gettext and locale it imports, costs a fresh
+    # process several milliseconds before any command runs
+    cfg = write(tmp_path, MT_DOC)
+    code = f"""
+import sys
+from flocklab.cli import main
+assert main(["certify", "--config", {cfg!r}, "--out", {str(tmp_path / "c")!r}, "--quiet"]) == 0
+print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+"""
+    src = str(Path(flocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
