@@ -14,7 +14,8 @@ and the cs and mt runs of ``compare-groups`` are one checked particle run,
 so doubles round-trip losslessly; identical scenarios produce byte-identical
 outputs.  ``snapshots.csv`` and ``fields.csv`` are written block by block
 (:class:`_BlockCSV`), ``hydro``'s fields at each snapshot as it is taken;
-the other tables in one pass (:func:`_write_csv`).
+the other tables whole (:func:`_write_csv`).  Both format their rows in
+chunks of at most :data:`CHUNK_ROWS` (:meth:`_CSV.write_rows`).
 """
 
 from __future__ import annotations
@@ -52,48 +53,35 @@ EXIT_BAD_INPUT = 2
 EXIT_RUNTIME = 3
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Write the header and the rows, formatted by one ``%`` over the table's
-    flat list of cells.  ``rows`` is a 2D float array or a list of rows whose
-    every column holds one type; a float column is written ``%.17g``, 17
-    significant digits, so every double reads back exactly, and any other
-    column ``%s``."""
-    if isinstance(rows, np.ndarray):
-        cells, first = rows.ravel().tolist(), [0.0] * rows.shape[1]
-    else:
-        cells, first = [v for row in rows for v in row], rows[0] if rows else ()
-    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-    path.write_text(",".join(header) + "\n" + (line * len(rows)) % tuple(cells))
+# Rows per ``%``: a table's transient text and cells stay this many rows
+# long, whatever the table's length.
+CHUNK_ROWS = 256
 
 
-class _BlockCSV:
-    """A CSV table written block by block as the run produces its states.
+class _CSV:
+    """A CSV file open for writing inside a ``with`` block: the header on
+    entry, then rows through :meth:`write_rows`.  A run that raises inside the
+    block removes the unfinished file."""
 
-    A block is one time stamp t, the index column (agent number or cell
-    centre, the same in every block) and the state columns, one row per item,
-    written ``t, index, state...``.  The index text is formatted once per
-    table and t once per block; only the state cells go through ``%.17g`` per
-    row.  The bytes are those of :func:`_write_csv` on the stacked float
-    table.  The file is open inside a ``with`` block, and a run that raises
-    there removes the unfinished file.
-    """
-
-    def __init__(self, path: Path, header: Sequence[str], index: np.ndarray):
+    def __init__(self, path: Path, header: Sequence[str]):
         self._path, self._header = path, header
-        self._index = ["%.17g" % v for v in np.asarray(index, dtype=float).tolist()]
 
-    def write(self, t: float, *columns: np.ndarray) -> None:
-        """One block: 1D columns give one cell per row, 2D ones one per axis."""
-        cols = [c for col in columns for c in (col.T if col.ndim == 2 else (col,))]
-        width = len(cols) + 1
-        cells = [None] * (len(self._index) * width)
-        cells[::width] = self._index
-        for k, col in enumerate(cols, start=1):
-            cells[k::width] = col.tolist()
-        line = "%.17g," % t + "%s" + ",%.17g" * len(cols) + "\n"
-        self._file.write((line * len(self._index)) % tuple(cells))
+    def write_rows(self, line: str, columns: Sequence, n: int) -> None:
+        """Write ``n`` rows of the row template ``line``, row i's k-th cell
+        being ``columns[k][i]`` (each column an array or a sequence),
+        formatted at most :data:`CHUNK_ROWS` rows per ``%``.  Each chunk takes
+        the cells of its own slice, so an array column gives ``.tolist()`` of
+        that slice only."""
+        width = len(columns)
+        for lo in range(0, n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, n)
+            cells = [None] * ((hi - lo) * width)
+            for k, column in enumerate(columns):
+                part = column[lo:hi]
+                cells[k::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            self._file.write((line * (hi - lo)) % tuple(cells))
 
-    def __enter__(self) -> "_BlockCSV":
+    def __enter__(self):
         self._file = self._path.open("w")
         self._file.write(",".join(self._header) + "\n")
         return self
@@ -102,6 +90,42 @@ class _BlockCSV:
         self._file.close()
         if exc_type is not None:
             self._path.unlink()
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write the header and the rows of a whole table.  ``rows`` is a 2D float
+    array or a list of rows whose every column holds one type; a float column
+    is written ``%.17g``, 17 significant digits, so every double reads back
+    exactly, and any other column ``%s``."""
+    if isinstance(rows, np.ndarray):
+        columns, first = list(rows.T), [0.0] * rows.shape[1]
+    else:
+        columns, first = list(zip(*rows)), rows[0] if rows else ()
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    with _CSV(path, header) as table:
+        table.write_rows(line, columns, len(rows))
+
+
+class _BlockCSV(_CSV):
+    """A CSV table written block by block as the run produces its states.
+
+    A block is one time stamp t, the index column (agent number or cell
+    centre, the same in every block) and the state columns, one row per item,
+    written ``t, index, state...``.  The index text is formatted once per
+    table and t once per block; only the state cells go through ``%.17g`` per
+    row.  The bytes are those of :func:`_write_csv` on the stacked float
+    table.
+    """
+
+    def __init__(self, path: Path, header: Sequence[str], index: np.ndarray):
+        super().__init__(path, header)
+        self._index = ["%.17g" % v for v in np.asarray(index, dtype=float).tolist()]
+
+    def write(self, t: float, *columns: np.ndarray) -> None:
+        """One block: 1D columns give one cell per row, 2D ones one per axis."""
+        cols = [c for col in columns for c in (col.T if col.ndim == 2 else (col,))]
+        line = "%.17g," % t + "%s" + ",%.17g" * len(cols) + "\n"
+        self.write_rows(line, [self._index, *cols], len(self._index))
 
 
 def _jsonable(obj):

@@ -429,6 +429,15 @@ def _per_cell_csv(header, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# row counts at the edges of the writers' chunks
+CHUNK_EDGES = (1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1, 2 * cli.CHUNK_ROWS + 1)
+
+
+def _tile(rows, n):
+    """The first n rows of rows repeated."""
+    return [rows[k % len(rows)] for k in range(n)]
+
+
 def test_write_csv_matches_per_cell_formatting_on_float_tables(tmp_path):
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 1 / 3, 2.0, -7.5e-300]
     table = np.column_stack((odd, np.arange(len(odd)), odd[::-1], np.sqrt(np.arange(len(odd)))))
@@ -440,6 +449,11 @@ def test_write_csv_matches_per_cell_formatting_on_float_tables(tmp_path):
                                                   "1.4142135623730951"]
     _write_csv(path, ["t", "x"], np.empty((0, 2)))
     assert path.read_bytes() == b"t,x\n"
+    for n in CHUNK_EDGES:
+        col = np.resize(odd, n)
+        table = np.column_stack((col, np.arange(n), col[::-1], np.sqrt(np.arange(n))))
+        _write_csv(path, ["t", "agent", "x0", "v0"], table)
+        assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "v0"], table.tolist()), n
 
 
 def test_write_csv_matches_per_cell_formatting_on_mixed_tables(tmp_path):
@@ -456,6 +470,12 @@ def test_write_csv_matches_per_cell_formatting_on_mixed_tables(tmp_path):
     assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], groups)
     _write_csv(path, ["s", "verdict"], [])
     assert path.read_bytes() == b"s,verdict\n"
+    for n in CHUNK_EDGES:
+        tiled, tiled_groups = _tile(rows, n), _tile(groups, n)
+        _write_csv(path, header, tiled)
+        assert path.read_bytes() == _per_cell_csv(header, tiled), n
+        _write_csv(path, ["model", "t", "g1_d_v"], tiled_groups)
+        assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], tiled_groups), n
 
 
 def test_block_csv_matches_per_cell_formatting(tmp_path):
@@ -474,6 +494,19 @@ def test_block_csv_matches_per_cell_formatting(tmp_path):
         table.write(0.1, x, v)
     rows = [[0.1, k, *x[k], *v[k]] for k in range(5)]
     assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "x1", "v0", "v1"], rows)
+    for n in CHUNK_EDGES:
+        tiled, centers = np.resize(odd, n), -12.0 + 0.01 * (np.arange(n) + 0.5)
+        blocks = [(0.0, tiled, tiled[::-1]), (0.1, tiled[::-1], np.sqrt(np.arange(n)))]
+        with cli._BlockCSV(path, ["t", "x", "rho", "u"], centers) as table:
+            for t, rho, u in blocks:
+                table.write(t, rho, u)
+        rows = [[t, x, r, v] for t, rho, u in blocks for x, r, v in zip(centers, rho, u)]
+        assert path.read_bytes() == _per_cell_csv(["t", "x", "rho", "u"], rows), n
+        x, v = np.resize(odd, (n, 2)), np.arange(2.0 * n).reshape(n, 2) / 3
+        with cli._BlockCSV(path, ["t", "agent", "x0", "x1", "v0", "v1"], np.arange(n)) as table:
+            table.write(0.1, x, v)
+        rows = [[0.1, k, *x[k], *v[k]] for k in range(n)]
+        assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "x1", "v0", "v1"], rows), n
 
 
 def test_block_csv_removes_the_file_of_a_failed_run(tmp_path):
@@ -482,6 +515,14 @@ def test_block_csv_removes_the_file_of_a_failed_run(tmp_path):
         with cli._BlockCSV(path, ["t", "x", "rho", "u"], np.arange(3.0)) as table:
             table.write(0.0, np.ones(3), np.zeros(3))
             raise RuntimeError("step failed")
+    assert not path.exists()
+    # a whole table follows the same rule: row 300's str in a float column
+    # fails the second chunk after the first is written
+    rows = [(0.5 * k, 1.0) for k in range(2 * cli.CHUNK_ROWS)]
+    rows[300] = (150.0, "x")
+    path = tmp_path / "diagnostics.csv"
+    with pytest.raises(TypeError):
+        _write_csv(path, ["t", "d_v"], rows)
     assert not path.exists()
 
 
@@ -504,6 +545,33 @@ def test_hydro_fields_memory_does_not_grow_with_snapshots(tmp_path):
             tracemalloc.stop()
     assert len((tmp_path / "out" / "fields.csv").read_text().splitlines()) == 1 + 81 * 320
     assert peaks[1] < peaks[0] + 100_000, peaks
+
+
+def test_csv_output_memory_does_not_grow_with_rows(tmp_path):
+    # formatted whole, one 100,000-row block peaked at 43 MiB; in chunks of
+    # CHUNK_ROWS rows each write stays within a few hundred kilobytes
+    n = 100_000
+    positions, velocities = np.random.default_rng(1).random((2, n, 3))
+    table = np.random.default_rng(2).random((n, 5))
+
+    def peak_of(write) -> int:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    header = ["t", "agent", "x0", "x1", "x2", "v0", "v1", "v2"]
+    with cli._BlockCSV(tmp_path / "snapshots.csv", header, np.arange(n)) as snaps:
+        block_peak = peak_of(lambda: snaps.write(0.5, positions, velocities))
+    path = tmp_path / "table.csv"
+    table_peak = peak_of(lambda: _write_csv(path, ["a", "b", "c", "d", "e"], table))
+    assert len((tmp_path / "snapshots.csv").read_text().splitlines()) == 1 + n
+    assert len(path.read_text().splitlines()) == 1 + n
+    assert block_peak < 2 * 2**20, block_peak
+    assert table_peak < 2 * 2**20, table_peak
 
 
 def test_sweep_exponent_flips_verdict(tmp_path):
