@@ -412,6 +412,9 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
         times, series = runs[model_kind]
         keep = times <= window + 1e-12
         early[model_kind] = fit_exponential_rate(times[keep], series[keep])
+    # no ratio to a cs rate of exactly 0 (a flat run); a NaN rate gives NaN,
+    # written null
+    rate_ratio = None if early["cs"] == 0.0 else early["mt"] / early["cs"]
 
     body = {
         "scenario": scenario_to_dict(sc),
@@ -422,7 +425,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
         "halving_time_ratio_cs_over_mt": ratio,
         "ratio_is_lower_bound": (ratio is not None) and not cs_halved,
         "rate_window": window,
-        "rate_ratio_mt_over_cs": early["mt"] / early["cs"],
+        "rate_ratio_mt_over_cs": rate_ratio,
     }
     shown = "n/a" if ratio is None else f"{'>= ' if not cs_halved else ''}{ratio:.2f}"
     _say(args, f"compare-groups: halving-time ratio cs/mt = {shown}")

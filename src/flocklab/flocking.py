@@ -165,7 +165,12 @@ def fit_exponential_rate(times, values) -> float:
 
     A series is cut at its first sample at or below ROUND_OFF times its first
     (a zero included); with fewer than three samples left there is no rate to
-    fit, and the result is NaN.
+    fit, and the result is NaN.  The slope is the closed-form ordinary least
+    squares one, sum(tc*y) / sum(tc*tc) with tc the fitted times less their
+    mean and y the logs less the first fitted log, so a constant series fits
+    exactly 0.0 and no LAPACK solver is loaded.  The mean is taken of the
+    times less the first, so late times of a short span centre to a few ulps
+    of the span rather than of the times.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -179,5 +184,9 @@ def fit_exponential_rate(times, values) -> float:
     if values.size < 3:
         return math.nan
     half = values.size // 2
-    slope = np.polyfit(times[half:], np.log(values[half:]), 1)[0]
-    return float(-slope)
+    tc = times[half:] - times[half]
+    tc -= tc.mean()
+    y = np.log(values[half:])
+    y -= y[0]
+    # 0.0 - slope, never -0.0: a flat series reads +0.0
+    return 0.0 - float((tc * y).sum() / (tc * tc).sum())

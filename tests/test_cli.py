@@ -700,6 +700,52 @@ def test_compare_groups_fast_run_has_null_rates(tmp_path):
     assert summary["halving_time_ratio_cs_over_mt"] == pytest.approx(11.0)
 
 
+# a cutoff far below every distance: no agent sees another, so d_V is flat
+FLAT_DOC = MT_DOC.replace("s = 0.25", "phi = power-law-with-cutoff\ns = 1\ncutoff = 0.001")
+FLAT_GROUPS_DOC = (
+    GROUPS_DOC.replace("cutoff = 5", "cutoff = 0.001")
+    .replace("N2 = 20", "N2 = 5")
+    .replace("T = 150", "T = 2")
+)
+
+
+def test_simulate_flat_run_fits_exactly_positive_zero(tmp_path):
+    cfg = write(tmp_path, FLAT_DOC)
+    out = tmp_path / "flat"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final"]["d_v_ratio"] == 1.0
+    rate = summary["fitted_rate"]
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+
+
+def test_compare_groups_flat_cs_rate_has_null_rate_ratio(tmp_path):
+    # both rates are exactly 0.0: there is no ratio, and no ZeroDivisionError
+    cfg = write(tmp_path, FLAT_GROUPS_DOC)
+    out = tmp_path / "flat"
+    assert main(["compare-groups", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [summary[kind]["fitted_rate"] for kind in ("cs", "mt")] == [0.0, 0.0]
+    assert summary["rate_ratio_mt_over_cs"] is None
+
+
+def test_particle_commands_load_no_least_squares_solver(tmp_path, monkeypatch):
+    # the decay rate is a closed-form slope: no command may reach LAPACK's
+    # least-squares solver, through numpy.linalg or numpy.polyfit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares solver was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    mt_cfg, groups_cfg = write(tmp_path, MT_DOC, "mt.cfg"), write(tmp_path, GROUPS_DOC, "g.cfg")
+    for argv in (
+        ["simulate", "--config", mt_cfg],
+        ["sweep", "--config", mt_cfg, "alpha", "0.5,1"],
+        ["compare-groups", "--config", groups_cfg],
+    ):
+        assert main(argv[:3] + ["--out", str(tmp_path / argv[0]), "--quiet"] + argv[3:]) == 0
+
+
 def test_compare_groups_time_stamps_are_exact(tmp_path):
     # step k is stamped k*dt, not a running sum of dt
     cfg = write(tmp_path, GROUPS_DOC.replace("alpha = 1", "alpha = 20"))

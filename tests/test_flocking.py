@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flocklab.dynamics import AgentEnsemble, ModelSpec, diameters, simulate
@@ -183,6 +183,14 @@ def test_fit_rate_constant_series():
     assert fit_exponential_rate(t, np.full(50, 0.3)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_fit_rate_of_a_flat_series_is_exactly_positive_zero():
+    # the fitted logs are taken relative to the first, so a constant series
+    # fits a zero slope exactly, and its negation is +0.0, not -0.0
+    rate = fit_exponential_rate(np.linspace(0.0, 5.0, 50), np.full(50, 0.3))
+    assert rate == 0.0
+    assert math.copysign(1.0, rate) == 1.0
+
+
 def test_fit_rate_truncates_at_first_zero():
     t = np.linspace(0.0, 1.0, 10)
     v = np.exp(-t)
@@ -210,6 +218,47 @@ def test_fit_rate_cuts_the_round_off_tail():
     at, above = [1.0, 1e-4, 1e-8, ROUND_OFF], [1.0, 1e-4, 1e-8, 2.0 * ROUND_OFF]
     assert fit_exponential_rate(t, np.array(at)) == pytest.approx(math.log(1e4))
     assert fit_exponential_rate(t, np.array(above)) == pytest.approx(math.log(1e-8 / above[3]))
+
+
+def _polyfit_rate(times, values):
+    """Test-only reference: numpy's least-squares line through the logs of
+    the trailing half, after the same round-off cut, with the slope the
+    fitted logs span end to end (NaN, NaN when fewer than three are left)."""
+    spent = np.flatnonzero(values <= ROUND_OFF * values[0])
+    n = spent[0] if spent.size else values.size
+    if n < 3:
+        return math.nan, math.nan
+    half = n // 2
+    logs = np.log(values[half:n])
+    span = (logs.max() - logs.min()) / (times[n - 1] - times[half])
+    return float(-np.polyfit(times[half:n], logs, 1)[0]), span
+
+
+@given(
+    n=st.integers(3, 400),
+    t0=st.floats(0.0, 100.0),
+    log_step=st.floats(-3.0, 0.0),
+    log_rate=st.floats(-4.0, 1.0),
+    grows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_fit_rate_matches_polyfit(n, t0, log_step, log_rate, grows, seed):
+    t = t0 + 10.0**log_step * np.arange(n)
+    rate = -(10.0**log_rate) if grows else 10.0**log_rate
+    noise = 1e-3 * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    log_v = -rate * (t - t0) + np.log1p(noise)
+    assume(log_v.max() < 700.0)  # a growth past the float range has no series
+    v = np.exp(log_v)  # a decay underflows to 0 and is cut
+    want, span = _polyfit_rate(t, v)
+    got = fit_exponential_rate(t, v)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        # relative to the larger of the slope and the logs' own span: where the
+        # noise all but cancels the trend, polyfit's uncentred times (up to 100
+        # against a span down to 2e-3) leave it 1e-8 off the exact slope
+        assert abs(got - want) <= 1e-9 * max(abs(want), span)
 
 
 # --------------------------------------------------- simulation conformance
