@@ -9,7 +9,6 @@ contraction rate alpha * count**2 * theta**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
@@ -21,17 +20,17 @@ from .influence import InfluenceMatrix
 ANTISYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class ActiveSetReport:
     """Per-agent, pairwise-minimum and global active sets at one level.
 
     hits[p, j] says whether agent j is active for agent p (a_pj >= theta).
     """
 
-    theta: float
-    hits: np.ndarray
-    pairwise_min: int
-    global_indices: np.ndarray
+    def __init__(
+        self, theta: float, hits: np.ndarray, pairwise_min: int, global_indices: np.ndarray
+    ):
+        self.theta, self.hits = theta, hits
+        self.pairwise_min, self.global_indices = pairwise_min, global_indices
 
     @property
     def global_count(self) -> int:
@@ -125,8 +124,7 @@ def default_theta(model: ModelSpec, n: int, d_x: float) -> float:
     raise ValueError("no default theta level for the vision model")
 
 
-@dataclass
-class DecayReport:
+class DecayReport(NamedTuple):
     """Outcome of the per-step velocity-diameter contraction check."""
 
     times: np.ndarray

@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -35,7 +34,7 @@ from .activeset import DecayObserver, lemma_action_bound
 from .dynamics import ModelSpec, diameter, diameters, simulate, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
-from .hydro import hydro_diameters, step_eulerian
+from .hydro import HydroState1D, hydro_diameters, step_eulerian
 from .influence import tail_integral
 from .rng import PRNG_ID, SplitMix64
 from .scenario import (
@@ -251,6 +250,8 @@ def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
     seed = args.seed if sc is None else sc.seed
     if seed is None:
         raise ScenarioError("verify-lemma needs a seed (--seed or scenario)", key="seed")
+    if not 0 <= seed < 2**64:
+        raise ScenarioError("out of range: must lie in 0..2**64-1", key="seed")
 
     rng = SplitMix64(seed)
     cases = 1000
@@ -303,7 +304,8 @@ def cmd_hydro(sc: Scenario, out: Path, args):
         if fields is not None:
             fields.write(state.t, state.rho, state.u)
         for k, t in enumerate(stamps, start=1):
-            state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t)
+            stepped = step_eulerian(state, phi, sc.alpha, sc.dt)
+            state = HydroState1D(stepped.x_min, stepped.dx, stepped.rho, stepped.u, t=t)
             record(state)
             if fields is not None and k % stride == 0:
                 fields.write(state.t, state.rho, state.u)
@@ -379,7 +381,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
 
         # the whole ensemble is held to the decay bound at every step taken;
         # the run ends early once group 1 is down to 0.4 of its start
-        record, decay, *_ = _run(replace(sc, model=model_kind), stop=group1_aligned)
+        record, decay, *_ = _run(sc._replace(model=model_kind), stop=group1_aligned)
         times, series = record.times, np.array(spread)
         halved = np.flatnonzero(series <= 0.5 * d_v0)
         runs[model_kind] = (times, series)
@@ -465,17 +467,17 @@ The flags follow it in any order, a valued one as --flag VALUE or --flag=VALUE.
   --version          print the version"""
 
 
-@dataclass
 class Args:
     """One parsed command line: the command, its flags and sweep's positionals."""
 
-    command: str
-    config: Optional[str] = None
-    out: str = "."
-    seed: Optional[int] = None
-    quiet: bool = False
-    parameter: Optional[str] = None
-    values: Optional[str] = None
+    def __init__(self, command: str):
+        self.command = command
+        self.config: Optional[str] = None
+        self.out = "."
+        self.seed: Optional[int] = None
+        self.quiet = False
+        self.parameter: Optional[str] = None
+        self.values: Optional[str] = None
 
 
 def parse_args(argv: Sequence[str]) -> Args:

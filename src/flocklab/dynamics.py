@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,19 +30,17 @@ from .influence import (
 MODEL_KINDS = ("cs", "mt", "leader", "vision")
 
 
-@dataclass(frozen=True)
 class AgentEnsemble:
     """Positions and velocities of N agents at one time instant."""
 
-    t: float
-    positions: np.ndarray
-    velocities: np.ndarray
+    def __init__(self, t: float, positions: np.ndarray, velocities: np.ndarray):
+        self.t, self.positions, self.velocities = t, positions, velocities
+        self.__post_init__()
 
     def __post_init__(self):
         x = np.asarray(self.positions, dtype=float)
         v = np.asarray(self.velocities, dtype=float)
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "velocities", v)
+        self.positions, self.velocities = x, v
         if x.ndim != 2 or v.ndim != 2:
             raise ValueError("positions and velocities must be (N, d) arrays")
         if x.shape != v.shape:
@@ -64,7 +61,6 @@ class AgentEnsemble:
         return self.positions.shape[1]
 
 
-@dataclass(frozen=True)
 class ModelSpec:
     """Which matrix builder to use and its parameters.
 
@@ -73,13 +69,20 @@ class ModelSpec:
     exactly when that model is selected.
     """
 
-    model: str
-    phi: InfluenceFunction
-    alpha: float
-    beta: Optional[float] = None
-    leader: Optional[int] = None
-    gamma: Optional[float] = None
-    normalization: Optional[str] = None
+    def __init__(
+        self,
+        model: str,
+        phi: InfluenceFunction,
+        alpha: float,
+        beta: Optional[float] = None,
+        leader: Optional[int] = None,
+        gamma: Optional[float] = None,
+        normalization: Optional[str] = None,
+    ):
+        self.model, self.phi, self.alpha = model, phi, alpha
+        self.beta, self.leader = beta, leader
+        self.gamma, self.normalization = gamma, normalization
+        self.__post_init__()
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -249,7 +252,6 @@ def bulk_momentum(ensemble: AgentEnsemble) -> np.ndarray:
     return ensemble.velocities.mean(axis=0)
 
 
-@dataclass
 class TrajectoryRecord:
     """Per-step diagnostics plus optional state snapshots.
 
@@ -259,11 +261,19 @@ class TrajectoryRecord:
     ``snapshot_stride``-th step, or none when the stride is 0.
     """
 
-    times: np.ndarray
-    position_diameter: np.ndarray
-    velocity_diameter: np.ndarray
-    momentum: np.ndarray
-    snapshots: List[AgentEnsemble] = field(default_factory=list)
+    def __init__(
+        self,
+        times: np.ndarray,
+        position_diameter: np.ndarray,
+        velocity_diameter: np.ndarray,
+        momentum: np.ndarray,
+        snapshots: Optional[List[AgentEnsemble]] = None,
+    ):
+        self.times = times
+        self.position_diameter, self.velocity_diameter = position_diameter, velocity_diameter
+        self.momentum = momentum
+        self.snapshots = [] if snapshots is None else snapshots
+        self.__post_init__()
 
     def __post_init__(self):
         k = len(self.times)
@@ -327,7 +337,8 @@ def simulate(
         matrix = build_matrix(state, model, dist)
         for observe in observers:
             observe(state, d_x, matrix)
-        state = replace(step(state, model, dt, scheme, matrix), t=t)
+        stepped = step(state, model, dt, scheme, matrix)
+        state = AgentEnsemble(t=t, positions=stepped.positions, velocities=stepped.velocities)
         times.append(t)
         d_x, d_v = measure(state)
         dx_series.append(d_x)

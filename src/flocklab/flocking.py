@@ -11,8 +11,7 @@ diameter contracts at least at rate alpha * psi(d*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,8 +26,7 @@ VERDICT_NOT_GUARANTEED = "not-guaranteed"
 ROUND_OFF = 1e3 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class FlockingCertificate:
+class FlockingCertificate(NamedTuple):
     """Tail test, flock-diameter bound and guaranteed contraction rate.
 
     tail is alpha * psi_scale * integral of psi = phi**2 over [d_x0, inf)

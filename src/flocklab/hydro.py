@@ -15,7 +15,6 @@ calls it on the occupied span only, since vacuum cells are never relaxed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -31,21 +30,17 @@ VACUUM_RELATIVE_THRESHOLD = 1e-14
 DEFAULT_SUPPORT_EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
 class HydroState1D:
     """Cell-centered density and velocity on a uniform 1D grid."""
 
-    x_min: float
-    dx: float
-    rho: np.ndarray
-    u: np.ndarray
-    t: float = 0.0
+    def __init__(self, x_min: float, dx: float, rho: np.ndarray, u: np.ndarray, t: float = 0.0):
+        self.x_min, self.dx, self.rho, self.u, self.t = x_min, dx, rho, u, t
+        self.__post_init__()
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float)
         u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "u", u)
+        self.rho, self.u = rho, u
         if not (self.dx > 0):
             raise ValueError("dx must be positive")
         if rho.ndim != 1 or rho.shape != u.shape or rho.size < 1:

@@ -16,7 +16,6 @@ vision-cone matrix over each agent's heading-aligned cone (``build_vision``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +27,6 @@ ROW_SUM_TOL = 1e-12
 ZERO_SPEED_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
 class InfluenceFunction:
     """Non-increasing kernel with value 1 at r = 0.
 
@@ -39,10 +37,15 @@ class InfluenceFunction:
         non-increasing from 1; clamped to 0 beyond the last knot.
     """
 
-    kind: str
-    s: Optional[float] = None
-    cutoff: Optional[float] = None
-    table: Optional[Tuple[Tuple[float, float], ...]] = None
+    def __init__(
+        self,
+        kind: str,
+        s: Optional[float] = None,
+        cutoff: Optional[float] = None,
+        table: Optional[Tuple[Tuple[float, float], ...]] = None,
+    ):
+        self.kind, self.s, self.cutoff, self.table = kind, s, cutoff, table
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind in ("power-law", "power-law-with-cutoff"):
@@ -169,12 +172,12 @@ def tail_integral(phi: InfluenceFunction, power: int, a: float = 0.0) -> float:
     return range_integral(phi, power, a, math.inf)
 
 
-@dataclass(frozen=True)
 class InfluenceMatrix:
     """Row-stochastic non-negative matrix produced by one of the builders."""
 
-    entries: np.ndarray
-    model_tag: str
+    def __init__(self, entries: np.ndarray, model_tag: str):
+        self.entries, self.model_tag = entries, model_tag
+        self.__post_init__()
 
     def __post_init__(self):
         a = self.entries

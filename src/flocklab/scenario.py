@@ -16,8 +16,7 @@ positions offset by the separation along the first axis, then all velocities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .rng import SplitMix64
 SECTIONS = ("model", "initial", "integration", "output", "hydro")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     # [model]
     model: str = "mt"
     phi_kind: str = "power-law"
@@ -309,12 +307,17 @@ def validate_scenario(sc: Scenario) -> None:
             "normalization",
         )
 
+    # splitmix64 reads its seed modulo 2**64: a seed outside would run another's stream
+    if sc.seed is not None:
+        _require(0 <= sc.seed < 2**64, "out of range: must lie in 0..2**64-1", "seed")
+
     # described particles are checked now, else when a particle command builds them
     if any(getattr(sc, name) != getattr(_DEFAULTS, name) for name in _PARTICLE_FIELDS):
         _validate_initial(sc)
 
     _require(sc.dt > 0, "out of range: must be positive", "dt")
     _require(sc.t_final > 0, "out of range: must be positive", "T")
+    _require(math.isfinite(sc.t_final), "out of range: must be finite", "T")
     _require(sc.scheme in ("euler", "rk4"), "unknown scheme", "scheme")
     _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
 
@@ -381,11 +384,10 @@ def _validate_initial(sc: Scenario) -> None:
 def scenario_to_dict(sc: Scenario) -> dict:
     """Resolved scenario as a JSON-friendly mapping (section -> key -> value)."""
     out = {name: {} for name in SECTIONS}
-    for f in fields(Scenario):
-        value = getattr(sc, f.name)
+    for name, value in zip(Scenario._fields, sc):
         if value is None:
             continue
-        section, key = _FIELD_TO_KEY[f.name]
+        section, key = _FIELD_TO_KEY[name]
         if isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]
         out[section][key] = value
@@ -393,7 +395,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def with_override(sc: Scenario, **kwargs) -> Scenario:
-    updated = replace(sc, **kwargs)
+    updated = sc._replace(**kwargs)
     validate_scenario(updated)
     return updated
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import flocklab
 from flocklab import cli, dynamics
 from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
-from flocklab.hydro import step_eulerian
+from flocklab.hydro import HydroState1D, step_eulerian
 from flocklab.influence import InfluenceFunction, tail_integral
 from flocklab.scenario import parse_scenario
 
@@ -345,7 +344,8 @@ def test_hydro_command(tmp_path):
     state, phi = sc.initial_hydro_state(), sc.build_phi()
     expected = [state]
     for k, t in enumerate(step_times(state.t, sc.dt, sc.t_final), start=1):
-        state = replace(step_eulerian(state, phi, sc.alpha, sc.dt), t=t)
+        stepped = step_eulerian(state, phi, sc.alpha, sc.dt)
+        state = HydroState1D(stepped.x_min, stepped.dx, stepped.rho, stepped.u, t=t)
         if k % sc.snapshot_stride == 0:
             expected.append(state)
     cells = [[float(c) for c in line.split(",")] for line in fields[1:]]
@@ -836,6 +836,42 @@ def test_hydro_dx_that_does_not_tile_exits_two(tmp_path, capsys, dx):
     assert "must divide x_max - x_min" in err and "key 'dx'" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc", [("simulate", MT_DOC), ("hydro", HYDRO_DOC)], ids=["simulate", "hydro"]
+)
+def test_infinite_horizon_exits_two_naming_T(tmp_path, capsys, command, doc):
+    # T = inf passed the positivity check and overflowed in step_times,
+    # exiting 1, the failed-check code, with a traceback
+    cfg = write(tmp_path, doc.replace("T = 2", "T = inf"))
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "key 'T'" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (0, 0), (2**64 - 1, 0)])
+def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed, code):
+    # splitmix64 reads its seed modulo 2**64: -1 ran seed 2**64 - 1 and
+    # 2**64 + 1 seed 1, while the summary recorded the seed as given
+    doc = write(tmp_path, MT_DOC.replace("seed = 3", f"seed = {seed}"), "seeded.cfg")
+    cfg = write(tmp_path, MT_DOC)
+    runs = {
+        "document": ["simulate", "--config", doc],
+        "flag": ["certify", "--config", cfg, "--seed", str(seed)],
+        "lemma": ["verify-lemma", "--seed", str(seed)],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out), "--quiet"]) == code, name
+        err = capsys.readouterr().err
+        if code:
+            assert "key 'seed'" in err, name
+            assert not (out / "summary.json").exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert (summary if name == "lemma" else summary["scenario"]["initial"])["seed"] == seed
+
+
 def test_stability_violation_exits_three(tmp_path):
     cfg = write(tmp_path, HYDRO_DOC.replace("dt = 0.08", "dt = 0.5"))
     assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "h"), "--quiet"]) == 3
@@ -944,3 +980,16 @@ print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_generates_no_record_code():
+    # @dataclass compiles each generated method through exec: about 13 ms of
+    # a fresh process's import, paid by every command
+    code = "import sys, flocklab.cli; print('dataclasses' in sys.modules)"
+    src = str(Path(flocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
