@@ -10,11 +10,11 @@ contraction rate alpha * count**2 * theta**2.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import AgentEnsemble, ModelSpec, TrajectoryRecord
+from .dynamics import ModelSpec, TrajectoryRecord
 from .influence import InfluenceMatrix
 
 ANTISYMMETRY_TOL = 1e-12
@@ -141,11 +141,11 @@ class DecayReport(NamedTuple):
 class DecayObserver:
     """Per-step velocity-diameter contraction check, fed online.
 
-    Pass it to ``simulate(..., observers=[check])``: before each step it is
-    called with the state the step starts from, that state's position
-    diameter and its influence matrix, and records the default level theta
-    (N read from the matrix) and both active-set counts there.
-    ``report(record)`` then holds every step to
+    Pass it to ``simulate(..., observers=[check])``: as a
+    :func:`~flocklab.dynamics.march` observer it records, at each state a step
+    starts from, the default level theta at d_X = ``row[1]`` (N read from the
+    step's matrix) and both active-set counts there.  ``report(record)`` then
+    holds every step to
 
         d_V(k+1) <= d_V(k) * (1 - alpha * count**2 * theta**2 * dt) + DECAY_SLACK * dt**2,
 
@@ -162,8 +162,10 @@ class DecayObserver:
         self.theta: List[float] = []
         self.counts: List[Tuple[int, int]] = []  # global, pairwise minimum
 
-    def __call__(self, state: AgentEnsemble, d_x: float, matrix: InfluenceMatrix) -> None:
-        theta = default_theta(self.model, matrix.n, d_x)
+    def __call__(self, k: int, state, row: tuple, matrix: Optional[InfluenceMatrix]) -> None:
+        if matrix is None:
+            return
+        theta = default_theta(self.model, matrix.n, row[1])
         counts = (0, 0)
         if theta > 0.0:
             found = active_sets(matrix, theta)

@@ -1,29 +1,29 @@
 """Command-line front end.
 
 Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
-:func:`parse_args` reads the fixed command line word by word (a usage error
-exits 2 before anything is written).  :func:`main` is the one frame around
-the commands: it loads the scenario document
-(--config, with --seed applied) and creates --out, then calls
-``cmd_x(scenario, out, args)``, which writes its CSV files and returns
-``(summary body, exit code)``.  ``main`` heads the body with the command name
-and the PRNG identifier and writes it to the scenario's ``[output] summary``
-file (summary.json without a scenario).  ``simulate``, each ``sweep`` value
-and the cs and mt runs of ``compare-groups`` are one checked particle run,
-:func:`_run`.  CSV files carry a header row and 17-significant-digit floats
-so doubles round-trip losslessly; identical scenarios produce byte-identical
-outputs.  ``snapshots.csv`` and ``fields.csv`` are written block by block
-(:class:`_BlockCSV`), ``hydro``'s fields at each snapshot as it is taken;
-the other tables whole (:func:`_write_csv`).  Both format their rows in
-chunks of at most :data:`CHUNK_ROWS` (:meth:`_CSV.write_rows`).
+:func:`parse_args` reads the fixed command line (a usage error exits 2 before
+anything is written).  :func:`main` loads the scenario (--config, with --seed
+applied), creates --out, which it removes again if the run exits 2, and calls
+``cmd_x(scenario, out, args)``; that writes its CSV files and returns
+``(summary body, exit code)``, and ``main`` writes the body, headed by the
+command name and the PRNG identifier, to the ``[output] summary`` file
+(summary.json without a scenario).  ``simulate``, each ``sweep`` value and the
+cs and mt runs of ``compare-groups`` are one checked particle run,
+:func:`_run`.  ``simulate`` and ``hydro`` step through the one loop,
+:func:`~flocklab.dynamics.march`, and stream their snapshots through an
+observer (:func:`_snapshots`) as it records them.  CSV floats carry 17
+significant digits, so doubles round-trip and identical scenarios give
+byte-identical files; :class:`_CSV` formats at most :data:`CHUNK_ROWS` rows
+per ``%``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import shutil
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .activeset import DecayObserver, lemma_action_bound
-from .dynamics import ModelSpec, diameter, diameters, simulate, step_times
+from .dynamics import ModelSpec, diameter, diameters, march, simulate, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
 from .hydro import HydroState1D, hydro_diameters, step_eulerian
@@ -127,6 +127,21 @@ class _BlockCSV(_CSV):
         self.write_rows(line, [self._index, *cols], len(self._index))
 
 
+@contextmanager
+def _snapshots(stride: int, path: Path, header: Sequence[str], index: np.ndarray, columns):
+    """A ``with`` block giving a run's observers: one that writes every
+    ``stride``-th recorded state, as ``columns(state)``, to a :class:`_BlockCSV`
+    as the run records it, holding none, or no observer when ``stride`` is 0."""
+    if stride <= 0:
+        yield ()
+        return
+    with _BlockCSV(path, header, index) as table:
+        def write(k, state, row, built):
+            if k % stride == 0:
+                table.write(state.t, *columns(state))
+        yield [write]
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -155,18 +170,17 @@ def _certificate_payload(model: ModelSpec, d_x0: float, d_v0: float):
     return cert, "diverges" if math.isinf(tail) else tail
 
 
-def _run(sc: Scenario, snapshot_stride: int = 0, stop=None):
+def _run(sc: Scenario, initial, observers=(), stop=None):
     """The one checked particle run of ``simulate``, each ``sweep`` value and
-    each ``compare-groups`` model: (record, decay report, certificate,
-    symmetric-theory tail, final d_V ratio, fitted rate).  Every step taken is
-    held to the decay bound online, except under vision, which has no default
-    level (report and certificate None); ``stop`` is passed to ``simulate``."""
-    initial = sc.initial_ensemble()
+    each ``compare-groups`` model, from the caller's ``initial`` ensemble:
+    (record, decay report, certificate, symmetric-theory tail, final d_V
+    ratio, fitted rate).  Every step is held to the decay bound online, but
+    under vision, which has no default level (report and certificate None)."""
     model = sc.to_model_spec()
     check = None if model.model == "vision" else DecayObserver(model)
     record = simulate(
         initial, model, sc.dt, sc.t_final, sc.scheme,
-        snapshot_stride=snapshot_stride, observers=[check] if check else (), stop=stop,
+        observers=[*observers, check] if check else observers, stop=stop,
     )
     d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
     return (
@@ -184,7 +198,13 @@ def _decay_block(decay) -> dict:
 
 
 def cmd_simulate(sc: Scenario, out: Path, args):
-    record, decay, cert, comparison_tail, dv_ratio, rate = _run(sc, sc.snapshot_stride)
+    initial = sc.initial_ensemble()
+    axes = [f"{c}{k}" for c in "xv" for k in range(initial.d)]
+    with _snapshots(
+        sc.snapshot_stride, out / sc.out_snapshots, ["t", "agent"] + axes,
+        np.arange(initial.n), lambda s: (s.positions, s.velocities),
+    ) as observers:
+        record, decay, cert, comparison_tail, dv_ratio, rate = _run(sc, initial, observers)
     # the vision model has no check: its margin column is nan
     margins = np.full(len(record.times), np.nan)
     if decay is not None:
@@ -195,13 +215,6 @@ def cmd_simulate(sc: Scenario, out: Path, args):
         record.times, record.position_diameter, record.velocity_diameter, momentum_norm, margins
     ))
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
-
-    if sc.snapshot_stride > 0:
-        first = record.snapshots[0]
-        axes = [f"{c}{k}" for c in "xv" for k in range(first.d)]
-        with _BlockCSV(out / sc.out_snapshots, ["t", "agent"] + axes, np.arange(first.n)) as snaps:
-            for ens in record.snapshots:
-                snaps.write(ens.t, ens.positions, ens.velocities)
 
     body = {
         "scenario": scenario_to_dict(sc),
@@ -285,35 +298,26 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     state = sc.initial_hydro_state()
     phi = sc.build_phi()
 
+    def stepper(s, t):
+        stepped = step_eulerian(s, phi, sc.alpha, sc.dt)
+        return None, HydroState1D(stepped.x_min, stepped.dx, stepped.rho, stepped.u, t=t)
+
+    def measure(s):
+        return (float(s.t), *hydro_diameters(s, sc.hydro_epsilon), s.total_mass)
+
     stamps = step_times(state.t, sc.dt, sc.t_final)
-    stride = sc.snapshot_stride
-    diag_rows = []
-
-    def record(s):
-        d_x, d_v = hydro_diameters(s, sc.hydro_epsilon)
-        diag_rows.append((float(s.t), d_x, d_v, s.total_mass))
-
-    record(state)
+    with _snapshots(
+        sc.snapshot_stride, out / sc.out_fields, ["t", "x", "rho", "u"], state.centers,
+        lambda s: (s.rho, s.u),
+    ) as observers:
+        diag_rows = march(state, stepper, measure, stamps, observers)
     _, d_x0, d_v0, mass0 = diag_rows[0]
     cert = certify(d_x0, d_v0, sc.alpha, phi)
-    # each field snapshot is written as it is taken; none is held
-    header = ["t", "x", "rho", "u"]
-    with (
-        _BlockCSV(out / sc.out_fields, header, state.centers) if stride > 0 else nullcontext()
-    ) as fields:
-        if fields is not None:
-            fields.write(state.t, state.rho, state.u)
-        for k, t in enumerate(stamps, start=1):
-            stepped = step_eulerian(state, phi, sc.alpha, sc.dt)
-            state = HydroState1D(stepped.x_min, stepped.dx, stepped.rho, stepped.u, t=t)
-            record(state)
-            if fields is not None and k % stride == 0:
-                fields.write(state.t, state.rho, state.u)
 
     diag = np.array(diag_rows)
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "mass"], diag)
     # every recorded mass is positive: a donor-cell step keeps at least
-    # (1 - CFL) of each cell's mass, and an all-zero density fails at record()
+    # (1 - CFL) of each cell's mass, and an all-zero density fails at measure()
     mass = diag[:, 3]
 
     t_f, d_xf, d_vf, mass_f = diag_rows[-1]
@@ -337,7 +341,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
 def cmd_sweep(sc: Scenario, out: Path, args):
     rows = []
     for value, point in sweep_points(sc, args.parameter, args.values):
-        _, decay, cert, _, ratio, rate = _run(point)
+        _, decay, cert, _, ratio, rate = _run(point, point.initial_ensemble())
         passed = None if decay is None else decay.passed
         rows.append((value, ratio, rate, cert.verdict if cert else "n/a", passed))
     header = [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"]
@@ -381,7 +385,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
 
         # the whole ensemble is held to the decay bound at every step taken;
         # the run ends early once group 1 is down to 0.4 of its start
-        record, decay, *_ = _run(sc._replace(model=model_kind), stop=group1_aligned)
+        record, decay, *_ = _run(sc._replace(model=model_kind), initial, stop=group1_aligned)
         times, series = record.times, np.array(spread)
         halved = np.flatnonzero(series <= 0.5 * d_v0)
         runs[model_kind] = (times, series)
@@ -530,11 +534,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command in ("-h", "--help", "--version"):
         print(__version__ if args.command == "--version" else HELP)
         return EXIT_OK
+    out, created = Path(args.out), None
     try:
         sc = parse_scenario(Path(args.config).read_text()) if args.config else None
         if sc is not None and args.seed is not None:
             sc = with_override(sc, seed=args.seed)
-        out = Path(args.out)
+        # the outermost directory this run creates, removed again if it exits 2
+        created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
         body, code = _COMMANDS[args.command](sc, out, args)
         summary = {"command": args.command, "prng": PRNG_ID, **body}
@@ -543,6 +549,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         return EXIT_BAD_INPUT
     except (FloatingPointError, FlockLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -253,26 +253,22 @@ def bulk_momentum(ensemble: AgentEnsemble) -> np.ndarray:
 
 
 class TrajectoryRecord:
-    """Per-step diagnostics plus optional state snapshots.
+    """Per-step diagnostics of a particle run.
 
     times, position_diameter, velocity_diameter and momentum all have one
-    entry per recorded instant (initial state included).  snapshots holds the
-    full ensembles that :func:`simulate` kept: the initial one and every
-    ``snapshot_stride``-th step, or none when the stride is 0.
+    entry per recorded instant (initial state included).  No state is
+    held: states reach a caller through an observer of :func:`simulate`, and
+    ``snapshots``, which perfbench's ``snapshots_held`` metric reads, is empty.
     """
 
     def __init__(
-        self,
-        times: np.ndarray,
-        position_diameter: np.ndarray,
-        velocity_diameter: np.ndarray,
-        momentum: np.ndarray,
-        snapshots: Optional[List[AgentEnsemble]] = None,
+        self, times: np.ndarray, position_diameter: np.ndarray,
+        velocity_diameter: np.ndarray, momentum: np.ndarray,
     ):
         self.times = times
         self.position_diameter, self.velocity_diameter = position_diameter, velocity_diameter
         self.momentum = momentum
-        self.snapshots = [] if snapshots is None else snapshots
+        self.snapshots: List[AgentEnsemble] = []
         self.__post_init__()
 
     def __post_init__(self):
@@ -295,65 +291,58 @@ def step_times(t0: float, dt: float, t_final: float) -> List[float]:
     return [float(t0 + k * dt) for k in range(1, n_steps + 1)]
 
 
+def march(state, stepper, measure, stamps, observers=(), stop=None) -> list:
+    """The one stepping loop, of particles and hydro alike: one ``measure``
+    row per recorded state, the first included.  ``stepper(state, t)``
+    returns ``(built, next state stamped t)`` for each stamp, and is called
+    right after ``measure`` on the same state, so it may reuse its work.
+    Each observer is called as ``observer(k, state, row, built)`` once per
+    recorded state k, ``built`` being what the step from it built (None for
+    the last state).  A true ``stop(state)`` on a new state ends the run.
+    """
+    rows = [measure(state)]
+    for k, t in enumerate(stamps):
+        built, stepped = stepper(state, t)
+        for observe in observers:
+            observe(k, state, rows[-1], built)
+        state = stepped
+        rows.append(measure(state))
+        if stop is not None and stop(state):
+            break
+    for observe in observers:
+        observe(len(rows) - 1, state, rows[-1], None)
+    return rows
+
+
 def simulate(
     initial: AgentEnsemble,
     model: ModelSpec,
     dt: float,
     t_final: float,
     scheme: str = "euler",
-    snapshot_stride: int = 0,
-    observers: Sequence[Callable[[AgentEnsemble, float, InfluenceMatrix], None]] = (),
+    observers: Sequence[Callable] = (),
     stop: Optional[Callable[[AgentEnsemble], bool]] = None,
 ) -> TrajectoryRecord:
-    """Integrate to t_final, recording diameters and momentum at every step.
-
-    Steps are stamped on the :func:`step_times` grid.  Each state's position
-    distances are computed once, into one N x N buffer the run allocates up
-    front: they give the state's d_X and the influence matrix of the step
-    that starts from it.  Every observer is called as
-    ``observer(state, d_x, matrix)`` with that state, its position diameter
-    and the matrix, which then serves the step's first acceleration.  The
-    matrix is a fresh array per step, so an observer may keep it.  Snapshots
-    are kept every ``snapshot_stride`` steps only.  ``stop``, when given, is
-    called with each new state once it is recorded, and a true result ends
-    the run there, before t_final.
+    """Integrate to t_final through :func:`march` on the :func:`step_times`
+    grid, recording diameters and momentum at every step.  Each state's
+    position distances are computed once, into one N x N buffer allocated up
+    front: they give its d_X and the influence matrix of the step from it,
+    which serves that step's first acceleration.  Observers and ``stop`` are
+    :func:`march`'s; a row is ``(t, d_x, d_v, momentum)`` and ``built`` the
+    matrix, a fresh array that an observer may keep.
     """
     # Reused, not reallocated: per-step N x N temporaries that the allocator
     # hands back to the OS and takes again cost a page fault per page.
     dist = np.empty((initial.n, initial.n))
 
-    def measure(state: AgentEnsemble) -> Tuple[float, float]:
+    def measure(state: AgentEnsemble):
         influence.pairwise_distances(state.positions, out=dist)
-        return diameters(state, dist)
+        return (state.t, *diameters(state, dist), bulk_momentum(state))
 
-    times = [initial.t]
-    d_x, d_v = measure(initial)
-    dx_series, dv_series = [d_x], [d_v]
-    momenta = [bulk_momentum(initial)]
-    snapshots = [initial] if snapshot_stride > 0 else []
-
-    state = initial
-    for k, t in enumerate(step_times(initial.t, dt, t_final), start=1):
+    def stepper(state: AgentEnsemble, t: float):
         matrix = build_matrix(state, model, dist)
-        for observe in observers:
-            observe(state, d_x, matrix)
         stepped = step(state, model, dt, scheme, matrix)
-        state = AgentEnsemble(t=t, positions=stepped.positions, velocities=stepped.velocities)
-        times.append(t)
-        d_x, d_v = measure(state)
-        dx_series.append(d_x)
-        dv_series.append(d_v)
-        momenta.append(bulk_momentum(state))
-        if snapshot_stride > 0 and k % snapshot_stride == 0:
-            snapshots.append(state)
-        if stop is not None and stop(state):
-            break
+        return matrix, AgentEnsemble(t=t, positions=stepped.positions, velocities=stepped.velocities)
 
-    return TrajectoryRecord(
-        times=np.array(times),
-        position_diameter=np.array(dx_series),
-        velocity_diameter=np.array(dv_series),
-        momentum=np.array(momenta),
-        snapshots=snapshots,
-    )
-
+    rows = march(initial, stepper, measure, step_times(initial.t, dt, t_final), observers, stop)
+    return TrajectoryRecord(*(np.array(series) for series in zip(*rows)))

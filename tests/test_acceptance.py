@@ -259,16 +259,18 @@ def test_acceptance_11_lagrangian_oracle_equivalence():
     x = rng.uniform_array((8, 2), 0.0, 4.0)
     v = rng.uniform_array((8, 2), -1.0, 1.0)
     model = ModelSpec(model="mt", phi=phi, alpha=1.0)
-    record = simulate(
+    states = []
+    simulate(
         AgentEnsemble(t=0.0, positions=x, velocities=v),
         model,
         dt=0.01,
         t_final=10.0,
         scheme="rk4",
-        snapshot_stride=1,
+        observers=[lambda k, state, row, built: states.append(state)],
     )
-    parts = record.snapshots[0]
-    for snap in record.snapshots[1:]:
+    assert len(states) == 1001
+    parts = states[0]
+    for snap in states[1:]:
         parts = step_lagrangian(parts, np.ones(8), phi, alpha=1.0, dt=0.01, scheme="rk4")
         assert np.array_equal(parts.positions, snap.positions)
         assert np.array_equal(parts.velocities, snap.velocities)

@@ -357,12 +357,17 @@ def test_online_check_equals_replay(kind, scheme):
     ens, model = stream_case(kind)
     online = DecayObserver(model)
     streamed = simulate(ens, model, dt=0.05, t_final=2.0, scheme=scheme, observers=[online])
-    full = simulate(ens, model, dt=0.05, t_final=2.0, scheme=scheme, snapshot_stride=1)
-    assert streamed.snapshots == []
-    # the replay: each stride-1 snapshot's matrix built afresh and fed to an observer
+    states = []
+    full = simulate(
+        ens, model, dt=0.05, t_final=2.0, scheme=scheme,
+        observers=[lambda k, state, row, built: states.append(state)],
+    )
+    assert streamed.snapshots == [] and full.snapshots == []
+    # the replay: each recorded state's matrix built afresh and fed to an observer
     replay = DecayObserver(model)
-    for state, d_x in zip(full.snapshots[:-1], full.position_diameter):
-        replay(state, float(d_x), build_matrix(state, model))
+    for k, (state, d_x) in enumerate(zip(states[:-1], full.position_diameter)):
+        replay(k, state, (state.t, float(d_x)), build_matrix(state, model))
+    replay(len(states) - 1, states[-1], (states[-1].t, float(full.position_diameter[-1])), None)
     got, want = online.report(streamed), replay.report(full)
     for name in ("times", "theta", "count_global", "count_pairwise_min",
                  "margin_global", "margin_pairwise"):

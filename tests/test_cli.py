@@ -15,7 +15,7 @@ from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import HydroState1D, step_eulerian
 from flocklab.influence import InfluenceFunction, tail_integral
-from flocklab.scenario import parse_scenario
+from flocklab.scenario import Scenario, parse_scenario
 
 MT_DOC = """
 [model]
@@ -63,6 +63,8 @@ speeds = 0.5 -0.5
 # hydro reads no particles, so its document needs no [initial] section
 BARE_HYDRO_DOC = HYDRO_DOC.replace("[initial]\nN = 2\nseed = 1\n\n", "")
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
 GROUPS_DOC = """
 [model]
 model = mt
@@ -108,10 +110,16 @@ def test_simulate_writes_outputs(tmp_path):
     assert len(snapshots) == 1 + 6 * 5  # initial + steps 10,20,30,40
     # every cell round-trips exactly to the simulated state
     sc = parse_scenario(MT_DOC)
-    record = simulate(sc.initial_ensemble(), sc.to_model_spec(), sc.dt, sc.t_final,
-                      sc.scheme, snapshot_stride=sc.snapshot_stride)
+    kept = []
+
+    def keep(k, state, row, built):
+        if k % sc.snapshot_stride == 0:
+            kept.append(state)
+
+    simulate(sc.initial_ensemble(), sc.to_model_spec(), sc.dt, sc.t_final, sc.scheme,
+             observers=[keep])
     cells = [line.split(",") for line in snapshots[1:]]
-    expected = [(ens, agent) for ens in record.snapshots for agent in range(ens.n)]
+    expected = [(ens, agent) for ens in kept for agent in range(ens.n)]
     assert len(cells) == len(expected)
     for row, (ens, agent) in zip(cells, expected):
         assert row[1] == str(agent)
@@ -389,7 +397,8 @@ def test_particle_commands_reject_a_document_without_particles(tmp_path, capsys,
     out = tmp_path / "out"
     assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) == 2
     assert "missing required key (key 'N')" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    # nothing is written, and the --out the run created is removed again
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("profile", ["gaussian", "uniform"])
@@ -476,6 +485,74 @@ def test_write_csv_matches_per_cell_formatting_on_mixed_tables(tmp_path):
         assert path.read_bytes() == _per_cell_csv(header, tiled), n
         _write_csv(path, ["model", "t", "g1_d_v"], tiled_groups)
         assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], tiled_groups), n
+
+
+def _blocks(path):
+    """A snapshots or fields table's blocks in order: (t text, block lines)."""
+    found = {}
+    for line in path.read_text().splitlines()[1:]:
+        found.setdefault(line.split(",", 1)[0], []).append(line)
+    return list(found.items())
+
+
+# both at dt = 0.1: 20 steps to T = 2
+STRIDE_CASES = [
+    ("simulate", MT_DOC.replace("dt = 0.05", "dt = 0.1"), "snapshots.csv"),
+    ("hydro", HYDRO_DOC.replace("dt = 0.08", "dt = 0.1"), "fields.csv"),
+]
+
+
+@pytest.mark.parametrize("command, doc, table", STRIDE_CASES, ids=["simulate", "hydro"])
+def test_snapshot_stride_writes_every_stride_th_state(tmp_path, command, doc, table):
+    runs = {}
+    for stride, t_final in ((1, 2), (7, 2), (5, 1)):
+        text = doc.replace("snapshot_stride = 10", f"snapshot_stride = {stride}")
+        cfg = write(tmp_path, text.replace("T = 2", f"T = {t_final}"), f"{stride}.cfg")
+        out = tmp_path / f"stride{stride}"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        runs[stride] = out
+    every, strided, short = (_blocks(runs[s] / table) for s in (1, 7, 5))
+    assert len(every) == 21
+    # only the strided states are written, stamped k*dt, each as at stride 1
+    assert [float(t) for t, _ in strided] == [0.0, 7 * 0.1, 14 * 0.1]
+    assert strided == [every[k] for k in (0, 7, 14)]
+    # 10 steps at stride 5: the initial state, steps 5 and 10
+    assert len(short) == 3 and float(short[1][0]) == pytest.approx(0.5)
+    assert short == every[0:11:5]
+    # the stride changes what is written, never the run
+    diagnostics = (runs[1] / "diagnostics.csv").read_bytes()
+    assert (runs[7] / "diagnostics.csv").read_bytes() == diagnostics
+
+
+@pytest.mark.parametrize(
+    "command, target, tables",
+    [
+        ("simulate", (dynamics, "step"), ("snapshots.csv", "diagnostics.csv", "summary.json")),
+        ("hydro", (cli, "step_eulerian"), ("fields.csv", "diagnostics.csv", "summary.json")),
+    ],
+    ids=["simulate", "hydro"],
+)
+def test_a_failed_run_leaves_no_partial_table(tmp_path, monkeypatch, command, target, tables):
+    # the snapshot table is open, states 0..3 written to it, when the fifth
+    # step fails; the run exits 3 and removes it, and writes nothing else
+    doc = MT_DOC if command == "simulate" else HYDRO_DOC
+    cfg = write(tmp_path, doc.replace("snapshot_stride = 10", "snapshot_stride = 1"))
+    out = tmp_path / "run"
+    module, name = target
+    real, calls, streamed = getattr(module, name), [], []
+
+    def fails_fifth(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            streamed.append((out / tables[0]).exists())
+            raise FloatingPointError("non-finite state after time step")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fails_fifth)
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert len(calls) == 5 and streamed == [True]
+    for table in tables:
+        assert not (out / table).exists(), table
 
 
 def test_block_csv_matches_per_cell_formatting(tmp_path):
@@ -870,6 +947,49 @@ def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed, code):
         else:
             summary = json.loads((out / "summary.json").read_text())
             assert (summary if name == "lemma" else summary["scenario"]["initial"])["seed"] == seed
+
+
+@pytest.mark.parametrize(
+    "argv", [["--seed", "18446744073709551617"], []], ids=["seed-over-64-bits", "no-seed"]
+)
+def test_input_errors_leave_no_output_directory(tmp_path, capsys, monkeypatch, argv):
+    # --out is created before the command validates its input; an exit 2
+    # removes every directory the run created and keeps one that was there
+    monkeypatch.chdir(tmp_path)
+    for out in ("big", "a/b/c"):
+        assert main(["verify-lemma", *argv, "--out", out, "--quiet"]) == 2
+        assert "key 'seed'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [], out
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "notes.txt").write_text("not the run's")
+    assert main(["verify-lemma", *argv, "--out", "kept/run", "--quiet"]) == 2
+    assert [p.name for p in (tmp_path / "kept").iterdir()] == ["notes.txt"]
+    assert main(["verify-lemma", *argv, "--out", "kept", "--quiet"]) == 2
+    assert [p.name for p in (tmp_path / "kept").iterdir()] == ["notes.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv, draws",
+    [
+        (["compare-groups", "--config", str(EXAMPLES / "two_groups.cfg")], 1),
+        (["simulate", "--config", "MT"], 1),
+        (["sweep", "--config", "MT", "alpha", "0.5,1"], 2),
+    ],
+    ids=["compare-groups", "simulate", "sweep"],
+)
+def test_each_run_draws_its_initial_state_once(tmp_path, monkeypatch, argv, draws):
+    # compare-groups drew its two-group state three times: for its group-1
+    # check and again for each of its cs and mt runs
+    real, drawn = Scenario.initial_ensemble, []
+
+    def counted(sc):
+        drawn.append(sc)
+        return real(sc)
+
+    monkeypatch.setattr(Scenario, "initial_ensemble", counted)
+    argv = [write(tmp_path, MT_DOC) if word == "MT" else word for word in argv]
+    assert main(argv + ["--out", str(tmp_path / "run"), "--quiet"]) == 0
+    assert len(drawn) == draws
 
 
 def test_stability_violation_exits_three(tmp_path):

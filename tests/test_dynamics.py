@@ -13,6 +13,7 @@ from flocklab.dynamics import (
     bulk_momentum,
     diameter,
     diameters,
+    march,
     rhs,
     simulate,
     step,
@@ -252,10 +253,15 @@ def test_euler_simulate_computes_position_distances_once_per_state(monkeypatch):
         return real(points, *args, **kwargs)
 
     monkeypatch.setattr(influence, "pairwise_distances", counted)
-    record = simulate(ens, model_for("mt", ens.n), dt=0.1, t_final=1.0, snapshot_stride=1)
+    states = []
+    record = simulate(
+        ens, model_for("mt", ens.n), dt=0.1, t_final=1.0,
+        observers=[lambda k, state, row, built: states.append(state)],
+    )
     # d_X and the next step's matrix share the state's one N x N pass; the
     # d_V filter only scans a few velocities
-    for snap in record.snapshots:
+    assert len(states) == 11
+    for snap in states:
         assert sum(np.array_equal(p, snap.positions) for p in handed) == 1
     assert sum(len(p) == ens.n for p in handed) == len(record.times) == 11
 
@@ -351,20 +357,32 @@ def test_step_times_rejects_non_positive_horizon(dt, t_final, message):
         step_times(0.0, dt, t_final)
 
 
-def test_simulate_snapshot_stride():
-    ens = random_ensemble(4, n=3)
-    record = simulate(ens, model_for("mt", 3), dt=0.1, t_final=1.0, snapshot_stride=5)
-    assert len(record.snapshots) == 3  # initial, step 5, step 10
-    assert record.snapshots[1].t == pytest.approx(0.5)
-    # only the strided states are kept, stamped k*dt
-    ens = random_ensemble(6, n=5)
-    model = model_for("mt", 5)
-    every = simulate(ens, model, dt=0.1, t_final=2.0, snapshot_stride=1)
-    strided = simulate(ens, model, dt=0.1, t_final=2.0, snapshot_stride=7)
-    assert [snap.t for snap in strided.snapshots] == [0.0, 7 * 0.1, 14 * 0.1]
-    for snap, k in zip(strided.snapshots, (0, 7, 14)):
-        assert np.array_equal(snap.positions, every.snapshots[k].positions)
-        assert np.array_equal(snap.velocities, every.snapshots[k].velocities)
+def test_march_contract():
+    # a scalar "state" x stepped to x + t: k runs 0..n, each observer call
+    # gets state k, its row and what the step from it built, None at the end
+    seen = []
+    rows = march(
+        0.0, lambda x, t: (("built", x), x + t), lambda x: ("row", x), [1.0, 2.0, 3.0],
+        observers=[lambda *a: seen.append(a)],
+    )
+    assert rows == [("row", 0.0), ("row", 1.0), ("row", 3.0), ("row", 6.0)]
+    assert [k for k, *_ in seen] == [0, 1, 2, 3]
+    assert [x for _, x, _, _ in seen] == [0.0, 1.0, 3.0, 6.0]
+    assert [row for _, _, row, _ in seen] == rows
+    assert [built for *_, built in seen] == [("built", 0.0), ("built", 1.0), ("built", 3.0), None]
+    # stop sees each new state once it is measured and ends the run there
+    seen.clear()
+    stopped = []
+    rows = march(
+        0.0, lambda x, t: (x, x + t), lambda x: x, [1.0, 2.0, 3.0, 4.0],
+        observers=[lambda *a: seen.append(a)], stop=lambda x: stopped.append(x) or x >= 3.0,
+    )
+    assert rows == [0.0, 1.0, 3.0] and stopped == [1.0, 3.0]
+    assert [(k, x, built) for k, x, _, built in seen] == [(0, 0.0, 0.0), (1, 1.0, 1.0), (2, 3.0, None)]
+    # no stamp: the one state is recorded and observed, with nothing built
+    seen.clear()
+    assert march(5.0, None, lambda x: x, [], observers=[lambda *a: seen.append(a)]) == [5.0]
+    assert seen == [(0, 5.0, 5.0, None)]
 
 
 def test_simulate_observers_see_each_step_start_and_its_matrix():
@@ -372,11 +390,19 @@ def test_simulate_observers_see_each_step_start_and_its_matrix():
     model = model_for("leader", 4)
     seen = []
     record = simulate(ens, model, dt=0.1, t_final=1.0, observers=[lambda *a: seen.append(a)])
-    assert len(seen) == 10
-    for k, (state, d_x, matrix) in enumerate(seen):
+    assert len(seen) == 11
+    assert seen[-1][3] is None and seen[-1][1].t == 1.0
+    for k, (j, state, row, matrix) in enumerate(seen[:-1]):
+        assert j == k
         assert state.t == k * 0.1
-        assert d_x == record.position_diameter[k]
+        assert row[1] == record.position_diameter[k]
         assert np.array_equal(matrix.entries, build_matrix(state, model).entries)
+    # each row is the record's instant: t, d_X, d_V and the bulk momentum
+    for k, (_, _, (t, d_x, d_v, momentum), _) in enumerate(seen):
+        assert (t, d_x, d_v) == (
+            record.times[k], record.position_diameter[k], record.velocity_diameter[k]
+        )
+        assert np.array_equal(momentum, record.momentum[k])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -415,8 +441,10 @@ def test_leader_run_converges_to_leader_velocity():
     v = rng.uniform(-1, 1, size=(8, 2))
     ens = AgentEnsemble(t=0.0, positions=x, velocities=v)
     model = model_for("leader", 8, phi=InfluenceFunction.power_law(0.5))
-    record = simulate(ens, model, dt=0.05, t_final=120.0, snapshot_stride=1)
-    final = record.snapshots[-1]
+    states = []
+    simulate(ens, model, dt=0.05, t_final=120.0,
+             observers=[lambda k, state, row, built: states.append(state)])
+    final = states[-1]
     # leader velocity never changed
     assert final.velocities[0] == pytest.approx(v[0], abs=1e-14)
     spread = np.max(np.linalg.norm(final.velocities - final.velocities[0], axis=1))

@@ -306,16 +306,18 @@ def test_equal_mass_lagrangian_matches_particle_model(scheme):
     x = rng.uniform(0, 4, size=(8, 2))
     v = rng.uniform(-1, 1, size=(8, 2))
     model = ModelSpec(model="mt", phi=PHI1, alpha=1.0)
-    record = simulate(
+    states = []
+    simulate(
         AgentEnsemble(t=0.0, positions=x, velocities=v),
         model,
         dt=0.01,
         t_final=5.0,
         scheme=scheme,
-        snapshot_stride=1,
+        observers=[lambda k, state, row, built: states.append(state)],
     )
-    parts = record.snapshots[0]
-    for snap in record.snapshots[1:]:
+    assert len(states) == 501
+    parts = states[0]
+    for snap in states[1:]:
         parts = step_lagrangian(parts, np.ones(8), PHI1, alpha=1.0, dt=0.01, scheme=scheme)
         assert np.array_equal(parts.positions, snap.positions)
         assert np.array_equal(parts.velocities, snap.velocities)
