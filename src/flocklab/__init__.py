@@ -38,7 +38,6 @@ from .hydro import (
     hydro_diameters,
     nonlocal_average,
     step_eulerian,
-    step_lagrangian,
 )
 from .influence import (
     InfluenceFunction,
@@ -93,7 +92,6 @@ __all__ = [
     "solve_flock_diameter",
     "step",
     "step_eulerian",
-    "step_lagrangian",
     "step_times",
     "tail_integral",
 ]

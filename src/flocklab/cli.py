@@ -34,7 +34,7 @@ from .activeset import DecayObserver, lemma_action_bound
 from .dynamics import ModelSpec, diameter, diameters, march, simulate, step_times
 from .errors import FlockLabError, ScenarioError
 from .flocking import certify, fit_exponential_rate
-from .hydro import HydroState1D, hydro_diameters, step_eulerian
+from .hydro import hydro_diameters, step_eulerian
 from .influence import tail_integral
 from .rng import PRNG_ID, SplitMix64
 from .scenario import (
@@ -300,7 +300,8 @@ def cmd_hydro(sc: Scenario, out: Path, args):
 
     def stepper(s, t):
         stepped = step_eulerian(s, phi, sc.alpha, sc.dt)
-        return None, HydroState1D(stepped.x_min, stepped.dx, stepped.rho, stepped.u, t=t)
+        stepped.t = t
+        return None, stepped
 
     def measure(s):
         return (float(s.t), *hydro_diameters(s, sc.hydro_epsilon), s.total_mass)

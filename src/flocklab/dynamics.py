@@ -66,7 +66,9 @@ class ModelSpec:
 
     alpha is the positive coupling rate; beta/leader apply to the leader
     model, gamma/normalization to the vision model, and must be present
-    exactly when that model is selected.
+    exactly when that model is selected.  masses, optional and mt only, are
+    one finite positive mass per agent that weight the matrix columns: the
+    Lagrangian particles of the hydrodynamic limit.
     """
 
     def __init__(
@@ -78,10 +80,12 @@ class ModelSpec:
         leader: Optional[int] = None,
         gamma: Optional[float] = None,
         normalization: Optional[str] = None,
+        masses: Optional[np.ndarray] = None,
     ):
         self.model, self.phi, self.alpha = model, phi, alpha
         self.beta, self.leader = beta, leader
         self.gamma, self.normalization = gamma, normalization
+        self.masses = masses
         self.__post_init__()
 
     def __post_init__(self):
@@ -99,6 +103,12 @@ class ModelSpec:
             raise ValueError("beta/leader only valid for the leader model")
         if not needs_vision and (self.gamma is not None or self.normalization is not None):
             raise ValueError("gamma/normalization only valid for the vision model")
+        if self.masses is not None:
+            if self.model != "mt":
+                raise ValueError("masses only valid for the mt model")
+            self.masses = m = np.asarray(self.masses, dtype=float)
+            if m.ndim != 1 or not np.all(np.isfinite(m) & (m > 0)):
+                raise ValueError("masses must be a 1D array of finite positive values")
 
 
 def build_matrix(
@@ -114,7 +124,9 @@ def build_matrix(
     if model.model == "cs":
         return build_cs(distances, model.phi)
     if model.model == "mt":
-        return build_mt(distances, model.phi)
+        if model.masses is not None and len(model.masses) != ensemble.n:
+            raise ValueError("masses must be one per agent")
+        return build_mt(distances, model.phi, model.masses)
     if model.model == "leader":
         return build_leader(distances, model.phi, model.beta, model.leader)
     x, v = ensemble.positions, ensemble.velocities
@@ -138,7 +150,8 @@ def advance(x, v, a0, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.n
     a0 is the acceleration at the starting state (x, v), Euler's only one and
     rk4's stage 1; accel is evaluated at rk4's three later stages only.  Euler
     needs alpha*dt <= 1 (the convex-combination guard for relaxation at rate
-    alpha); a non-finite result raises FloatingPointError.
+    alpha); a non-finite result, or a non-finite state at an rk4 stage, raises
+    FloatingPointError.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
@@ -147,19 +160,27 @@ def advance(x, v, a0, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.n
             raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
         x_new, v_new = x + dt * v, v + dt * a0
     elif scheme == "rk4":
+        def stage(xs, vs):
+            _require_finite(xs, vs, "at an rk4 stage")
+            return accel(xs, vs)
+
         kx2 = v + 0.5 * dt * a0
-        kv2 = accel(x + 0.5 * dt * v, kx2)
+        kv2 = stage(x + 0.5 * dt * v, kx2)
         kx3 = v + 0.5 * dt * kv2
-        kv3 = accel(x + 0.5 * dt * kx2, kx3)
+        kv3 = stage(x + 0.5 * dt * kx2, kx3)
         kx4 = v + dt * kv3
-        kv4 = accel(x + dt * kx3, kx4)
+        kv4 = stage(x + dt * kx3, kx4)
         x_new = x + dt / 6.0 * (v + 2.0 * (kx2 + kx3) + kx4)
         v_new = v + dt / 6.0 * (a0 + 2.0 * (kv2 + kv3) + kv4)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
-        raise FloatingPointError("non-finite state after time step")
+    _require_finite(x_new, v_new, "after time step")
     return x_new, v_new
+
+
+def _require_finite(x, v, when: str):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        raise FloatingPointError(f"non-finite state {when}")
 
 
 def step(
@@ -173,7 +194,8 @@ def step(
 
     ``matrix``, when given, is the ensemble's own influence matrix and serves
     the acceleration at the step's starting state (Euler's only one, rk4's
-    stage 1); every later rk4 stage builds its own.
+    stage 1); every later rk4 stage builds its own.  Mass particles are a
+    ``model`` with ``masses``.
     """
 
     def accel(x, v):
@@ -342,7 +364,8 @@ def simulate(
     def stepper(state: AgentEnsemble, t: float):
         matrix = build_matrix(state, model, dist)
         stepped = step(state, model, dt, scheme, matrix)
-        return matrix, AgentEnsemble(t=t, positions=stepped.positions, velocities=stepped.velocities)
+        stepped.t = t
+        return matrix, stepped
 
     rows = march(initial, stepper, measure, step_times(initial.t, dt, t_final), observers, stop)
     return TrajectoryRecord(*(np.array(series) for series in zip(*rows)))

@@ -4,10 +4,11 @@ The 1D Eulerian solver advances cell densities with a conservative
 donor-cell upwind flux and cell velocities with non-conservative upwind
 advection plus relaxation toward the density-weighted nonlocal average.  The
 exterior is vacuum, so mass only changes if the support actually reaches the
-boundary.  The Lagrangian form follows mass particles along characteristics
-in 1, 2 or 3 dimensions: an :class:`~flocklab.dynamics.AgentEnsemble` stepped
-by the relative-influence (mt) model with mass-weighted matrix columns, so
-with unit masses it is that particle model bit for bit.
+boundary.  The Lagrangian form, mass particles along characteristics in 1, 2
+or 3 dimensions, is :func:`flocklab.dynamics.step` on an mt
+:class:`~flocklab.dynamics.ModelSpec` with ``masses``: the matrix columns
+are weighted by mass, so with unit masses it is that particle model bit for
+bit.
 
 :func:`nonlocal_average` averages every cell of a state; the Eulerian step
 calls it on the occupied span only, since vacuum cells are never relaxed.
@@ -19,9 +20,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .dynamics import AgentEnsemble, ModelSpec, advance, rhs
 from .errors import StabilityError
-from .influence import InfluenceFunction, build_mt, eval_influence, pairwise_distances
+from .influence import InfluenceFunction, eval_influence
 
 CFL_LIMIT = 0.9
 # Cells this far below the density peak are vacuum: excluded from the
@@ -165,31 +165,6 @@ def step_eulerian(
     u_new[vacuum] = u[vacuum]
 
     return HydroState1D(x_min=state.x_min, dx=dx, rho=rho_new, u=u_new, t=state.t + dt)
-
-
-def step_lagrangian(
-    particles: AgentEnsemble,
-    masses: np.ndarray,
-    phi: InfluenceFunction,
-    alpha: float,
-    dt: float,
-    scheme: str = "euler",
-) -> AgentEnsemble:
-    """Advance mass particles one step with 'euler' or 'rk4': the mt model
-    with its matrix columns weighted by the masses, one finite positive mass
-    per particle, rebuilt at every rk4 stage."""
-    masses = np.asarray(masses, dtype=float)
-    if masses.shape != (particles.n,) or not np.all(np.isfinite(masses) & (masses > 0)):
-        raise ValueError("masses must be one finite positive value per particle")
-    model = ModelSpec(model="mt", phi=phi, alpha=alpha)
-
-    def accel(x, v):
-        stage = AgentEnsemble(t=particles.t, positions=x, velocities=v)
-        return rhs(stage, model, build_mt(pairwise_distances(x), phi, masses))
-
-    x, v = particles.positions, particles.velocities
-    x, v = advance(x, v, accel(x, v), accel, alpha, dt, scheme)
-    return AgentEnsemble(t=particles.t + dt, positions=x, velocities=v)
 
 
 def hydro_diameters(

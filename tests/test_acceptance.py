@@ -19,7 +19,6 @@ from flocklab.flocking import certify, energy, fit_exponential_rate, solve_flock
 from flocklab.hydro import (
     HydroState1D,
     hydro_diameters,
-    step_lagrangian,
     step_eulerian,
 )
 from flocklab.influence import InfluenceFunction
@@ -270,8 +269,9 @@ def test_acceptance_11_lagrangian_oracle_equivalence():
     )
     assert len(states) == 1001
     parts = states[0]
+    unit_masses = ModelSpec(model="mt", phi=phi, alpha=1.0, masses=np.ones(8))
     for snap in states[1:]:
-        parts = step_lagrangian(parts, np.ones(8), phi, alpha=1.0, dt=0.01, scheme="rk4")
+        parts = step(parts, unit_masses, 0.01, "rk4")
         assert np.array_equal(parts.positions, snap.positions)
         assert np.array_equal(parts.velocities, snap.velocities)
     ok(11, "unit-mass trajectories equal the particle model bit for bit over T=10")

@@ -555,6 +555,53 @@ def test_a_failed_run_leaves_no_partial_table(tmp_path, monkeypatch, command, ta
         assert not (out / table).exists(), table
 
 
+OVERFLOW_DOC = """
+[model]
+model = cs
+s = 0.5
+alpha = 1e170
+
+[initial]
+kind = explicit
+positions = 0 0; 1 0; 0 1
+velocities = 1e150 0; -1e150 0; 0 1e150
+
+[integration]
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "integration",
+    ["dt = 0.05\nT = 1\nscheme = rk4\n", "dt = 1e-171\nT = 1e-170\n"],
+    ids=["rk4", "euler"],
+)
+def test_an_overflowing_step_exits_three(tmp_path, capsys, integration):
+    # the coupling overflows at the first step: under rk4 inside a stage,
+    # under Euler in its result; either way a runtime failure, not bad input
+    cfg = write(tmp_path, OVERFLOW_DOC + integration)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "non-finite state" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_hydro_builds_two_states_per_step(tmp_path, monkeypatch):
+    # the initial state, then per step the occupied span's state and the
+    # stepped state, stamped on the step grid in place
+    built = []
+    post_init = HydroState1D.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HydroState1D, "__post_init__", counting)
+    cfg = write(tmp_path, HYDRO_DOC)
+    assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "hydro"), "--quiet"]) == 0
+    assert len(built) == 1 + 2 * 25
+
+
 def test_block_csv_matches_per_cell_formatting(tmp_path):
     odd = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 1 / 3, 2.0, -7.5e-300])
     centers = -12.0 + 0.01 * (np.arange(odd.size) + 0.5)

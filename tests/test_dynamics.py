@@ -74,6 +74,11 @@ def test_model_spec_validation():
         ModelSpec(model="mt", phi=PHI1, alpha=1.0, beta=0.5)  # stray parameter
     with pytest.raises(ValueError):
         ModelSpec(model="nope", phi=PHI1, alpha=1.0)
+    # masses weight the mt model's columns and no other model's
+    for extra in ({"model": "cs"}, {"model": "leader", "beta": 0.3, "leader": 0},
+                  {"model": "vision", "gamma": 0.0, "normalization": "mt-style"}):
+        with pytest.raises(ValueError, match="masses"):
+            ModelSpec(phi=PHI1, alpha=1.0, masses=np.ones(2), **extra)
 
 
 # ---------------------------------------------------------------------- rhs
@@ -433,6 +438,37 @@ def test_step_builds_no_ensemble_for_its_starting_state(monkeypatch, scheme, exp
     monkeypatch.setattr(AgentEnsemble, "__post_init__", counting)
     step(ens, model, 0.05, scheme, matrix)
     assert len(built) == expected
+
+
+def test_euler_simulate_builds_each_state_once(monkeypatch):
+    # the initial state, then the one ensemble each step returns, stamped on
+    # the step grid in place
+    built = []
+    post_init = AgentEnsemble.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AgentEnsemble, "__post_init__", counting)
+    record = simulate(random_ensemble(9, n=6), model_for("mt", 6), dt=0.05, t_final=1.0)
+    assert len(record.times) == 21
+    assert len(built) == 1 + 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("masses", [None, np.array([1.0, 2.0, 0.5])], ids=["agents", "masses"])
+def test_rk4_stage_overflow_raises_floating_point_error(masses):
+    # alpha*(a v - v) overflows at the starting state, so rk4's second stage
+    # starts non-finite: a runtime failure, not an ensemble's bad input
+    ens = AgentEnsemble(
+        t=0.0,
+        positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        velocities=np.array([[1e150, 0.0], [-1e150, 0.0], [0.0, 1e150]]),
+    )
+    model = ModelSpec(model="mt", phi=InfluenceFunction.power_law(0.5), alpha=1e170, masses=masses)
+    with pytest.raises(FloatingPointError, match="rk4 stage"):
+        step(ens, model, 0.05, "rk4")
 
 
 def test_leader_run_converges_to_leader_velocity():

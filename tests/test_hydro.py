@@ -6,7 +6,7 @@ import pytest
 
 from flocklab import hydro
 from flocklab.activeset import lemma_action_bound
-from flocklab.dynamics import AgentEnsemble, ModelSpec, rhs, simulate
+from flocklab.dynamics import AgentEnsemble, ModelSpec, rhs, simulate, step
 from flocklab.errors import StabilityError
 from flocklab.flocking import certify
 from flocklab.hydro import (
@@ -14,13 +14,17 @@ from flocklab.hydro import (
     hydro_diameters,
     nonlocal_average,
     step_eulerian,
-    step_lagrangian,
 )
 from flocklab.influence import InfluenceFunction, build_mt, eval_influence, pairwise_distances
 from flocklab.rng import SplitMix64
 
 PHI1 = InfluenceFunction.power_law(1.0)
 PHI_SLOW = InfluenceFunction.power_law(0.25)
+
+
+def mass_particles(masses, alpha=1.0):
+    """The mt model on PHI1 with mass-weighted matrix columns."""
+    return ModelSpec(model="mt", phi=PHI1, alpha=alpha, masses=masses)
 
 
 def two_bump_state(x_min=-12.0, dx=0.05, centers=(-4.0, 4.0), width=0.5, speed=0.5):
@@ -294,7 +298,7 @@ def test_single_particle_moves_straight():
         t=0.0, positions=np.array([[0.0, 0.0]]), velocities=np.array([[0.3, -0.4]])
     )
     for _ in range(10):
-        parts = step_lagrangian(parts, np.array([2.0]), PHI1, alpha=1.0, dt=0.1)
+        parts = step(parts, mass_particles(np.array([2.0])), dt=0.1)
     assert parts.positions[0] == pytest.approx(np.array([0.3, -0.4]), abs=1e-12)
     assert parts.velocities[0] == pytest.approx(np.array([0.3, -0.4]), abs=1e-15)
     assert parts.t == pytest.approx(1.0)
@@ -318,7 +322,7 @@ def test_equal_mass_lagrangian_matches_particle_model(scheme):
     assert len(states) == 501
     parts = states[0]
     for snap in states[1:]:
-        parts = step_lagrangian(parts, np.ones(8), PHI1, alpha=1.0, dt=0.01, scheme=scheme)
+        parts = step(parts, mass_particles(np.ones(8)), dt=0.01, scheme=scheme)
         assert np.array_equal(parts.positions, snap.positions)
         assert np.array_equal(parts.velocities, snap.velocities)
 
@@ -337,7 +341,7 @@ def test_lagrangian_euler_velocity_diameter_monotone():
         return float(np.max(np.linalg.norm(v[:, None] - v[None, :], axis=-1)))
 
     for _ in range(50):
-        new = step_lagrangian(parts, masses, PHI1, alpha=2.0, dt=0.5)  # alpha*dt = 1
+        new = step(parts, mass_particles(masses, alpha=2.0), dt=0.5)  # alpha*dt = 1
         assert spread(new) <= spread(parts) + 1e-12
         parts = new
 
@@ -345,11 +349,37 @@ def test_lagrangian_euler_velocity_diameter_monotone():
 def test_lagrangian_euler_guard_and_mass_validation():
     parts = AgentEnsemble(t=0.0, positions=np.zeros((2, 1)), velocities=np.ones((2, 1)))
     with pytest.raises(StabilityError):
-        step_lagrangian(parts, np.ones(2), PHI1, alpha=3.0, dt=0.5)
-    # wrong shapes, a zero mass and an infinite one
-    for masses in (np.ones(3), np.ones((2, 1)), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
+        step(parts, mass_particles(np.ones(2), alpha=3.0), dt=0.5)
+    # wrong shapes, a zero mass and an infinite one; a single mass would
+    # broadcast over both columns in build_mt if its length went unchecked
+    for masses in (np.ones(3), np.ones((2, 1)), np.array([1.0, 0.0]), np.array([1.0, np.inf]),
+                   np.array([2.0])):
         with pytest.raises(ValueError, match="masses"):
-            step_lagrangian(parts, masses, PHI1, alpha=1.0, dt=0.1)
+            step(parts, mass_particles(masses), dt=0.1)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_unit_mass_simulate_equals_the_plain_mt_run(scheme):
+    rng = np.random.default_rng(22)
+    ens = AgentEnsemble(
+        t=0.0, positions=rng.uniform(0, 4, size=(9, 2)), velocities=rng.uniform(-1, 1, size=(9, 2))
+    )
+    runs = []
+    for masses in (None, np.ones(9)):
+        states = []
+        record = simulate(
+            ens, ModelSpec(model="mt", phi=PHI1, alpha=1.0, masses=masses), dt=0.05, t_final=3.0,
+            scheme=scheme, observers=[lambda k, state, row, built: states.append(state)],
+        )
+        runs.append((record, states))
+    (plain, plain_states), (unit, unit_states) = runs
+    for series in ("times", "position_diameter", "velocity_diameter", "momentum"):
+        assert np.array_equal(getattr(plain, series), getattr(unit, series)), series
+    assert len(plain_states) == len(unit_states) == 61
+    for a, b in zip(plain_states, unit_states):
+        assert a.t == b.t
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.velocities, b.velocities)
 
 
 def test_lagrangian_rejects_a_negative_alpha():
@@ -358,7 +388,7 @@ def test_lagrangian_rejects_a_negative_alpha():
         t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])
     )
     with pytest.raises(ValueError, match="alpha"):
-        step_lagrangian(parts, np.ones(2), PHI1, alpha=-1.0, dt=0.1)
+        step(parts, mass_particles(np.ones(2), alpha=-1.0), dt=0.1)
 
 
 # ------------------------------------------------------------------ diameters
