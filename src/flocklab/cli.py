@@ -3,8 +3,8 @@
 Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
 :func:`parse_args` reads the fixed command line (a usage error exits 2 before
 anything is written).  :func:`main` loads the scenario (--config, with --seed
-applied), creates --out, which it removes again if the run exits 2, and calls
-``cmd_x(scenario, out, args)``; that writes its CSV files and returns
+applied), creates --out, which it removes again if the run exits 2 or 3, and
+calls ``cmd_x(scenario, out, args)``; that writes its CSV files and returns
 ``(summary body, exit code)``, and ``main`` writes the body, headed by the
 command name and the PRNG identifier, to the ``[output] summary`` file
 (summary.json without a scenario).  ``simulate``, each ``sweep`` value and the
@@ -540,7 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sc = parse_scenario(Path(args.config).read_text()) if args.config else None
         if sc is not None and args.seed is not None:
             sc = with_override(sc, seed=args.seed)
-        # the outermost directory this run creates, removed again if it exits 2
+        # the outermost directory this run creates, removed again if it exits 2 or 3
         created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
         body, code = _COMMANDS[args.command](sc, out, args)
@@ -549,13 +549,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         (out / (sc.out_summary if sc else "summary.json")).write_text(text)
         return code
     except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
-        return EXIT_BAD_INPUT
+        error, code = exc, EXIT_BAD_INPUT
     except (FloatingPointError, FlockLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        error, code = exc, EXIT_RUNTIME
+    print(f"error: {error}", file=sys.stderr)
+    if created is not None:
+        shutil.rmtree(created, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

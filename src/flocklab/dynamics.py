@@ -202,7 +202,10 @@ def step(
         return rhs(AgentEnsemble(t=ensemble.t, positions=x, velocities=v), model)
 
     x, v = ensemble.positions, ensemble.velocities
-    x, v = advance(x, v, rhs(ensemble, model, matrix), accel, model.alpha, dt, scheme)
+    # an overflow leaves a non-finite state, which advance raises as
+    # FloatingPointError: numpy's warning would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, v = advance(x, v, rhs(ensemble, model, matrix), accel, model.alpha, dt, scheme)
     return AgentEnsemble(t=ensemble.t + dt, positions=x, velocities=v)
 
 

@@ -456,7 +456,6 @@ def test_euler_simulate_builds_each_state_once(monkeypatch):
     assert len(built) == 1 + 20
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("masses", [None, np.array([1.0, 2.0, 0.5])], ids=["agents", "masses"])
 def test_rk4_stage_overflow_raises_floating_point_error(masses):
     # alpha*(a v - v) overflows at the starting state, so rk4's second stage
