@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +29,8 @@ from .influence import (
 )
 
 MODEL_KINDS = ("cs", "mt", "leader", "vision")
+# advance's integration schemes
+SCHEMES = ("euler", "rk4")
 
 
 class AgentEnsemble:
@@ -249,12 +252,15 @@ def diameter(points: np.ndarray) -> float:
         return 0.0
     columns = np.ascontiguousarray(points.T)
     projections = _extreme_directions(len(columns)) @ columns
-    ends = columns[:, projections.argmax(axis=1)] - columns[:, projections.argmin(axis=1)]
-    lower = float(_norms(ends).max())
-    # |x - corner| per axis; both differences are >= 0, as computed too
-    low, high = columns.min(axis=1, keepdims=True), columns.max(axis=1, keepdims=True)
-    reach = np.maximum(columns - low, high - columns)
-    survivors = points[_norms(reach) > lower]
+    # a difference or square that overflows gives an infinite diameter, which
+    # diameters() raises: numpy's warning would only repeat it on stderr
+    with np.errstate(over="ignore"):
+        ends = columns[:, projections.argmax(axis=1)] - columns[:, projections.argmin(axis=1)]
+        lower = float(_norms(ends).max())
+        # |x - corner| per axis; both differences are >= 0, as computed too
+        low, high = columns.min(axis=1, keepdims=True), columns.max(axis=1, keepdims=True)
+        reach = np.maximum(columns - low, high - columns)
+        survivors = points[_norms(reach) > lower]
     if len(survivors) < 2:
         return lower
     return max(lower, float(influence.pairwise_distances(survivors).max()))
@@ -264,12 +270,18 @@ def diameters(
     ensemble: AgentEnsemble, position_distances: Optional[np.ndarray] = None
 ) -> Tuple[float, float]:
     """Max pairwise position and velocity distances; ``position_distances``,
-    when given, is the positions' distance matrix and d_X is its max."""
+    when given, is the positions' distance matrix and d_X is its max.  A
+    diameter that overflows raises FloatingPointError: no bound holds for it."""
     if position_distances is None:
         d_x = diameter(ensemble.positions)
     else:
         d_x = float(position_distances.max())
-    return d_x, diameter(ensemble.velocities)
+    d_v = diameter(ensemble.velocities)
+    if not (math.isfinite(d_x) and math.isfinite(d_v)):
+        raise FloatingPointError(
+            f"non-finite diameter at t={ensemble.t:g}: d_X {d_x:g}, d_V {d_v:g}"
+        )
+    return d_x, d_v
 
 
 def bulk_momentum(ensemble: AgentEnsemble) -> np.ndarray:

@@ -26,11 +26,15 @@ ROW_SUM_TOL = 1e-12
 # agents see everyone (see build_vision).
 ZERO_SPEED_THRESHOLD = 1e-12
 
+INFLUENCE_KINDS = ("power-law", "power-law-with-cutoff", "tabulated")
+# build_vision's row normalizations, after build_cs and build_mt
+NORMALIZATIONS = ("cs-style", "mt-style")
+
 
 class InfluenceFunction:
     """Non-increasing kernel with value 1 at r = 0.
 
-    kind: "power-law", "power-law-with-cutoff" or "tabulated".
+    kind: one of INFLUENCE_KINDS.
     s: exponent of the power law (positive).
     cutoff: radius beyond which the cutoff kind is exactly 0.
     table: (r, value) knots, r strictly increasing from 0, values
@@ -48,13 +52,15 @@ class InfluenceFunction:
         self.__post_init__()
 
     def __post_init__(self):
-        if self.kind in ("power-law", "power-law-with-cutoff"):
+        if self.kind not in INFLUENCE_KINDS:
+            raise ValueError(f"unknown influence kind {self.kind!r}")
+        if self.kind != "tabulated":
             if self.s is None or not (self.s > 0):
                 raise ValueError("power-law exponent s must be positive")
             if self.kind == "power-law-with-cutoff":
                 if self.cutoff is None or not (self.cutoff > 0):
                     raise ValueError("cutoff radius must be positive")
-        elif self.kind == "tabulated":
+        else:
             if not self.table:
                 raise ValueError("tabulated kind needs a non-empty table")
             rs = np.array([p[0] for p in self.table], dtype=float)
@@ -67,8 +73,6 @@ class InfluenceFunction:
                 raise ValueError("table values must be non-increasing")
             if np.any(vals < 0):
                 raise ValueError("table values must be non-negative")
-        else:
-            raise ValueError(f"unknown influence kind {self.kind!r}")
 
     @classmethod
     def power_law(cls, s: float) -> "InfluenceFunction":
@@ -219,15 +223,17 @@ def pairwise_distances(points: np.ndarray, out: Optional[np.ndarray] = None) -> 
     if out is None:
         out = np.empty((n, n))
     scratch = np.empty((n, n)) if d > 1 else None
-    for k, column in enumerate(np.ascontiguousarray(points.T)):
-        term = scratch if k else out
-        # x_ik - x_jk as a row fill then a row subtraction, which numpy runs
-        # faster than the equal np.subtract.outer
-        np.copyto(term, column[:, None])
-        term -= column
-        np.square(term, out=term)
-        if k:
-            out += term
+    # an overflow gives an infinite distance, whose diameter the caller raises
+    with np.errstate(over="ignore"):
+        for k, column in enumerate(np.ascontiguousarray(points.T)):
+            term = scratch if k else out
+            # x_ik - x_jk as a row fill then a row subtraction, which numpy runs
+            # faster than the equal np.subtract.outer
+            np.copyto(term, column[:, None])
+            term -= column
+            np.square(term, out=term)
+            if k:
+                out += term
     return np.sqrt(out, out=out)
 
 
@@ -296,8 +302,8 @@ def build_vision(
     """
     if not (-1.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [-1, 1]")
-    if normalization not in ("cs-style", "mt-style"):
-        raise ValueError("normalization must be 'cs-style' or 'mt-style'")
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"normalization must be {' or '.join(map(repr, NORMALIZATIONS))}")
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     n = distances.shape[0]

@@ -1,11 +1,12 @@
 """Scenario documents: flat sectioned key = value files.
 
 Sections are [model], [initial], [integration], [output] and [hydro]; a #
-starts a comment.  Unknown sections or keys are rejected with their line
-number, missing required keys and out-of-range values name the key.  Parsing
-returns a fully resolved Scenario (defaults filled in).  A scenario whose
-[initial] values, the seed aside, are all defaults (a hydro document) skips
-the [initial] checks until a particle command builds its state.
+starts a comment.  Each key is one row of :data:`_SCHEMA`.  Unknown sections
+or keys are rejected with their line number; missing required keys and
+out-of-range values, a number that is not finite among them, name the key.
+Parsing returns a fully resolved Scenario (defaults filled in).  A scenario
+whose [initial] values, the seed aside, are all defaults (a hydro document)
+skips the [initial] checks until a particle command builds its state.
 
 Random initial conditions use the splitmix64 generator (see
 :mod:`flocklab.rng`): positions agent by agent, axis by axis, then velocities
@@ -16,65 +17,127 @@ positions offset by the separation along the first axis, then all velocities.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .dynamics import AgentEnsemble, ModelSpec
+from .dynamics import MODEL_KINDS, SCHEMES, AgentEnsemble, ModelSpec
 from .errors import ScenarioError
 from .hydro import HydroState1D
-from .influence import InfluenceFunction
+from .influence import INFLUENCE_KINDS, NORMALIZATIONS, InfluenceFunction
 from .rng import SplitMix64
 
-SECTIONS = ("model", "initial", "integration", "output", "hydro")
+
+def _parse_float(raw: str, key: str, line: int) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ScenarioError(f"expected a number, got {raw!r}", key=key, line=line) from None
 
 
-class Scenario(NamedTuple):
-    # [model]
-    model: str = "mt"
-    phi_kind: str = "power-law"
-    s: Optional[float] = None
-    cutoff: Optional[float] = None
-    table: Optional[Tuple[Tuple[float, float], ...]] = None
-    alpha: float = 1.0
-    beta: Optional[float] = None
-    leader: Optional[int] = None
-    gamma: Optional[float] = None
-    normalization: Optional[str] = None
-    # [initial]
-    ic_kind: str = "random"
-    n: Optional[int] = None
-    dim: int = 2
-    seed: Optional[int] = None
-    pos_min: float = 0.0
-    pos_max: float = 10.0
-    vel_min: float = -1.0
-    vel_max: float = 1.0
-    n1: Optional[int] = None
-    n2: Optional[int] = None
-    separation: Optional[float] = None
-    group_spread: float = 1.0
-    positions: Optional[Tuple[Tuple[float, ...], ...]] = None
-    velocities: Optional[Tuple[Tuple[float, ...], ...]] = None
-    # [integration]
-    dt: float = 0.01
-    t_final: float = 10.0
-    scheme: str = "euler"
-    snapshot_stride: int = 0
-    # [output]
-    out_diagnostics: str = "diagnostics.csv"
-    out_snapshots: str = "snapshots.csv"
-    out_summary: str = "summary.json"
-    out_fields: str = "fields.csv"
-    # [hydro]
-    hydro_x_min: float = -12.0
-    hydro_x_max: float = 12.0
-    hydro_dx: float = 0.05
-    hydro_profile: str = "two-bump"
-    hydro_centers: Tuple[float, ...] = (-4.0, 4.0)
-    hydro_width: float = 0.5
-    hydro_speeds: Tuple[float, ...] = (0.5, -0.5)
-    hydro_epsilon: float = 1e-6
+def _parse_int(raw: str, key: str, line: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(f"expected an integer, got {raw!r}", key=key, line=line) from None
+
+
+def _parse_floats(raw: str, key: str, line: int) -> Tuple[float, ...]:
+    return tuple(_parse_float(tok, key, line) for tok in raw.split())
+
+
+def _parse_points(raw: str, key: str, line: int) -> Tuple[Tuple[float, ...], ...]:
+    pts = []
+    for chunk in raw.split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            pts.append(_parse_floats(chunk, key, line))
+    if not pts:
+        raise ScenarioError("expected semicolon-separated points", key=key, line=line)
+    if len({len(p) for p in pts}) != 1:
+        raise ScenarioError("points must share one dimension", key=key, line=line)
+    return tuple(pts)
+
+
+def _parse_table(raw: str, key: str, line: int) -> Tuple[Tuple[float, float], ...]:
+    knots = []
+    for tok in raw.split():
+        if ":" not in tok:
+            raise ScenarioError("table entries are r:value pairs", key=key, line=line)
+        r, v = tok.split(":", 1)
+        knots.append((_parse_float(r, key, line), _parse_float(v, key, line)))
+    return tuple(knots)
+
+
+# Every document key, once: (section, key, Scenario field, parser, default).
+# A parser takes (raw, key, line); str keeps the raw text.  Scenario's fields,
+# the parse lookup, the summary.json echo and the sweep lookup all read this.
+_SCHEMA = (
+    ("model", "model", "model", str, "mt"),
+    ("model", "phi", "phi_kind", str, "power-law"),
+    ("model", "s", "s", _parse_float, None),
+    ("model", "cutoff", "cutoff", _parse_float, None),
+    ("model", "table", "table", _parse_table, None),
+    ("model", "alpha", "alpha", _parse_float, 1.0),
+    ("model", "beta", "beta", _parse_float, None),
+    ("model", "leader", "leader", _parse_int, None),
+    ("model", "gamma", "gamma", _parse_float, None),
+    ("model", "normalization", "normalization", str, None),
+    ("initial", "kind", "ic_kind", str, "random"),
+    ("initial", "N", "n", _parse_int, None),
+    ("initial", "dim", "dim", _parse_int, 2),
+    ("initial", "seed", "seed", _parse_int, None),
+    ("initial", "pos_min", "pos_min", _parse_float, 0.0),
+    ("initial", "pos_max", "pos_max", _parse_float, 10.0),
+    ("initial", "vel_min", "vel_min", _parse_float, -1.0),
+    ("initial", "vel_max", "vel_max", _parse_float, 1.0),
+    ("initial", "N1", "n1", _parse_int, None),
+    ("initial", "N2", "n2", _parse_int, None),
+    ("initial", "D", "separation", _parse_float, None),
+    ("initial", "group_spread", "group_spread", _parse_float, 1.0),
+    ("initial", "positions", "positions", _parse_points, None),
+    ("initial", "velocities", "velocities", _parse_points, None),
+    ("integration", "dt", "dt", _parse_float, 0.01),
+    ("integration", "T", "t_final", _parse_float, 10.0),
+    ("integration", "scheme", "scheme", str, "euler"),
+    ("integration", "snapshot_stride", "snapshot_stride", _parse_int, 0),
+    ("output", "diagnostics", "out_diagnostics", str, "diagnostics.csv"),
+    ("output", "snapshots", "out_snapshots", str, "snapshots.csv"),
+    ("output", "summary", "out_summary", str, "summary.json"),
+    ("output", "fields", "out_fields", str, "fields.csv"),
+    ("hydro", "x_min", "hydro_x_min", _parse_float, -12.0),
+    ("hydro", "x_max", "hydro_x_max", _parse_float, 12.0),
+    ("hydro", "dx", "hydro_dx", _parse_float, 0.05),
+    ("hydro", "profile", "hydro_profile", str, "two-bump"),
+    ("hydro", "centers", "hydro_centers", _parse_floats, (-4.0, 4.0)),
+    ("hydro", "width", "hydro_width", _parse_float, 0.5),
+    ("hydro", "speeds", "hydro_speeds", _parse_floats, (0.5, -0.5)),
+    ("hydro", "epsilon", "hydro_epsilon", _parse_float, 1e-6),
+)
+
+SECTIONS = tuple(dict.fromkeys(section for section, *_ in _SCHEMA))
+_PARSE = {(section, key): (name, parser) for section, key, name, parser, _ in _SCHEMA}
+# [initial] less the seed, which verify-lemma reads too and --seed sets for every command
+_PARTICLE_ROWS = [
+    (name, default) for section, key, name, _, default in _SCHEMA
+    if section == "initial" and key != "seed"
+]
+# the float-valued parsers, each with its message for a number that is not finite
+_NOT_FINITE = {
+    _parse_float: "out of range: must be finite",
+    _parse_floats: "out of range: must be finite",
+    _parse_table: "out of range: must be finite",
+    _parse_points: "coordinates must be finite",
+}
+
+
+class Scenario(
+    namedtuple("Scenario", [row[2] for row in _SCHEMA], defaults=[row[4] for row in _SCHEMA])
+):
+    """A resolved scenario document: one field per :data:`_SCHEMA` row, in order."""
+
+    __slots__ = ()
 
     def build_phi(self) -> InfluenceFunction:
         if self.phi_kind == "power-law":
@@ -132,104 +195,14 @@ class Scenario(NamedTuple):
         return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"expected a number, got {raw!r}", key=key, line=line) from None
-
-
-def _parse_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"expected an integer, got {raw!r}", key=key, line=line) from None
-
-
-def _parse_floats(raw: str, key: str, line: int) -> Tuple[float, ...]:
-    return tuple(_parse_float(tok, key, line) for tok in raw.split())
-
-
-def _parse_points(raw: str, key: str, line: int) -> Tuple[Tuple[float, ...], ...]:
-    pts = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            pts.append(_parse_floats(chunk, key, line))
-    if not pts:
-        raise ScenarioError("expected semicolon-separated points", key=key, line=line)
-    if len({len(p) for p in pts}) != 1:
-        raise ScenarioError("points must share one dimension", key=key, line=line)
-    return tuple(pts)
-
-
-def _parse_table(raw: str, key: str, line: int) -> Tuple[Tuple[float, float], ...]:
-    knots = []
-    for tok in raw.split():
-        if ":" not in tok:
-            raise ScenarioError("table entries are r:value pairs", key=key, line=line)
-        r, v = tok.split(":", 1)
-        knots.append((_parse_float(r, key, line), _parse_float(v, key, line)))
-    return tuple(knots)
-
-
-# key -> (section, scenario field, parser); parsers taking (raw, key, line)
-_KEYMAP = {
-    ("model", "model"): ("model", str),
-    ("model", "phi"): ("phi_kind", str),
-    ("model", "s"): ("s", _parse_float),
-    ("model", "cutoff"): ("cutoff", _parse_float),
-    ("model", "table"): ("table", _parse_table),
-    ("model", "alpha"): ("alpha", _parse_float),
-    ("model", "beta"): ("beta", _parse_float),
-    ("model", "leader"): ("leader", _parse_int),
-    ("model", "gamma"): ("gamma", _parse_float),
-    ("model", "normalization"): ("normalization", str),
-    ("initial", "kind"): ("ic_kind", str),
-    ("initial", "N"): ("n", _parse_int),
-    ("initial", "dim"): ("dim", _parse_int),
-    ("initial", "seed"): ("seed", _parse_int),
-    ("initial", "pos_min"): ("pos_min", _parse_float),
-    ("initial", "pos_max"): ("pos_max", _parse_float),
-    ("initial", "vel_min"): ("vel_min", _parse_float),
-    ("initial", "vel_max"): ("vel_max", _parse_float),
-    ("initial", "N1"): ("n1", _parse_int),
-    ("initial", "N2"): ("n2", _parse_int),
-    ("initial", "D"): ("separation", _parse_float),
-    ("initial", "group_spread"): ("group_spread", _parse_float),
-    ("initial", "positions"): ("positions", _parse_points),
-    ("initial", "velocities"): ("velocities", _parse_points),
-    ("integration", "dt"): ("dt", _parse_float),
-    ("integration", "T"): ("t_final", _parse_float),
-    ("integration", "scheme"): ("scheme", str),
-    ("integration", "snapshot_stride"): ("snapshot_stride", _parse_int),
-    ("output", "diagnostics"): ("out_diagnostics", str),
-    ("output", "snapshots"): ("out_snapshots", str),
-    ("output", "summary"): ("out_summary", str),
-    ("output", "fields"): ("out_fields", str),
-    ("hydro", "x_min"): ("hydro_x_min", _parse_float),
-    ("hydro", "x_max"): ("hydro_x_max", _parse_float),
-    ("hydro", "dx"): ("hydro_dx", _parse_float),
-    ("hydro", "profile"): ("hydro_profile", str),
-    ("hydro", "centers"): ("hydro_centers", _parse_floats),
-    ("hydro", "width"): ("hydro_width", _parse_float),
-    ("hydro", "speeds"): ("hydro_speeds", _parse_floats),
-    ("hydro", "epsilon"): ("hydro_epsilon", _parse_float),
-}
-
-_FIELD_TO_KEY = {field: (sec, key) for (sec, key), (field, _) in _KEYMAP.items()}
-# [initial] less the seed, which verify-lemma reads too and --seed sets for every command
-_PARTICLE_FIELDS = [f for (s, k), (f, _) in _KEYMAP.items() if s == "initial" and k != "seed"]
-_DEFAULTS = Scenario()
-
-# sweepable key -> (section, does the scenario read it?, why it would not)
+# sweepable key -> (does the scenario read it?, why it would not)
 _SWEEPABLE = {
-    "s": ("model", lambda sc: sc.phi_kind != "tabulated", "a tabulated kernel has no exponent"),
-    "alpha": ("model", lambda sc: True, ""),
-    "beta": ("model", lambda sc: sc.model == "leader", "only the leader model reads it"),
-    "gamma": ("model", lambda sc: sc.model == "vision", "only the vision model reads it"),
-    "N": ("initial", lambda sc: sc.ic_kind == "random", "only kind = random reads it"),
-    "D": ("initial", lambda sc: sc.ic_kind == "two-group", "only kind = two-group reads it"),
+    "s": (lambda sc: sc.phi_kind != "tabulated", "a tabulated kernel has no exponent"),
+    "alpha": (lambda sc: True, ""),
+    "beta": (lambda sc: sc.model == "leader", "only the leader model reads it"),
+    "gamma": (lambda sc: sc.model == "vision", "only the vision model reads it"),
+    "N": (lambda sc: sc.ic_kind == "random", "only kind = random reads it"),
+    "D": (lambda sc: sc.ic_kind == "two-group", "only kind = two-group reads it"),
 }
 SWEEPABLE_KEYS = tuple(_SWEEPABLE)
 
@@ -254,9 +227,9 @@ def parse_scenario(text: str) -> Scenario:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if (section, key) not in _KEYMAP:
+        if (section, key) not in _PARSE:
             raise ScenarioError(f"unknown key in [{section}]", key=key, line=lineno)
-        field_name, parser = _KEYMAP[(section, key)]
+        field_name, parser = _PARSE[(section, key)]
         if field_name in values:
             raise ScenarioError("duplicate key", key=key, line=lineno)
         if parser is str:
@@ -274,13 +247,18 @@ def _require(cond: bool, message: str, key: str):
         raise ScenarioError(message, key=key)
 
 
+def _finite(value) -> bool:
+    """Whether every number of a parsed value, a float or nested tuples of floats, is finite."""
+    return all(map(_finite, value)) if isinstance(value, tuple) else math.isfinite(value)
+
+
 def validate_scenario(sc: Scenario) -> None:
-    _require(sc.model in ("cs", "mt", "leader", "vision"), "unknown model kind", "model")
-    _require(
-        sc.phi_kind in ("power-law", "power-law-with-cutoff", "tabulated"),
-        "unknown influence kind",
-        "phi",
-    )
+    # every number must be finite: no range check or bound holds for inf or nan
+    for (_, key, _, parser, _), value in zip(_SCHEMA, sc):
+        if parser in _NOT_FINITE and value is not None:
+            _require(_finite(value), _NOT_FINITE[parser], key)
+    _require(sc.model in MODEL_KINDS, "unknown model kind", "model")
+    _require(sc.phi_kind in INFLUENCE_KINDS, "unknown influence kind", "phi")
     if sc.phi_kind in ("power-law", "power-law-with-cutoff"):
         _require(sc.s is not None, "missing required key", "s")
         _require(sc.s > 0, "out of range: must be positive", "s")
@@ -302,8 +280,8 @@ def validate_scenario(sc: Scenario) -> None:
         _require(sc.gamma is not None, "missing required key", "gamma")
         _require(-1.0 <= sc.gamma <= 1.0, "out of range: must lie in [-1, 1]", "gamma")
         _require(
-            sc.normalization in ("cs-style", "mt-style"),
-            "must be 'cs-style' or 'mt-style'",
+            sc.normalization in NORMALIZATIONS,
+            f"must be {' or '.join(map(repr, NORMALIZATIONS))}",
             "normalization",
         )
 
@@ -312,13 +290,12 @@ def validate_scenario(sc: Scenario) -> None:
         _require(0 <= sc.seed < 2**64, "out of range: must lie in 0..2**64-1", "seed")
 
     # described particles are checked now, else when a particle command builds them
-    if any(getattr(sc, name) != getattr(_DEFAULTS, name) for name in _PARTICLE_FIELDS):
+    if any(getattr(sc, name) != default for name, default in _PARTICLE_ROWS):
         _validate_initial(sc)
 
     _require(sc.dt > 0, "out of range: must be positive", "dt")
     _require(sc.t_final > 0, "out of range: must be positive", "T")
-    _require(math.isfinite(sc.t_final), "out of range: must be finite", "T")
-    _require(sc.scheme in ("euler", "rk4"), "unknown scheme", "scheme")
+    _require(sc.scheme in SCHEMES, "unknown scheme", "scheme")
     _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
 
     _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
@@ -372,8 +349,6 @@ def _validate_initial(sc: Scenario) -> None:
             "velocities must have as many coordinates as positions",
             "velocities",
         )
-        for key, points in (("positions", sc.positions), ("velocities", sc.velocities)):
-            _require(np.all(np.isfinite(points)), "coordinates must be finite", key)
     if sc.model == "leader" and sc.leader is not None:
         total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(
             sc.ic_kind, len(sc.positions or ())
@@ -384,10 +359,9 @@ def _validate_initial(sc: Scenario) -> None:
 def scenario_to_dict(sc: Scenario) -> dict:
     """Resolved scenario as a JSON-friendly mapping (section -> key -> value)."""
     out = {name: {} for name in SECTIONS}
-    for name, value in zip(Scenario._fields, sc):
+    for (section, key, *_), value in zip(_SCHEMA, sc):
         if value is None:
             continue
-        section, key = _FIELD_TO_KEY[name]
         if isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]
         out[section][key] = value
@@ -408,12 +382,12 @@ def sweep_points(sc: Scenario, key: str, values: str) -> List[Tuple[object, Scen
         raise ScenarioError(
             f"unsweepable parameter (choose from {', '.join(SWEEPABLE_KEYS)})", key=key
         )
-    section, reads, why = _SWEEPABLE[key]
+    reads, why = _SWEEPABLE[key]
     if not reads(sc):
         raise ScenarioError(f"the scenario never reads it: {why}", key=key)
     raw_values = [v.strip() for v in values.split(",") if v.strip()]
     if not raw_values:
         raise ScenarioError("empty value list", key=key)
-    field_name, parser = _KEYMAP[(section, key)]
+    field_name, parser = next((name, parser) for _, k, name, parser, _ in _SCHEMA if k == key)
     parsed = [parser(raw, key, None) for raw in raw_values]
     return [(value, with_override(sc, **{field_name: value})) for value in parsed]

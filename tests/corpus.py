@@ -9,7 +9,7 @@ must leave behind, paths relative to the directory the command runs in:
     # writes: DIR/summary.json     every file the run leaves, and no other;
     #                              each one must be non-empty
     # absent: DIR                  paths that must not exist afterwards
-    # stderr: error: ...           all of stderr, one line
+    # stderr: error: ...           all of stderr, one line (empty when not stated)
 
 ``--config`` is replaced by the document's own path.  Each run is a child
 interpreter in a fresh directory, with scipy and numpy.ma blocked (``None``
@@ -56,7 +56,7 @@ def read(doc: Path):
     fields = {m[1]: m[2].strip() for m in map(FIELD.fullmatch, header) if m}
     stderr = fields.get("stderr")
     return (argv, int(fields.get("exit", 0)), sorted(fields.get("writes", "").split()),
-            fields.get("absent", "").split(), None if stderr is None else stderr + "\n")
+            fields.get("absent", "").split(), "" if stderr is None else stderr + "\n")
 
 
 def files(top: Path) -> dict:
@@ -75,7 +75,7 @@ def check(doc: Path) -> list:
             if done.returncode != code:
                 last = done.stderr.strip().splitlines()[-1:]
                 problems.append(f"exit {done.returncode}, not {code} {last}")
-            if stderr is not None and done.stderr != stderr:
+            if done.stderr != stderr:
                 problems.append(f"stderr {done.stderr!r}")
             if sorted(left) != writes:
                 problems.append(f"wrote {sorted(left)}")

@@ -587,6 +587,44 @@ def test_an_overflowing_step_exits_three(tmp_path, capsys, integration, when):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [["certify"], ["sweep", "N", "3,5"]], ids=["certify", "sweep"])
+def test_overflowing_distances_exit_three(tmp_path, capsys, argv):
+    # positions up to 1e308 apart overflow their squared distances: d_X read
+    # "infinite", under numpy's overflow warning, and the run exited 0 with
+    # the verdict unconditional; no bound holds for an infinite diameter
+    cfg = write(tmp_path, MT_DOC.replace("pos_max = 4", "pos_max = 1e308"))
+    out = tmp_path / "run" / "nested"
+    assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite diameter at t=0: d_X inf, d_V ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+# key -> (a document that sets it, its line there)
+FINITE_KEYS = {
+    "pos_max": (MT_DOC, "pos_max = 4"),
+    "alpha": (MT_DOC, "alpha = 1"),
+    "dt": (MT_DOC, "dt = 0.05"),
+    "D": (GROUPS_DOC, "D = 40"),
+    "x_min": (HYDRO_DOC, "x_min = -8"),
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", FINITE_KEYS)
+def test_a_number_that_is_not_finite_exits_two_naming_its_key(tmp_path, capsys, key, value):
+    # pos_max = inf exited 2 naming no key, and alpha or dt = inf exited 3
+    # from the Euler guard: bad input reported as a runtime failure
+    doc, line = FINITE_KEYS[key]
+    cfg = write(tmp_path, doc.replace(line, f"{key} = {value}"))
+    out = tmp_path / "run"
+    command = "hydro" if key == "x_min" else "simulate"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: out of range: must be finite (key '{key}')\n"
+    assert not out.exists()
+
+
 def test_hydro_builds_two_states_per_step(tmp_path, monkeypatch):
     # the initial state, then per step the occupied span's state and the
     # stepped state, stamped on the step grid in place

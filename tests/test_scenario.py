@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import corpus
 from flocklab.errors import ScenarioError
 from flocklab.scenario import (
+    _SCHEMA,
     parse_scenario,
     scenario_to_dict,
     sweep_points,
@@ -226,3 +231,53 @@ def test_sweep_points_parse_values_as_the_document_would():
 def test_hydro_dx_that_tiles_is_accepted_despite_rounding(x_min, x_max, dx, cells):
     doc = MINIMAL + f"\n[hydro]\nx_min = {x_min}\nx_max = {x_max}\ndx = {dx}\n"
     assert parse_scenario(doc).initial_hydro_state().n_cells == cells
+
+
+def _parses(doc: Path) -> bool:
+    try:
+        parse_scenario(doc.read_text())
+    except ScenarioError:
+        return False
+    return True
+
+
+def _as_document(echo: dict) -> str:
+    """A summary.json scenario echo written back as key = value lines."""
+    lines = []
+    for section, keys in echo.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if key == "table":
+                value = " ".join(f"{r!r}:{v!r}" for r, v in value)
+            elif key in ("positions", "velocities"):
+                value = "; ".join(" ".join(map(repr, point)) for point in value)
+            elif isinstance(value, list):
+                value = " ".join(map(repr, value))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [doc for doc in corpus.DOCUMENTS if _parses(doc)],
+    ids=lambda doc: doc.relative_to(corpus.ROOT).as_posix(),
+)
+def test_the_summary_echo_is_a_complete_document(doc):
+    # every set field is echoed under its own section and key, and reads back
+    # to the same scenario
+    sc = parse_scenario(doc.read_text())
+    echo = scenario_to_dict(sc)
+    assert sum(map(len, echo.values())) == sum(value is not None for value in sc)
+    assert parse_scenario(_as_document(echo)) == sc
+
+
+def test_the_readme_documents_every_key_in_its_section():
+    block = (corpus.ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, section = set(), None
+    for line in block.splitlines():
+        heading = re.match(r"\[(\w+)\]", line)
+        key = re.match(r"#? ?(\w+) = ", line)
+        if heading:
+            section = heading[1]
+        elif key:
+            documented.add((section, key[1]))
+    assert {(section, key) for section, key, *_ in _SCHEMA} <= documented
