@@ -29,7 +29,7 @@ from .influence import (
 )
 
 MODEL_KINDS = ("cs", "mt", "leader", "vision")
-# advance's integration schemes
+# step's integration schemes
 SCHEMES = ("euler", "rk4")
 
 
@@ -147,45 +147,6 @@ def rhs(
     return model.alpha * (a @ ensemble.velocities - ensemble.velocities)
 
 
-def advance(x, v, a0, accel, alpha: float, dt: float, scheme: str) -> Tuple[np.ndarray, np.ndarray]:
-    """One step of dx/dt = v, dv/dt = accel(x, v) with 'euler' or 'rk4'.
-
-    a0 is the acceleration at the starting state (x, v), Euler's only one and
-    rk4's stage 1; accel is evaluated at rk4's three later stages only.  Euler
-    needs alpha*dt <= 1 (the convex-combination guard for relaxation at rate
-    alpha); a non-finite result, or a non-finite state at an rk4 stage, raises
-    FloatingPointError.
-    """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    if scheme == "euler":
-        if alpha * dt > 1.0:
-            raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
-        x_new, v_new = x + dt * v, v + dt * a0
-    elif scheme == "rk4":
-        def stage(xs, vs):
-            _require_finite(xs, vs, "at an rk4 stage")
-            return accel(xs, vs)
-
-        kx2 = v + 0.5 * dt * a0
-        kv2 = stage(x + 0.5 * dt * v, kx2)
-        kx3 = v + 0.5 * dt * kv2
-        kv3 = stage(x + 0.5 * dt * kx2, kx3)
-        kx4 = v + dt * kv3
-        kv4 = stage(x + dt * kx3, kx4)
-        x_new = x + dt / 6.0 * (v + 2.0 * (kx2 + kx3) + kx4)
-        v_new = v + dt / 6.0 * (a0 + 2.0 * (kv2 + kv3) + kv4)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _require_finite(x_new, v_new, "after time step")
-    return x_new, v_new
-
-
-def _require_finite(x, v, when: str):
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-        raise FloatingPointError(f"non-finite state {when}")
-
-
 def step(
     ensemble: AgentEnsemble,
     model: ModelSpec,
@@ -193,23 +154,47 @@ def step(
     scheme: str = "euler",
     matrix: Optional[InfluenceMatrix] = None,
 ) -> AgentEnsemble:
-    """Advance one step of size dt with 'euler' or 'rk4'.
+    """One step of dx/dt = v, dv/dt = :func:`rhs` of size dt with 'euler' or 'rk4'.
 
     ``matrix``, when given, is the ensemble's own influence matrix and serves
     the acceleration at the step's starting state (Euler's only one, rk4's
-    stage 1); every later rk4 stage builds its own.  Mass particles are a
-    ``model`` with ``masses``.
+    stage 1); every later rk4 stage builds its own.  Euler needs
+    alpha*dt <= 1 (the convex-combination guard for relaxation at rate
+    alpha); a non-finite result, or a non-finite state at an rk4 stage,
+    raises FloatingPointError.  Mass particles are a ``model`` with ``masses``.
     """
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
 
-    def accel(x, v):
-        return rhs(AgentEnsemble(t=ensemble.t, positions=x, velocities=v), model)
+    def checked(t, x, v, when):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise FloatingPointError(f"non-finite state {when}")
+        return AgentEnsemble(t=t, positions=x, velocities=v)
 
-    x, v = ensemble.positions, ensemble.velocities
-    # an overflow leaves a non-finite state, which advance raises as
+    x, v, alpha = ensemble.positions, ensemble.velocities, model.alpha
+    # an overflow leaves a non-finite state, which checked() raises as
     # FloatingPointError: numpy's warning would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        x, v = advance(x, v, rhs(ensemble, model, matrix), accel, model.alpha, dt, scheme)
-    return AgentEnsemble(t=ensemble.t + dt, positions=x, velocities=v)
+        a0 = rhs(ensemble, model, matrix)
+        if scheme == "euler":
+            if alpha * dt > 1.0:
+                raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
+            x_new, v_new = x + dt * v, v + dt * a0
+        elif scheme == "rk4":
+            def accel(xs, vs):
+                return rhs(checked(ensemble.t, xs, vs, "at an rk4 stage"), model)
+
+            kx2 = v + 0.5 * dt * a0
+            kv2 = accel(x + 0.5 * dt * v, kx2)
+            kx3 = v + 0.5 * dt * kv2
+            kv3 = accel(x + 0.5 * dt * kx2, kx3)
+            kx4 = v + dt * kv3
+            kv4 = accel(x + dt * kx3, kx4)
+            x_new = x + dt / 6.0 * (v + 2.0 * (kx2 + kx3) + kx4)
+            v_new = v + dt / 6.0 * (a0 + 2.0 * (kv2 + kv3) + kv4)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+    return checked(ensemble.t + dt, x_new, v_new, "after time step")
 
 
 @functools.lru_cache(maxsize=None)

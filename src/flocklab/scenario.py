@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import MODEL_KINDS, SCHEMES, AgentEnsemble, ModelSpec
 from .errors import ScenarioError
-from .hydro import HydroState1D
+from .hydro import DEFAULT_SUPPORT_EPSILON, HydroState1D
 from .influence import INFLUENCE_KINDS, NORMALIZATIONS, InfluenceFunction
 from .rng import SplitMix64
 
@@ -113,7 +113,7 @@ _SCHEMA = (
     ("hydro", "centers", "hydro_centers", _parse_floats, (-4.0, 4.0)),
     ("hydro", "width", "hydro_width", _parse_float, 0.5),
     ("hydro", "speeds", "hydro_speeds", _parse_floats, (0.5, -0.5)),
-    ("hydro", "epsilon", "hydro_epsilon", _parse_float, 1e-6),
+    ("hydro", "epsilon", "hydro_epsilon", _parse_float, DEFAULT_SUPPORT_EPSILON),
 )
 
 SECTIONS = tuple(dict.fromkeys(section for section, *_ in _SCHEMA))
@@ -300,6 +300,7 @@ def validate_scenario(sc: Scenario) -> None:
 
     _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
     _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
+    _require(math.isfinite(sc.hydro_x_max - sc.hydro_x_min), "x_max - x_min overflows", "x_max")
     # the grid is n whole cells of width dx; a dx that leaves a remainder
     # would silently shorten the domain
     cells = (sc.hydro_x_max - sc.hydro_x_min) / sc.hydro_dx
@@ -326,6 +327,7 @@ def _validate_initial(sc: Scenario) -> None:
         _require(sc.n >= 1, "out of range: must be >= 1", "N")
         _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
         _require(sc.pos_max >= sc.pos_min, "empty box: pos_max < pos_min", "pos_max")
+        _require(math.isfinite(sc.pos_max - sc.pos_min), "pos_max - pos_min overflows", "pos_max")
         _require(sc.vel_max >= sc.vel_min, "empty box: vel_max < vel_min", "vel_max")
     elif sc.ic_kind == "two-group":
         for key, val in (("N1", sc.n1), ("N2", sc.n2), ("D", sc.separation)):
@@ -333,6 +335,7 @@ def _validate_initial(sc: Scenario) -> None:
         _require(sc.n1 >= 1 and sc.n2 >= 1, "out of range: groups must be non-empty", "N1")
         _require(sc.separation > 0, "out of range: must be positive", "D")
         _require(sc.group_spread > 0, "out of range: must be positive", "group_spread")
+        _require(math.isfinite(sc.separation + sc.group_spread), "D + group_spread overflows", "D")
         _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
     else:
         _require(sc.positions is not None, "missing required key", "positions")
@@ -349,6 +352,8 @@ def _validate_initial(sc: Scenario) -> None:
             "velocities must have as many coordinates as positions",
             "velocities",
         )
+    if sc.ic_kind != "explicit":  # both random kinds draw velocities in the vel box
+        _require(math.isfinite(sc.vel_max - sc.vel_min), "vel_max - vel_min overflows", "vel_max")
     if sc.model == "leader" and sc.leader is not None:
         total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(
             sc.ic_kind, len(sc.positions or ())

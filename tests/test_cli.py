@@ -392,7 +392,7 @@ def test_particle_commands_reject_a_document_without_particles(tmp_path, capsys,
     def no_step(*args, **kwargs):
         raise AssertionError("a step was taken")
 
-    monkeypatch.setattr(dynamics, "advance", no_step)
+    monkeypatch.setattr(dynamics, "step", no_step)
     cfg = write(tmp_path, BARE_HYDRO_DOC)
     out = tmp_path / "out"
     assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) == 2

@@ -133,14 +133,36 @@ def test_step_euler_at_unit_coupling_lands_on_row_average():
     assert dv_after <= dv_before + 1e-12
 
 
-def test_step_euler_stability_guard():
-    with pytest.raises(StabilityError):
-        step(two_agent_line(), model_for("mt", 2, alpha=2.0), dt=0.6, scheme="euler")
+LINE = ((0.0, 1.0), (0.0, 1.0))  # two_agent_line's positions and velocities
+FAR = ((1e308, 1e308), (1e308, 1e308))  # one step of size 1 overflows the positions
+STIFF = ((0.0, 1.0, 0.0), (1e150, -1e150, 1e150))  # alpha*(a v - v) overflows at the start
 
 
-def test_step_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        step(two_agent_line(), model_for("mt", 2), dt=0.1, scheme="heun")
+@pytest.mark.parametrize(
+    "state, alpha, dt, scheme, error, message",
+    [
+        (LINE, 1.0, 0.0, "euler", ValueError, "dt must be positive"),
+        (LINE, 1.0, float("nan"), "rk4", ValueError, "dt must be positive"),
+        (LINE, 1.0, 0.1, "heun", ValueError, "unknown scheme 'heun'"),
+        (LINE, 2.0, 0.6, "euler", StabilityError, r"alpha\*dt <= 1, got 1.2"),
+        (LINE, 2.0, 0.6, "rk4", None, None),  # rk4 is not refused at alpha*dt > 1
+        (STIFF, 1e170, 0.05, "rk4", FloatingPointError, "non-finite state at an rk4 stage"),
+        (FAR, 1.0, 1.0, "euler", FloatingPointError, "non-finite state after time step"),
+        (FAR, 1.0, 0.5, "rk4", FloatingPointError, "non-finite state after time step"),
+    ],
+    ids=["dt-zero", "dt-nan", "unknown-scheme", "euler-guard", "rk4-unguarded",
+         "rk4-stage", "euler-result", "rk4-result"],
+)
+def test_step_error_contract(state, alpha, dt, scheme, error, message):
+    x, v = (np.array(coords)[:, None] for coords in state)
+    ens = AgentEnsemble(t=0.0, positions=x, velocities=v)
+    model = model_for("mt", len(x), alpha=alpha)
+    if error is None:
+        out = step(ens, model, dt, scheme)
+        assert out.t == dt and np.all(np.isfinite(out.velocities))
+        return
+    with pytest.raises(error, match=message):
+        step(ens, model, dt, scheme)
 
 
 def test_rk4_matches_adaptive_reference_integrator():

@@ -233,6 +233,30 @@ def test_hydro_dx_that_tiles_is_accepted_despite_rounding(x_min, x_max, dx, cell
     assert parse_scenario(doc).initial_hydro_state().n_cells == cells
 
 
+TWO_GROUP = MINIMAL.replace("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4")
+
+
+def _with_initial(doc: str, lines: str) -> str:
+    return doc.replace("seed = 1", f"seed = 1\n{lines}")
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (_with_initial(MINIMAL, "pos_min = -1e308\npos_max = 1e308"), "pos_max"),
+        (_with_initial(MINIMAL, "vel_min = -1e308\nvel_max = 1e308"), "vel_max"),
+        (_with_initial(TWO_GROUP, "vel_min = -1e308\nvel_max = 1e308"), "vel_max"),
+        (TWO_GROUP.replace("D = 4", "D = 1.7e308\ngroup_spread = 1e308"), "D"),
+        (MINIMAL + "[hydro]\nx_min = -1e308\nx_max = 1e308\ndx = 1e306", "x_max"),
+    ],
+    ids=["positions", "velocities", "two-group-velocities", "two-group-reach", "hydro-range"],
+)
+def test_a_finite_range_whose_width_overflows_is_rejected_naming_its_key(doc, key):
+    # the initial boxes and the hydro grid are drawn or tiled by their width
+    with pytest.raises(ScenarioError, match=f"overflows \\(key '{key}'\\)"):
+        parse_scenario(doc)
+
+
 def _parses(doc: Path) -> bool:
     try:
         parse_scenario(doc.read_text())
