@@ -9,7 +9,6 @@ contraction rate alpha * count**2 * theta**2.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -20,30 +19,21 @@ from .influence import InfluenceMatrix
 ANTISYMMETRY_TOL = 1e-12
 
 
-class ActiveSetReport:
-    """Per-agent, pairwise-minimum and global active sets at one level.
+class ActiveSetReport(NamedTuple):
+    """Pairwise-minimum and global active sets at one level theta."""
 
-    hits[p, j] says whether agent j is active for agent p (a_pj >= theta).
-    """
-
-    def __init__(
-        self, theta: float, hits: np.ndarray, pairwise_min: int, global_indices: np.ndarray
-    ):
-        self.theta, self.hits = theta, hits
-        self.pairwise_min, self.global_indices = pairwise_min, global_indices
+    theta: float
+    pairwise_min: int
+    global_indices: np.ndarray
 
     @property
     def global_count(self) -> int:
         return int(self.global_indices.size)
 
-    @cached_property
-    def per_agent(self) -> List[np.ndarray]:
-        return [np.flatnonzero(row) for row in self.hits]
-
 
 def active_sets(matrix: InfluenceMatrix, theta: float) -> ActiveSetReport:
-    """Sets {j : a_pj >= theta} per agent, their pairwise-intersection
-    minimum count, and the all-agent intersection.
+    """The smallest count of a pairwise intersection of the sets
+    {j : a_pj >= theta}, one per agent p, and the all-agent intersection.
 
     The counts obey global <= pairwise minimum <= smallest row count <= N
     (the diagonal pairs are the rows themselves), so when two ends agree no
@@ -63,9 +53,7 @@ def active_sets(matrix: InfluenceMatrix, theta: float) -> ActiveSetReport:
     if pairwise_min > global_indices.size:
         h = hits.astype(np.float64)
         pairwise_min = int((h @ h.T).min())
-    return ActiveSetReport(
-        theta=theta, hits=hits, pairwise_min=pairwise_min, global_indices=global_indices
-    )
+    return ActiveSetReport(theta, pairwise_min, global_indices)
 
 
 class ActionBound(NamedTuple):

@@ -5,16 +5,17 @@ Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
 anything is written).  :func:`main` loads the scenario (--config, with --seed
 applied), creates --out, which it removes again if the run exits 2 or 3, and
 calls ``cmd_x(scenario, out, args)``; that writes its CSV files and returns
-``(summary body, exit code)``, and ``main`` writes the body, headed by the
-command name and the PRNG identifier, to the ``[output] summary`` file
-(summary.json without a scenario).  ``simulate``, each ``sweep`` value and the
-cs and mt runs of ``compare-groups`` are one checked particle run,
-:func:`_run`.  ``simulate`` and ``hydro`` step through the one loop,
-:func:`~flocklab.dynamics.march`, and stream their snapshots through an
-observer (:func:`_snapshots`) as it records them.  CSV floats carry 17
-significant digits, so doubles round-trip and identical scenarios give
-byte-identical files; :class:`_CSV` formats at most :data:`CHUNK_ROWS` rows
-per ``%``.
+``(summary body, failed checks)``, one phrase per failed check, and ``main``
+writes the body, headed by the command name and the PRNG identifier, to the
+``[output] summary`` file (summary.json without a scenario).  ``main`` alone
+sets every exit code: failed checks are named on one stderr line, exit 1.
+``simulate``, each ``sweep`` value and the cs and mt runs of
+``compare-groups`` are one checked particle run, :func:`_run`.  ``simulate``
+and ``hydro`` step through the one loop, :func:`~flocklab.dynamics.march`, and
+stream their snapshots through an observer (:func:`_snapshots`) as it records
+them.  CSV floats carry 17 significant digits, so doubles round-trip and
+identical scenarios give byte-identical files; :class:`_CSV` formats at most
+:data:`CHUNK_ROWS` rows per ``%``.
 """
 
 from __future__ import annotations
@@ -197,6 +198,14 @@ def _decay_block(decay) -> dict:
     return {key: getattr(decay, key) for key in ("passed", "worst_margin", "worst_step")}
 
 
+def _failed(decay, run: str) -> List[str]:
+    """The failure phrase of ``run``'s decay report: none when it passed or
+    when the run has no check (vision)."""
+    if decay is None or decay.passed:
+        return []
+    return [f"decay check failed for {run} (worst step {decay.worst_step})"]
+
+
 def cmd_simulate(sc: Scenario, out: Path, args):
     initial = sc.initial_ensemble()
     axes = [f"{c}{k}" for c in "xv" for k in range(initial.d)]
@@ -238,10 +247,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     }
     verdict = cert.verdict if cert else "n/a"
     _say(args, f"simulate: T={record.times[-1]:g} d_V ratio {dv_ratio:.3e} verdict {verdict}")
-    if decay is not None and not decay.passed:
-        print(f"simulate: decay check failed, worst step {decay.worst_step}", file=sys.stderr)
-        return body, EXIT_CHECK_FAILED
-    return body, EXIT_OK
+    return body, _failed(decay, sc.model)
 
 
 def cmd_certify(sc: Scenario, out: Path, args):
@@ -256,7 +262,7 @@ def cmd_certify(sc: Scenario, out: Path, args):
         "symmetric_theory_tail": comparison_tail,
     }
     _say(args, f"certify: verdict {cert.verdict}")
-    return body, EXIT_OK
+    return body, []
 
 
 def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
@@ -291,7 +297,7 @@ def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
         "worst_slack": worst_slack,
     }
     _say(args, f"verify-lemma: {cases} cases, {violations} violations")
-    return body, EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
+    return body, [f"lemma bound broken in {violations} cases"] if violations else []
 
 
 def cmd_hydro(sc: Scenario, out: Path, args):
@@ -336,15 +342,16 @@ def cmd_hydro(sc: Scenario, out: Path, args):
         "certificate": cert.to_json_dict(),
     }
     _say(args, f"hydro: {len(stamps)} steps, d_V ratio {body['final']['d_v_ratio']:.3e}")
-    return body, EXIT_OK
+    return body, []
 
 
 def cmd_sweep(sc: Scenario, out: Path, args):
-    rows = []
+    rows, failed = [], []
     for value, point in sweep_points(sc, args.parameter, args.values):
         _, decay, cert, _, ratio, rate = _run(point, point.initial_ensemble())
         passed = None if decay is None else decay.passed
         rows.append((value, ratio, rate, cert.verdict if cert else "n/a", passed))
+        failed += _failed(decay, f"{args.parameter} = {value}")
     header = [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"]
     _write_csv(out / "sweep.csv", header, [row[:4] for row in rows])
     keys = ("value", "final_d_v_ratio", "fitted_rate", "verdict", "decay_check_passed")
@@ -354,12 +361,7 @@ def cmd_sweep(sc: Scenario, out: Path, args):
         "rows": [dict(zip(keys, row)) for row in rows],
     }
     _say(args, f"sweep {args.parameter}: " + ", ".join(f"{r[0]}->{r[3]}" for r in rows))
-    failed = [str(r[0]) for r in rows if r[4] is False]
-    if failed:
-        print(f"sweep: decay check failed for {args.parameter} = {', '.join(failed)}",
-              file=sys.stderr)
-        return body, EXIT_CHECK_FAILED
-    return body, EXIT_OK
+    return body, failed
 
 
 def cmd_compare_groups(sc: Scenario, out: Path, args):
@@ -397,8 +399,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
             "final_ratio": float(series[-1] / d_v0),
             "decay_check": _decay_block(decay),
         }
-        if not decay.passed:
-            failed.append(f"{model_kind} (worst step {decay.worst_step})")
+        failed += _failed(decay, model_kind)
         diag_rows.extend((model_kind, t, dv) for t, dv in zip(times.tolist(), series.tolist()))
 
     _write_csv(out / sc.out_diagnostics, ["model", "t", "g1_d_v"], diag_rows)
@@ -436,10 +437,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     }
     shown = "n/a" if ratio is None else f"{'>= ' if not cs_halved else ''}{ratio:.2f}"
     _say(args, f"compare-groups: halving-time ratio cs/mt = {shown}")
-    if failed:
-        print(f"compare-groups: decay check failed for {', '.join(failed)}", file=sys.stderr)
-        return body, EXIT_CHECK_FAILED
-    return body, EXIT_OK
+    return body, failed
 
 
 _COMMANDS = {
@@ -543,11 +541,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the outermost directory this run creates, removed again if it exits 2 or 3
         created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
-        body, code = _COMMANDS[args.command](sc, out, args)
+        body, failed = _COMMANDS[args.command](sc, out, args)
         summary = {"command": args.command, "prng": PRNG_ID, **body}
         text = json.dumps(_jsonable(summary), indent=2, allow_nan=False) + "\n"
         (out / (sc.out_summary if sc else "summary.json")).write_text(text)
-        return code
+        if failed:
+            print(f"{args.command}: {'; '.join(failed)}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        return EXIT_OK
     except (ScenarioError, OSError, ValueError) as exc:
         error, code = exc, EXIT_BAD_INPUT
     except (FloatingPointError, FlockLabError) as exc:

@@ -328,7 +328,6 @@ def _validate_initial(sc: Scenario) -> None:
         _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
         _require(sc.pos_max >= sc.pos_min, "empty box: pos_max < pos_min", "pos_max")
         _require(math.isfinite(sc.pos_max - sc.pos_min), "pos_max - pos_min overflows", "pos_max")
-        _require(sc.vel_max >= sc.vel_min, "empty box: vel_max < vel_min", "vel_max")
     elif sc.ic_kind == "two-group":
         for key, val in (("N1", sc.n1), ("N2", sc.n2), ("D", sc.separation)):
             _require(val is not None, "missing required key", key)
@@ -353,6 +352,7 @@ def _validate_initial(sc: Scenario) -> None:
             "velocities",
         )
     if sc.ic_kind != "explicit":  # both random kinds draw velocities in the vel box
+        _require(sc.vel_max >= sc.vel_min, "empty box: vel_max < vel_min", "vel_max")
         _require(math.isfinite(sc.vel_max - sc.vel_min), "vel_max - vel_min overflows", "vel_max")
     if sc.model == "leader" and sc.leader is not None:
         total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(

@@ -42,12 +42,13 @@ def hand_matrix():
 
 
 def test_active_sets_hand_matrix():
-    report = active_sets(hand_matrix(), 0.2)
-    assert list(report.per_agent[0]) == [0, 1, 2]
-    assert list(report.per_agent[3]) == [1, 2, 3]
-    # pairwise intersection of rows 0 and 3 is {1, 2}
-    both = set(report.per_agent[0]) & set(report.per_agent[3])
-    assert both == {1, 2}
+    m = hand_matrix()
+    hits = m.entries >= 0.2
+    assert np.flatnonzero(hits[0]).tolist() == [0, 1, 2]
+    assert np.flatnonzero(hits[3]).tolist() == [1, 2, 3]
+    # pairwise intersection of rows 0 and 3 is {1, 2}, the smallest one
+    assert np.flatnonzero(hits[0] & hits[3]).tolist() == [1, 2]
+    report = active_sets(m, 0.2)
     assert report.pairwise_min == 2
     assert list(report.global_indices) == [1, 2]
     assert report.global_count == 2
@@ -66,7 +67,7 @@ def test_min_entry_level_activates_everyone():
 def test_level_above_max_empties_all_sets():
     m = hand_matrix()
     report = active_sets(m, 0.31)
-    assert all(len(s) == 0 for s in report.per_agent)
+    assert not (m.entries >= 0.31).any()
     assert report.global_count == 0
     assert report.pairwise_min == 0
 
@@ -84,9 +85,9 @@ def test_active_set_monotonicity_in_level(t1, t2, seed):
     m = build_mt(pairwise_distances(rng.uniform(-3, 3, size=(5, 2))), PHI1)
     at_lo = active_sets(m, lo)
     at_hi = active_sets(m, hi)
-    for p in range(5):
-        assert set(at_hi.per_agent[p]) <= set(at_lo.per_agent[p])
-    assert at_hi.global_count <= at_lo.global_count
+    assert np.all((m.entries >= hi) <= (m.entries >= lo))
+    assert set(at_hi.global_indices.tolist()) <= set(at_lo.global_indices.tolist())
+    assert at_hi.pairwise_min <= at_lo.pairwise_min
 
 
 @given(st.integers(0, 500), st.floats(0.01, 1.0))
@@ -95,28 +96,28 @@ def test_count_times_level_bounded_by_one(seed, theta):
     rng = np.random.default_rng(seed)
     m = build_mt(pairwise_distances(rng.uniform(-3, 3, size=(6, 2))), PHI1)
     report = active_sets(m, theta)
-    for p in range(6):
-        assert len(report.per_agent[p]) * theta <= 1.0 + 1e-12
+    row_counts = (m.entries >= theta).sum(axis=1)
+    assert np.all(row_counts * theta <= 1.0 + 1e-12)
     assert report.global_count <= report.pairwise_min
-    assert report.pairwise_min <= min(len(s) for s in report.per_agent)
+    assert report.pairwise_min <= row_counts.min()
 
 
 def reference_active_sets(entries, theta):
-    """Loops and the int64 pair-count product: per-agent sets, pairwise
-    minimum, all-agent intersection."""
+    """Loops over the per-agent sets and the int64 pair-count product:
+    pairwise minimum, all-agent intersection."""
     n = entries.shape[0]
     per_agent = [[j for j in range(n) if entries[p, j] >= theta] for p in range(n)]
     hits = (entries >= theta).astype(np.int64)
     everyone = [j for j in range(n) if all(j in row for row in per_agent)]
-    return per_agent, int((hits @ hits.T).min()), everyone
+    return int((hits @ hits.T).min()), everyone
 
 
 def assert_matches_reference(matrix, theta):
     report = active_sets(matrix, theta)
-    per_agent, pairwise_min, everyone = reference_active_sets(matrix.entries, theta)
+    pairwise_min, everyone = reference_active_sets(matrix.entries, theta)
     assert report.pairwise_min == pairwise_min
     assert report.global_indices.tolist() == everyone
-    assert [row.tolist() for row in report.per_agent] == per_agent
+    assert report.theta == theta
     return report
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import flocklab
 from flocklab import cli, dynamics
+from flocklab.activeset import ActionBound
 from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import HydroState1D, step_eulerian
@@ -334,6 +335,17 @@ def test_verify_lemma_honours_output_summary(tmp_path):
     assert summary["command"] == "verify-lemma"
     assert summary["seed"] == 3
     assert summary["scenario"]["output"]["summary"] == "lemma.json"
+
+
+def test_verify_lemma_broken_bound_exits_one(tmp_path, monkeypatch, capsys):
+    # every case breaks the bound: the summary is still written, and exit 1
+    # names the count on one stderr line
+    monkeypatch.setattr(cli, "lemma_action_bound", lambda *a: ActionBound(1.0, 0.0, False))
+    out = tmp_path / "lemma"
+    assert main(["verify-lemma", "--seed", "5", "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["violations"] == 4000
+    assert capsys.readouterr().err == "verify-lemma: lemma bound broken in 4000 cases\n"
 
 
 def test_hydro_command(tmp_path):
