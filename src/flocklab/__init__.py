@@ -7,7 +7,7 @@ from .activeset import (
     ActionBound,
     ActiveSetReport,
     DecayObserver,
-    DecayReport,
+    Verdict,
     active_sets,
     default_theta,
     lemma_action_bound,
@@ -57,7 +57,6 @@ __all__ = [
     "ActiveSetReport",
     "AgentEnsemble",
     "DecayObserver",
-    "DecayReport",
     "FlockLabError",
     "FlockingCertificate",
     "HydroState1D",
@@ -69,6 +68,7 @@ __all__ = [
     "SplitMix64",
     "StabilityError",
     "TrajectoryRecord",
+    "Verdict",
     "active_sets",
     "build_cs",
     "build_leader",

@@ -13,7 +13,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import ModelSpec, TrajectoryRecord
+from .dynamics import ModelSpec
 from .influence import InfluenceMatrix
 
 ANTISYMMETRY_TOL = 1e-12
@@ -112,81 +112,63 @@ def default_theta(model: ModelSpec, n: int, d_x: float) -> float:
     raise ValueError("no default theta level for the vision model")
 
 
-class DecayReport(NamedTuple):
-    """Outcome of the per-step velocity-diameter contraction check."""
+class Verdict(NamedTuple):
+    """Outcome of a per-step check: its worst margin, the step it falls on,
+    and one margin per step (a margin below 0 is a broken bound)."""
 
-    times: np.ndarray
-    theta: np.ndarray
-    count_global: np.ndarray
-    count_pairwise_min: np.ndarray
-    margin_global: np.ndarray
-    margin_pairwise: np.ndarray
+    passed: bool
     worst_margin: float
     worst_step: int
-    passed: bool
+    margins: np.ndarray
 
 
 class DecayObserver:
     """Per-step velocity-diameter contraction check, fed online.
 
     Pass it to ``simulate(..., observers=[check])``: as a
-    :func:`~flocklab.dynamics.march` observer it records, at each state a step
+    :func:`~flocklab.dynamics.march` observer it takes, at each state a step
     starts from, the default level theta at d_X = ``row[1]`` (N read from the
-    step's matrix) and both active-set counts there.  ``report(record)`` then
-    holds every step to
+    step's matrix) and both active-set counts there, and when the next row
+    arrives it holds the step to
 
         d_V(k+1) <= d_V(k) * (1 - alpha * count**2 * theta**2 * dt) + DECAY_SLACK * dt**2,
 
-    where the slack covers time-discretization curvature, for the global
-    count and for the sharper pairwise minimum, whose margin is never the
-    larger (the margin never rises with the count) and alone decides the
-    verdict.  A zero level (a compactly supported kernel shorter than d_X)
-    guarantees no contraction: both counts are 0 and the bound is the
-    maximum principle d_V(k+1) <= d_V(k) + DECAY_SLACK * dt**2.
+    where the slack covers time-discretization curvature and count is the
+    pairwise minimum, which is at least the global count, so its margin is
+    never the larger.  A zero level (a compactly supported kernel shorter
+    than d_X) guarantees no contraction: both counts are 0 and the bound is
+    the maximum principle d_V(k+1) <= d_V(k) + DECAY_SLACK * dt**2.
     """
 
     def __init__(self, model: ModelSpec):
         self.model = model
-        self.theta: List[float] = []
         self.counts: List[Tuple[int, int]] = []  # global, pairwise minimum
+        self.margins: List[float] = []
+        self._step = None  # (t, d_V, rate) of the step under way
 
     def __call__(self, k: int, state, row: tuple, matrix: Optional[InfluenceMatrix]) -> None:
+        t, d_x, d_v = row[:3]
+        if self._step is not None:
+            t0, d_v0, rate = self._step
+            dt = t - t0
+            self.margins.append(d_v0 * (1.0 - rate * dt) + DECAY_SLACK * dt * dt - d_v)
+            self._step = None
         if matrix is None:
             return
-        theta = default_theta(self.model, matrix.n, row[1])
+        theta = default_theta(self.model, matrix.n, d_x)
         counts = (0, 0)
         if theta > 0.0:
             found = active_sets(matrix, theta)
             counts = (found.global_count, found.pairwise_min)
-        self.theta.append(theta)
         self.counts.append(counts)
+        # theta * theta, not pow: the margins stay bit-equal to numpy's array formula
+        self._step = (t, d_v, self.model.alpha * counts[1] ** 2 * (theta * theta))
 
-    def report(self, trajectory: TrajectoryRecord) -> DecayReport:
-        """Margins of every observed step against the record's diameters."""
-        n_steps = len(self.theta)
-        if n_steps < 1:
-            raise ValueError("trajectory must contain at least one step")
-        if len(trajectory.times) != n_steps + 1:
-            raise ValueError("the record must hold one instant more than the observed steps")
-        times = trajectory.times
-        theta = np.array(self.theta)
-        counts = np.array(self.counts, dtype=int).T
-        dt = np.diff(times)
-        d_v = trajectory.velocity_diameter
-        m_glob, m_pair = (
-            d_v[:-1] * (1.0 - self.model.alpha * counts**2 * theta**2 * dt)
-            + DECAY_SLACK * dt * dt
-            - d_v[1:]
-        )
-        worst_step = int(np.argmin(m_pair))
-        return DecayReport(
-            times=times[:-1].copy(),
-            theta=theta,
-            count_global=counts[0],
-            count_pairwise_min=counts[1],
-            margin_global=m_glob,
-            margin_pairwise=m_pair,
-            worst_margin=float(m_pair[worst_step]),
-            worst_step=worst_step,
-            passed=bool(m_pair[worst_step] >= 0.0),
-        )
+    def report(self) -> Verdict:
+        """The verdict on every step observed: the pairwise margins decide it."""
+        if not self.margins:
+            raise ValueError("no step observed")
+        margins = np.array(self.margins)
+        worst_step = int(np.argmin(margins))
+        worst = float(margins[worst_step])
+        return Verdict(worst >= 0.0, worst, worst_step, margins)

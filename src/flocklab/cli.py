@@ -174,9 +174,9 @@ def _certificate_payload(model: ModelSpec, d_x0: float, d_v0: float):
 def _run(sc: Scenario, initial, observers=(), stop=None):
     """The one checked particle run of ``simulate``, each ``sweep`` value and
     each ``compare-groups`` model, from the caller's ``initial`` ensemble:
-    (record, decay report, certificate, symmetric-theory tail, final d_V
+    (record, decay verdict, certificate, symmetric-theory tail, final d_V
     ratio, fitted rate).  Every step is held to the decay bound online, but
-    under vision, which has no default level (report and certificate None)."""
+    under vision, which has no default level (verdict and certificate None)."""
     model = sc.to_model_spec()
     check = None if model.model == "vision" else DecayObserver(model)
     record = simulate(
@@ -186,7 +186,7 @@ def _run(sc: Scenario, initial, observers=(), stop=None):
     d_x0, d_v0 = float(record.position_diameter[0]), float(record.velocity_diameter[0])
     return (
         record,
-        check.report(record) if check else None,
+        check.report() if check else None,
         *_certificate_payload(model, d_x0, d_v0),
         float(record.velocity_diameter[-1] / d_v0) if d_v0 > 0 else 0.0,
         fit_exponential_rate(record.times, record.velocity_diameter),
@@ -217,7 +217,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     # the vision model has no check: its margin column is nan
     margins = np.full(len(record.times), np.nan)
     if decay is not None:
-        margins[:-1] = decay.margin_pairwise
+        margins[:-1] = decay.margins
 
     momentum_norm = np.linalg.norm(record.momentum, axis=1)
     rows = np.column_stack((
@@ -242,7 +242,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
         "certificate": cert.to_json_dict() if cert else None,
         "symmetric_theory_tail": comparison_tail,
         "decay_check": None if decay is None else dict(
-            _decay_block(decay), margin_per_step=[float(m) for m in decay.margin_pairwise]
+            _decay_block(decay), margin_per_step=decay.margins.tolist()
         ),
     }
     verdict = cert.verdict if cert else "n/a"
@@ -551,9 +551,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK
     except (ScenarioError, OSError, ValueError) as exc:
         error, code = exc, EXIT_BAD_INPUT
-    except (FloatingPointError, FlockLabError) as exc:
+    except (FloatingPointError, FlockLabError, MemoryError) as exc:
         error, code = exc, EXIT_RUNTIME
-    print(f"error: {error}", file=sys.stderr)
+    print(f"error: {str(error) or 'out of memory'}", file=sys.stderr)
     if created is not None:
         shutil.rmtree(created, ignore_errors=True)
     return code

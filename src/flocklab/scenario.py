@@ -298,6 +298,15 @@ def validate_scenario(sc: Scenario) -> None:
     _require(sc.scheme in SCHEMES, "unknown scheme", "scheme")
     _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
 
+    # each output is a file of its own directly inside --out, beside sweep's table
+    named = {"sweep.csv": "sweep's table"}
+    for (section, key, *_), name in zip(_SCHEMA, sc):
+        if section == "output":
+            bare = name not in ("", ".", "..") and "/" not in name and "\\" not in name
+            _require(bare, "must be a bare file name", key)
+            _require(name not in named, f"same file as {named.get(name)}", key)
+            named[name] = f"[output] {key}"
+
     _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
     _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
     _require(math.isfinite(sc.hydro_x_max - sc.hydro_x_min), "x_max - x_min overflows", "x_max")

@@ -237,17 +237,18 @@ def mt_model(alpha=1.0, s=1.0):
 
 
 def checked_run(ens, model, **kwargs):
-    """``simulate`` with a :class:`DecayObserver`: the record and its report."""
+    """``simulate`` with a :class:`DecayObserver`: the record, its verdict and
+    the counts of every step, global then pairwise minimum, one row each."""
     check = DecayObserver(model)
     record = simulate(ens, model, observers=[check], **kwargs)
-    return record, check.report(record)
+    return record, check.report(), np.array(check.counts)
 
 
 def test_decay_check_equal_velocities():
     ens = AgentEnsemble(
         t=0.0, positions=np.array([[0.0], [2.0]]), velocities=np.full((2, 1), 0.5)
     )
-    record, report = checked_run(ens, mt_model(), dt=0.1, t_final=1.0)
+    record, report, _ = checked_run(ens, mt_model(), dt=0.1, t_final=1.0)
     assert report.passed
     assert np.all(record.velocity_diameter == 0.0)
 
@@ -257,14 +258,21 @@ def test_decay_check_two_agent_hand_rate():
     ens = AgentEnsemble(
         t=0.0, positions=np.array([[0.0], [1.0]]), velocities=np.array([[0.0], [1.0]])
     )
-    record, report = checked_run(ens, mt_model(), dt=dt, t_final=dt)
+    model = mt_model()
+    record, report, counts = checked_run(ens, model, dt=dt, t_final=dt)
     # hand Euler step: d_V drops from 1 to 1 - 2*dt/3
-    assert record.velocity_diameter[1] == pytest.approx(1.0 - 2.0 * dt / 3.0, abs=1e-14)
+    d_v = record.velocity_diameter
+    assert d_v[1] == pytest.approx(1.0 - 2.0 * dt / 3.0, abs=1e-14)
     # guaranteed contraction at level phi(1)/2: rate alpha*phi(1)**2 = 1/4
-    assert record.velocity_diameter[1] <= (1.0 - 0.25 * dt) * record.velocity_diameter[0]
+    assert d_v[1] <= (1.0 - 0.25 * dt) * d_v[0]
     assert report.passed
-    assert report.count_global[0] == 2
-    assert report.theta[0] == pytest.approx(0.25)
+    assert counts.tolist() == [[2, 2]]
+    theta = default_theta(model, 2, 1.0)
+    assert theta == pytest.approx(0.25)
+    step = record.times[1] - record.times[0]
+    assert report.margins.tolist() == [
+        d_v[0] * (1.0 - 1.0 * 2**2 * (theta * theta) * step) + 10.0 * step * step - d_v[1]
+    ]
 
 
 def test_decay_check_cs_random_run():
@@ -275,10 +283,11 @@ def test_decay_check_cs_random_run():
         velocities=rng.uniform(-1, 1, size=(3, 2)),
     )
     model = ModelSpec(model="cs", phi=InfluenceFunction.power_law(0.5), alpha=1.0)
-    _, report = checked_run(ens, model, dt=0.05, t_final=5.0)
+    _, report, counts = checked_run(ens, model, dt=0.05, t_final=5.0)
     assert report.passed
     assert report.worst_margin >= 0.0
-    assert np.all(report.margin_pairwise <= report.margin_global)
+    # the verdict's pairwise count is never below the global one
+    assert np.all(counts[:, 1] >= counts[:, 0])
 
 
 def test_decay_check_leader_schedule():
@@ -293,9 +302,9 @@ def test_decay_check_leader_schedule():
     model = ModelSpec(
         model="leader", phi=InfluenceFunction.power_law(0.5), alpha=1.0, beta=0.3, leader=2
     )
-    _, report = checked_run(ens, model, dt=0.1, t_final=5.0)
+    _, report, counts = checked_run(ens, model, dt=0.1, t_final=5.0)
     assert report.passed
-    assert np.all(report.count_global >= 1)  # the leader is always active
+    assert np.all(counts[:, 0] >= 1)  # the leader is always active
 
 
 def test_decay_check_holds_for_rk4_runs_too():
@@ -306,7 +315,7 @@ def test_decay_check_holds_for_rk4_runs_too():
         velocities=rng.uniform(-1, 1, size=(6, 2)),
     )
     model = mt_model(s=0.25)
-    _, report = checked_run(ens, model, dt=0.05, t_final=4.0, scheme="rk4")
+    _, report, _ = checked_run(ens, model, dt=0.05, t_final=4.0, scheme="rk4")
     assert report.passed
 
 
@@ -322,14 +331,12 @@ def test_decay_check_zero_level_is_maximum_principle():
     model = ModelSpec(
         model="mt", phi=InfluenceFunction.power_law_with_cutoff(1.0, 2.0), alpha=1.0
     )
-    record, report = checked_run(ens, model, dt=dt, t_final=1.0)
-    assert np.all(report.theta == 0.0)
-    assert np.all(report.count_global == 0)
-    assert np.all(report.count_pairwise_min == 0)
+    record, report, counts = checked_run(ens, model, dt=dt, t_final=1.0)
+    assert all(default_theta(model, 3, d_x) == 0.0 for d_x in record.position_diameter[:-1])
+    assert np.all(counts == 0)
     d_v = record.velocity_diameter
     expected = d_v[:-1] + 10.0 * dt * dt - d_v[1:]
-    assert np.allclose(report.margin_global, expected, rtol=0.0, atol=1e-15)
-    assert np.array_equal(report.margin_pairwise, report.margin_global)
+    assert np.allclose(report.margins, expected, rtol=0.0, atol=1e-15)
     assert report.passed
 
 
@@ -364,33 +371,39 @@ def test_online_check_equals_replay(kind, scheme):
         observers=[lambda k, state, row, built: states.append(state)],
     )
     assert streamed.snapshots == [] and full.snapshots == []
-    # the replay: each recorded state's matrix built afresh and fed to an observer
+    # the replay: each recorded state's (t, d_x, d_v) row and its matrix built
+    # afresh, fed to an observer
+    times, d_x, d_v = full.times, full.position_diameter, full.velocity_diameter
     replay = DecayObserver(model)
-    for k, (state, d_x) in enumerate(zip(states[:-1], full.position_diameter)):
-        replay(k, state, (state.t, float(d_x)), build_matrix(state, model))
-    replay(len(states) - 1, states[-1], (states[-1].t, float(full.position_diameter[-1])), None)
-    got, want = online.report(streamed), replay.report(full)
-    for name in ("times", "theta", "count_global", "count_pairwise_min",
-                 "margin_global", "margin_pairwise"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert (got.worst_margin, got.worst_step, got.passed) == (
-        want.worst_margin, want.worst_step, want.passed
-    )
+    for k, state in enumerate(states):
+        matrix = build_matrix(state, model) if k < len(states) - 1 else None
+        replay(k, state, (float(times[k]), float(d_x[k]), float(d_v[k])), matrix)
+    got, want = online.report(), replay.report()
+    assert np.array_equal(got.margins, want.margins)
+    assert np.array_equal(online.counts, replay.counts)
+    assert got[:3] == want[:3]
+    # the old array formula over the whole record, at the pairwise count
+    theta = np.array([default_theta(model, ens.n, x) for x in d_x[:-1]])
+    c = np.array(online.counts)[:, 1]
+    dt = np.diff(times)
+    formula = d_v[:-1] * (1.0 - model.alpha * c**2 * theta**2 * dt) + 10.0 * dt * dt - d_v[1:]
+    assert np.array_equal(got.margins, formula)
+    worst = int(np.argmin(formula))
+    assert got[:3] == (bool(formula[worst] >= 0.0), float(formula[worst]), worst)
     # the pairwise count is at least the global one, so its margin is never larger
-    assert np.all(got.margin_pairwise <= got.margin_global)
+    counts = np.array(online.counts)
+    assert counts.shape == (len(times) - 1, 2)
+    assert np.all(counts[:, 1] >= counts[:, 0])
     if kind == "cutoff":
-        assert np.all(got.theta == 0.0) and np.all(got.count_pairwise_min == 0)
+        assert np.all(theta == 0.0) and np.all(counts[:, 1] == 0)
     else:
-        assert np.all(got.theta > 0.0) and np.all(got.count_global >= 1)
+        assert np.all(theta > 0.0) and np.all(counts[:, 0] >= 1)
 
 
-def test_observer_report_needs_the_observed_run():
-    ens, model = stream_case("mt")
-    online = DecayObserver(model)
-    simulate(ens, model, dt=0.05, t_final=1.0, observers=[online])
-    other = simulate(ens, model, dt=0.05, t_final=2.0)
-    with pytest.raises(ValueError):
-        online.report(other)
+def test_observer_report_needs_a_step():
+    _, model = stream_case("mt")
+    with pytest.raises(ValueError, match="no step observed"):
+        DecayObserver(model).report()
 
 
 def test_default_schedule_leader_and_vision():

@@ -613,6 +613,26 @@ def test_overflowing_distances_exit_three(tmp_path, capsys, argv):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [(MemoryError("Unable to allocate 298. GiB"), "error: Unable to allocate 298. GiB\n"),
+     (MemoryError(), "error: out of memory\n")],
+    ids=["numpy", "bare"],
+)
+def test_a_run_too_large_for_memory_exits_three(tmp_path, capsys, monkeypatch, error, line):
+    # an N x N buffer beyond memory raised MemoryError: exit 1, the code of a
+    # failed check, under a traceback, and an empty --out left behind
+    def too_large(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate", too_large)
+    cfg = write(tmp_path, MT_DOC)
+    out = tmp_path / "run" / "nested"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "run").exists()
+
+
 # key -> (a document that sets it, its line there)
 FINITE_KEYS = {
     "pos_max": (MT_DOC, "pos_max = 4"),

@@ -257,6 +257,29 @@ def test_a_finite_range_whose_width_overflows_is_rejected_naming_its_key(doc, ke
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "lines, key, message",
+    [
+        ("diagnostics = summary.json", "summary", "same file as [output] diagnostics"),
+        ("snapshots = diagnostics.csv", "snapshots", "same file as [output] diagnostics"),
+        ("fields = out.csv\nsnapshots = out.csv", "fields", "same file as [output] snapshots"),
+        ("summary = sweep.csv", "summary", "same file as sweep's table"),
+        ("summary = ../escaped.json", "summary", "must be a bare file name"),
+        ("diagnostics = sub/d.csv", "diagnostics", "must be a bare file name"),
+        ("fields = a\\b.csv", "fields", "must be a bare file name"),
+        ("snapshots = /tmp/s.csv", "snapshots", "must be a bare file name"),
+        ("summary =", "summary", "must be a bare file name"),
+        ("fields = .", "fields", "must be a bare file name"),
+        ("fields = ..", "fields", "must be a bare file name"),
+    ],
+)
+def test_output_names_are_distinct_bare_file_names(lines, key, message):
+    # each names a file directly inside --out: one with a path part wrote
+    # outside it, and two equal names (or sweep.csv) overwrote a table, exit 0
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)} \\(key '{key}'\\)$"):
+        parse_scenario(MINIMAL + "\n[output]\n" + lines + "\n")
+
+
 def _parses(doc: Path) -> bool:
     try:
         parse_scenario(doc.read_text())
