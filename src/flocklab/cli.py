@@ -418,7 +418,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     early = {}
     for model_kind in ("cs", "mt"):
         times, series = runs[model_kind]
-        keep = times <= window + 1e-12
+        keep = times <= window
         early[model_kind] = fit_exponential_rate(times[keep], series[keep])
     # no ratio to a cs rate of exactly 0 (a flat run); a NaN rate gives NaN,
     # written null

@@ -136,13 +136,9 @@ def build_matrix(
     return build_vision(x, v, distances, model.phi, model.gamma, model.normalization)
 
 
-def rhs(
-    ensemble: AgentEnsemble, model: ModelSpec, matrix: Optional[InfluenceMatrix] = None
-) -> np.ndarray:
-    """Accelerations alpha * (a v - v), one row per agent; ``matrix``, when
-    given, is the ensemble's influence matrix, built by the caller."""
-    if matrix is None:
-        matrix = build_matrix(ensemble, model)
+def rhs(ensemble: AgentEnsemble, model: ModelSpec, matrix: InfluenceMatrix) -> np.ndarray:
+    """Accelerations alpha * (a v - v), one row per agent, where a is
+    ``matrix``, the ensemble's influence matrix; it builds nothing."""
     a = matrix.entries
     return model.alpha * (a @ ensemble.velocities - ensemble.velocities)
 
@@ -158,10 +154,13 @@ def step(
 
     ``matrix``, when given, is the ensemble's own influence matrix and serves
     the acceleration at the step's starting state (Euler's only one, rk4's
-    stage 1); every later rk4 stage builds its own.  Euler needs
-    alpha*dt <= 1 (the convex-combination guard for relaxation at rate
-    alpha); a non-finite result, or a non-finite state at an rk4 stage,
-    raises FloatingPointError.  Mass particles are a ``model`` with ``masses``.
+    stage 1).  The step builds every other matrix it reads, each from one
+    :func:`~flocklab.influence.pairwise_distances` pass into one N x N buffer
+    allocated at its first build, so an Euler step given its matrix allocates
+    none.  Euler needs alpha*dt <= 1 (the convex-combination guard for
+    relaxation at rate alpha); a non-finite result, or a non-finite state at
+    an rk4 stage, raises FloatingPointError.  Mass particles are a ``model``
+    with ``masses``.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
@@ -172,24 +171,33 @@ def step(
         return AgentEnsemble(t=t, positions=x, velocities=v)
 
     x, v, alpha = ensemble.positions, ensemble.velocities, model.alpha
+    dist = None
+
+    def accel(state, built=None):
+        nonlocal dist
+        if built is None:
+            dist = influence.pairwise_distances(state.positions, out=dist)
+            built = build_matrix(state, model, dist)
+        return rhs(state, model, built)
+
     # an overflow leaves a non-finite state, which checked() raises as
     # FloatingPointError: numpy's warning would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        a0 = rhs(ensemble, model, matrix)
+        a0 = accel(ensemble, matrix)
         if scheme == "euler":
             if alpha * dt > 1.0:
                 raise StabilityError(f"explicit Euler needs alpha*dt <= 1, got {alpha * dt}")
             x_new, v_new = x + dt * v, v + dt * a0
         elif scheme == "rk4":
-            def accel(xs, vs):
-                return rhs(checked(ensemble.t, xs, vs, "at an rk4 stage"), model)
+            def stage(xs, vs):
+                return accel(checked(ensemble.t, xs, vs, "at an rk4 stage"))
 
             kx2 = v + 0.5 * dt * a0
-            kv2 = accel(x + 0.5 * dt * v, kx2)
+            kv2 = stage(x + 0.5 * dt * v, kx2)
             kx3 = v + 0.5 * dt * kv2
-            kv3 = accel(x + 0.5 * dt * kx2, kx3)
+            kv3 = stage(x + 0.5 * dt * kx2, kx3)
             kx4 = v + dt * kv3
-            kv4 = accel(x + dt * kx3, kx4)
+            kv4 = stage(x + dt * kx3, kx4)
             x_new = x + dt / 6.0 * (v + 2.0 * (kx2 + kx3) + kx4)
             v_new = v + dt / 6.0 * (a0 + 2.0 * (kv2 + kv3) + kv4)
         else:

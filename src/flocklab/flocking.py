@@ -46,17 +46,8 @@ class FlockingCertificate(NamedTuple):
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "psi_kind": "phi-squared",
-            "psi_scale": self.psi_scale,
-            "d_x0": self.d_x0,
-            "d_v0": self.d_v0,
-            "alpha": self.alpha,
-            "tail": "diverges" if math.isinf(self.tail) else self.tail,
-            "d_star": self.d_star,
-            "predicted_rate": self.predicted_rate,
-            "verdict": self.verdict,
-        }
+        return {"psi_kind": "phi-squared", **self._asdict(),
+                "tail": "diverges" if math.isinf(self.tail) else self.tail}
 
 
 def energy(d_x: float, d_v: float, alpha: float, phi: InfluenceFunction, power: int = 2) -> float:

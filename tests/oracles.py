@@ -3,7 +3,7 @@ package code."""
 
 import numpy as np
 
-from flocklab.dynamics import AgentEnsemble, ModelSpec, rhs
+from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix, rhs
 from flocklab.influence import InfluenceFunction, pairwise_distances
 
 
@@ -24,5 +24,5 @@ def kinetic_consistency_check(
     field_route = num / den[:, None]
 
     model = ModelSpec(model="mt", phi=phi, alpha=alpha)
-    matrix_route = rhs(ensemble, model)
+    matrix_route = rhs(ensemble, model, build_matrix(ensemble, model))
     return float(np.max(np.linalg.norm(field_route - matrix_route, axis=1)))

@@ -159,6 +159,42 @@ def test_simulate_failed_decay_check_exits_one(tmp_path):
     assert (out / "diagnostics.csv").exists()
 
 
+SMALL_SCALE_DOC = """
+[model]
+model = mt
+s = 0.5
+alpha = 1
+
+[initial]
+N = 40
+seed = 3
+vel_min = -1e-3
+vel_max = 1e-3
+
+[integration]
+dt = 0.05
+T = 4
+scheme = {scheme}
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the decay check's absolute DECAY_SLACK * dt**2 passes "
+    "anti-alignment at small velocity scales",
+)
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_simulate_anti_alignment_at_small_velocities_exits_one(tmp_path, monkeypatch, scheme):
+    # with rhs's sign flipped the run anti-aligns (d_V grows about 46x under
+    # Euler and 50x under rk4), so the decay check must fail it
+    real = dynamics.rhs
+    monkeypatch.setattr(dynamics, "rhs", lambda ens, model, matrix: -real(ens, model, matrix))
+    cfg = write(tmp_path, SMALL_SCALE_DOC.format(scheme=scheme))
+    out = tmp_path / "flipped"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+
+
 CUTOFF_DOC = """
 [model]
 model = mt

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from flocklab import influence
+from flocklab import dynamics, influence
 from flocklab.dynamics import (
     MODEL_KINDS,
     AgentEnsemble,
@@ -89,18 +89,36 @@ def test_rhs_zero_for_equal_velocities():
         t=0.0, positions=np.array([[0.0], [2.0], [5.0]]), velocities=np.full((3, 1), 0.7)
     )
     for kind in ("cs", "mt", "leader", "vision"):
-        acc = rhs(ens, model_for(kind, 3))
+        model = model_for(kind, 3)
+        acc = rhs(ens, model, build_matrix(ens, model))
         assert np.max(np.abs(acc)) <= 1e-15
 
 
 def test_rhs_mt_hand_values():
-    acc = rhs(two_agent_line(), model_for("mt", 2))
+    ens, model = two_agent_line(), model_for("mt", 2)
+    acc = rhs(ens, model, build_matrix(ens, model))
     assert acc == pytest.approx(np.array([[1.0 / 3.0], [-1.0 / 3.0]]), abs=1e-15)
 
 
 def test_rhs_cs_hand_values():
-    acc = rhs(two_agent_line(), model_for("cs", 2))
+    ens, model = two_agent_line(), model_for("cs", 2)
+    acc = rhs(ens, model, build_matrix(ens, model))
     assert acc == pytest.approx(np.array([[0.25], [-0.25]]), abs=1e-15)
+
+
+def test_rhs_only_multiplies(monkeypatch):
+    ens, model = random_ensemble(5, n=6), model_for("mt", 6, alpha=0.7)
+    matrix = build_matrix(ens, model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rhs built something")
+
+    monkeypatch.setattr(dynamics, "build_matrix", refuse)
+    monkeypatch.setattr(influence, "pairwise_distances", refuse)
+    expected = 0.7 * (matrix.entries @ ens.velocities - ens.velocities)
+    assert np.array_equal(rhs(ens, model, matrix), expected)
+    with pytest.raises(TypeError):
+        rhs(ens, model)  # the matrix has no default
 
 
 # --------------------------------------------------------------------- step
@@ -165,6 +183,35 @@ def test_step_error_contract(state, alpha, dt, scheme, error, message):
         step(ens, model, dt, scheme)
 
 
+@pytest.mark.parametrize(
+    "scheme, given, passes",
+    [("euler", True, 0), ("euler", False, 1), ("rk4", True, 3), ("rk4", False, 4)],
+)
+def test_step_builds_what_it_reads_into_one_distance_buffer(monkeypatch, scheme, given, passes):
+    # one distance pass per matrix the step builds: the first allocates the
+    # N x N buffer and every later one writes into it
+    ens, model = random_ensemble(4, n=7), model_for("mt", 7)
+    matrix = build_matrix(ens, model) if given else None
+    expected = step(ens, model, 0.1, scheme)
+    calls = []
+    real = influence.pairwise_distances
+
+    def spy(points, out=None):
+        result = real(points, out=out)
+        calls.append((out, result))
+        return result
+
+    monkeypatch.setattr(influence, "pairwise_distances", spy)
+    got = step(ens, model, 0.1, scheme, matrix)
+    assert len(calls) == passes
+    if calls:
+        assert calls[0][0] is None
+        buffer = calls[0][1]
+        assert all(out is buffer and result is buffer for out, result in calls[1:])
+    assert np.array_equal(got.positions, expected.positions)
+    assert np.array_equal(got.velocities, expected.velocities)
+
+
 def test_rk4_matches_adaptive_reference_integrator():
     from scipy.integrate import solve_ivp
 
@@ -174,7 +221,8 @@ def test_rk4_matches_adaptive_reference_integrator():
     def field(t, y):
         x, v = y[:10].reshape(5, 2), y[10:].reshape(5, 2)
         state = AgentEnsemble(t=t, positions=x, velocities=v)
-        return np.concatenate([v.ravel(), rhs(state, model).ravel()])
+        acc = rhs(state, model, build_matrix(state, model))
+        return np.concatenate([v.ravel(), acc.ravel()])
 
     y0 = np.concatenate([ens.positions.ravel(), ens.velocities.ravel()])
     ref = solve_ivp(field, (0.0, 2.0), y0, rtol=1e-12, atol=1e-12).y[:, -1]
@@ -317,7 +365,8 @@ def test_asymmetric_models_do_not_conserve_momentum():
         velocities=np.array([[0.0], [1.0], [0.0]]),
     )
     for kind in ("mt", "leader"):
-        acc = rhs(ens, model_for(kind, 3))
+        model = model_for(kind, 3)
+        acc = rhs(ens, model, build_matrix(ens, model))
         assert abs(acc.mean()) > 1e-3, kind
     # the vision cone needs 2D geometry for a lopsided configuration
     ens2 = AgentEnsemble(
@@ -325,7 +374,8 @@ def test_asymmetric_models_do_not_conserve_momentum():
         positions=np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]),
         velocities=np.array([[1.0, 0.0], [1.0, 0.5], [-1.0, 0.0]]),
     )
-    acc = rhs(ens2, model_for("vision", 3))
+    model = model_for("vision", 3)
+    acc = rhs(ens2, model, build_matrix(ens2, model))
     assert np.linalg.norm(acc.mean(axis=0)) > 1e-3
 
 
