@@ -37,13 +37,9 @@ class AgentEnsemble:
     """Positions and velocities of N agents at one time instant."""
 
     def __init__(self, t: float, positions: np.ndarray, velocities: np.ndarray):
-        self.t, self.positions, self.velocities = t, positions, velocities
-        self.__post_init__()
-
-    def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        v = np.asarray(self.velocities, dtype=float)
-        self.positions, self.velocities = x, v
+        x = np.asarray(positions, dtype=float)
+        v = np.asarray(velocities, dtype=float)
+        self.t, self.positions, self.velocities = t, x, v
         if x.ndim != 2 or v.ndim != 2:
             raise ValueError("positions and velocities must be (N, d) arrays")
         if x.shape != v.shape:
@@ -85,33 +81,30 @@ class ModelSpec:
         normalization: Optional[str] = None,
         masses: Optional[np.ndarray] = None,
     ):
+        if model not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {model!r}")
+        if not (alpha > 0):
+            raise ValueError("alpha must be positive")
+        needs_leader = model == "leader"
+        needs_vision = model == "vision"
+        if needs_leader != (beta is not None and leader is not None):
+            raise ValueError("beta and leader index required exactly for the leader model")
+        if needs_vision != (gamma is not None and normalization is not None):
+            raise ValueError("gamma and normalization required exactly for the vision model")
+        if not needs_leader and (beta is not None or leader is not None):
+            raise ValueError("beta/leader only valid for the leader model")
+        if not needs_vision and (gamma is not None or normalization is not None):
+            raise ValueError("gamma/normalization only valid for the vision model")
+        if masses is not None:
+            if model != "mt":
+                raise ValueError("masses only valid for the mt model")
+            masses = np.asarray(masses, dtype=float)
+            if masses.ndim != 1 or not np.all(np.isfinite(masses) & (masses > 0)):
+                raise ValueError("masses must be a 1D array of finite positive values")
         self.model, self.phi, self.alpha = model, phi, alpha
         self.beta, self.leader = beta, leader
         self.gamma, self.normalization = gamma, normalization
         self.masses = masses
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model!r}")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        needs_leader = self.model == "leader"
-        needs_vision = self.model == "vision"
-        if needs_leader != (self.beta is not None and self.leader is not None):
-            raise ValueError("beta and leader index required exactly for the leader model")
-        if needs_vision != (self.gamma is not None and self.normalization is not None):
-            raise ValueError("gamma and normalization required exactly for the vision model")
-        if not needs_leader and (self.beta is not None or self.leader is not None):
-            raise ValueError("beta/leader only valid for the leader model")
-        if not needs_vision and (self.gamma is not None or self.normalization is not None):
-            raise ValueError("gamma/normalization only valid for the vision model")
-        if self.masses is not None:
-            if self.model != "mt":
-                raise ValueError("masses only valid for the mt model")
-            self.masses = m = np.asarray(self.masses, dtype=float)
-            if m.ndim != 1 or not np.all(np.isfinite(m) & (m > 0)):
-                raise ValueError("masses must be a 1D array of finite positive values")
 
 
 def build_matrix(
@@ -295,18 +288,15 @@ class TrajectoryRecord:
         self, times: np.ndarray, position_diameter: np.ndarray,
         velocity_diameter: np.ndarray, momentum: np.ndarray,
     ):
+        k = len(times)
+        if not (len(position_diameter) == len(velocity_diameter) == len(momentum) == k):
+            raise ValueError("diagnostic series must have equal lengths")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must be strictly increasing")
         self.times = times
         self.position_diameter, self.velocity_diameter = position_diameter, velocity_diameter
         self.momentum = momentum
         self.snapshots: List[AgentEnsemble] = []
-        self.__post_init__()
-
-    def __post_init__(self):
-        k = len(self.times)
-        if not (len(self.position_diameter) == len(self.velocity_diameter) == len(self.momentum) == k):
-            raise ValueError("diagnostic series must have equal lengths")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
 
 
 def step_times(t0: float, dt: float, t_final: float) -> List[float]:

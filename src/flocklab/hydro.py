@@ -34,14 +34,10 @@ class HydroState1D:
     """Cell-centered density and velocity on a uniform 1D grid."""
 
     def __init__(self, x_min: float, dx: float, rho: np.ndarray, u: np.ndarray, t: float = 0.0):
+        rho = np.asarray(rho, dtype=float)
+        u = np.asarray(u, dtype=float)
         self.x_min, self.dx, self.rho, self.u, self.t = x_min, dx, rho, u, t
-        self.__post_init__()
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        self.rho, self.u = rho, u
-        if not (self.dx > 0):
+        if not (dx > 0):
             raise ValueError("dx must be positive")
         if rho.ndim != 1 or rho.shape != u.shape or rho.size < 1:
             raise ValueError("rho and u must be equal-length 1D arrays")

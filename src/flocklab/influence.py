@@ -48,23 +48,19 @@ class InfluenceFunction:
         cutoff: Optional[float] = None,
         table: Optional[Tuple[Tuple[float, float], ...]] = None,
     ):
-        self.kind, self.s, self.cutoff, self.table = kind, s, cutoff, table
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.kind not in INFLUENCE_KINDS:
-            raise ValueError(f"unknown influence kind {self.kind!r}")
-        if self.kind != "tabulated":
-            if self.s is None or not (self.s > 0):
+        if kind not in INFLUENCE_KINDS:
+            raise ValueError(f"unknown influence kind {kind!r}")
+        if kind != "tabulated":
+            if s is None or not (s > 0):
                 raise ValueError("power-law exponent s must be positive")
-            if self.kind == "power-law-with-cutoff":
-                if self.cutoff is None or not (self.cutoff > 0):
+            if kind == "power-law-with-cutoff":
+                if cutoff is None or not (cutoff > 0):
                     raise ValueError("cutoff radius must be positive")
         else:
-            if not self.table:
+            if not table:
                 raise ValueError("tabulated kind needs a non-empty table")
-            rs = np.array([p[0] for p in self.table], dtype=float)
-            vals = np.array([p[1] for p in self.table], dtype=float)
+            rs = np.array([p[0] for p in table], dtype=float)
+            vals = np.array([p[1] for p in table], dtype=float)
             if rs[0] != 0.0 or vals[0] != 1.0:
                 raise ValueError("table must start at (0, 1)")
             if np.any(np.diff(rs) <= 0):
@@ -73,6 +69,7 @@ class InfluenceFunction:
                 raise ValueError("table values must be non-increasing")
             if np.any(vals < 0):
                 raise ValueError("table values must be non-negative")
+        self.kind, self.s, self.cutoff, self.table = kind, s, cutoff, table
 
     @classmethod
     def power_law(cls, s: float) -> "InfluenceFunction":
@@ -183,6 +180,7 @@ class InfluenceMatrix:
         self.entries, self.model_tag = entries, model_tag
         self.__post_init__()
 
+    # a separate method because perfbench times it as the influence.validate span
     def __post_init__(self):
         a = self.entries
         if a.ndim != 2 or a.shape[0] != a.shape[1]:

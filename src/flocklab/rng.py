@@ -46,8 +46,7 @@ class SplitMix64:
         return int(self._draw(1)[0])
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return low + (high - low) * u
+        return float(self.uniform_array(1, low, high)[0])
 
     def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         u = (self._draw(int(np.prod(shape))) >> np.uint64(11)) * 2.0**-53

@@ -697,13 +697,13 @@ def test_hydro_builds_two_states_per_step(tmp_path, monkeypatch):
     # the initial state, then per step the occupied span's state and the
     # stepped state, stamped on the step grid in place
     built = []
-    post_init = HydroState1D.__post_init__
+    init = HydroState1D.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(HydroState1D, "__post_init__", counting)
+    monkeypatch.setattr(HydroState1D, "__init__", counting)
     cfg = write(tmp_path, HYDRO_DOC)
     assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "hydro"), "--quiet"]) == 0
     assert len(built) == 1 + 2 * 25

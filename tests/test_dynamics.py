@@ -501,13 +501,13 @@ def test_step_builds_no_ensemble_for_its_starting_state(monkeypatch, scheme, exp
     model = model_for("mt", 6)
     matrix = build_matrix(ens, model)
     built = []
-    post_init = AgentEnsemble.__post_init__
+    init = AgentEnsemble.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(AgentEnsemble, "__post_init__", counting)
+    monkeypatch.setattr(AgentEnsemble, "__init__", counting)
     step(ens, model, 0.05, scheme, matrix)
     assert len(built) == expected
 
@@ -516,13 +516,13 @@ def test_euler_simulate_builds_each_state_once(monkeypatch):
     # the initial state, then the one ensemble each step returns, stamped on
     # the step grid in place
     built = []
-    post_init = AgentEnsemble.__post_init__
+    init = AgentEnsemble.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(AgentEnsemble, "__post_init__", counting)
+    monkeypatch.setattr(AgentEnsemble, "__init__", counting)
     record = simulate(random_ensemble(9, n=6), model_for("mt", 6), dt=0.05, t_final=1.0)
     assert len(record.times) == 21
     assert len(built) == 1 + 20

@@ -22,6 +22,14 @@ def test_uniform_range_and_determinism():
     assert np.all(a >= -2.0) and np.all(a < 3.0)
 
 
+def test_scalar_uniform_is_the_first_value_of_an_array_fill():
+    for low, high in [(0.0, 1.0), (-1e300, 1e300), (5.0, 5.0), (1e-3, 1.0)]:
+        for seed in range(50):
+            u = SplitMix64(seed).uniform(low, high)
+            assert type(u) is float
+            assert u == SplitMix64(seed).uniform_array(1, low, high)[0]
+
+
 def test_streams_differ_across_seeds():
     assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
 
