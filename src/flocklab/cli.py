@@ -106,40 +106,25 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         table.write_rows(line, columns, len(rows))
 
 
-class _BlockCSV(_CSV):
-    """A CSV table written block by block as the run produces its states.
-
-    A block is one time stamp t, the index column (agent number or cell
-    centre, the same in every block) and the state columns, one row per item,
-    written ``t, index, state...``.  The index text is formatted once per
-    table and t once per block; only the state cells go through ``%.17g`` per
-    row.  The bytes are those of :func:`_write_csv` on the stacked float
-    table.
-    """
-
-    def __init__(self, path: Path, header: Sequence[str], index: np.ndarray):
-        super().__init__(path, header)
-        self._index = ["%.17g" % v for v in np.asarray(index, dtype=float).tolist()]
-
-    def write(self, t: float, *columns: np.ndarray) -> None:
-        """One block: 1D columns give one cell per row, 2D ones one per axis."""
-        cols = [c for col in columns for c in (col.T if col.ndim == 2 else (col,))]
-        line = "%.17g," % t + "%s" + ",%.17g" * len(cols) + "\n"
-        self.write_rows(line, [self._index, *cols], len(self._index))
-
-
 @contextmanager
 def _snapshots(stride: int, path: Path, header: Sequence[str], index: np.ndarray, columns):
     """A ``with`` block giving a run's observers: one that writes every
-    ``stride``-th recorded state, as ``columns(state)``, to a :class:`_BlockCSV`
-    as the run records it, holding none, or no observer when ``stride`` is 0."""
+    ``stride``-th recorded state as the run records it, holding none, or no
+    observer when ``stride`` is 0.  A state's block has one row per item,
+    ``t, index, columns(state)...``, a 2D column giving a cell per axis.  The
+    index text (agent number or cell centre) is formatted once per table and
+    t once per block, so only the state cells go through ``%.17g`` per row;
+    the bytes are those of :func:`_write_csv` on the stacked float table."""
     if stride <= 0:
         yield ()
         return
-    with _BlockCSV(path, header, index) as table:
+    index = ["%.17g" % v for v in np.asarray(index, dtype=float).tolist()]
+    with _CSV(path, header) as table:
         def write(k, state, row, built):
             if k % stride == 0:
-                table.write(state.t, *columns(state))
+                cols = [c for col in columns(state) for c in (col.T if col.ndim == 2 else (col,))]
+                line = "%.17g," % state.t + "%s" + ",%.17g" * len(cols) + "\n"
+                table.write_rows(line, [index, *cols], len(index))
         yield [write]
 
 
@@ -301,13 +286,16 @@ def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
 
 
 def cmd_hydro(sc: Scenario, out: Path, args):
+    # any other model or scheme would run this mt limit's Euler step under its name
+    if sc.model != "mt":
+        raise ScenarioError("hydro is the mt model's limit: model must be mt", key="model")
+    if sc.scheme != "euler":
+        raise ScenarioError("hydro steps by explicit Euler: scheme must be euler", key="scheme")
     state = sc.initial_hydro_state()
     phi = sc.build_phi()
 
-    def stepper(s, t):
-        stepped = step_eulerian(s, phi, sc.alpha, sc.dt)
-        stepped.t = t
-        return None, stepped
+    def stepper(s):
+        return None, step_eulerian(s, phi, sc.alpha, sc.dt)
 
     def measure(s):
         return (float(s.t), *hydro_diameters(s, sc.hydro_epsilon), s.total_mass)

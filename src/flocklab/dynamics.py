@@ -313,16 +313,18 @@ def step_times(t0: float, dt: float, t_final: float) -> List[float]:
 
 def march(state, stepper, measure, stamps, observers=(), stop=None) -> list:
     """The one stepping loop, of particles and hydro alike: one ``measure``
-    row per recorded state, the first included.  ``stepper(state, t)``
-    returns ``(built, next state stamped t)`` for each stamp, and is called
-    right after ``measure`` on the same state, so it may reuse its work.
+    row per recorded state, the first included.  ``stepper(state)`` returns
+    ``(built, next state)`` once per stamp, and is called right after
+    ``measure`` on the same state, so it may reuse its work; the loop stamps
+    the next state with that stamp, replacing the ``t`` the step computed.
     Each observer is called as ``observer(k, state, row, built)`` once per
     recorded state k, ``built`` being what the step from it built (None for
     the last state).  A true ``stop(state)`` on a new state ends the run.
     """
     rows = [measure(state)]
     for k, t in enumerate(stamps):
-        built, stepped = stepper(state, t)
+        built, stepped = stepper(state)
+        stepped.t = t
         for observe in observers:
             observe(k, state, rows[-1], built)
         state = stepped
@@ -359,11 +361,9 @@ def simulate(
         influence.pairwise_distances(state.positions, out=dist)
         return (state.t, *diameters(state, dist), bulk_momentum(state))
 
-    def stepper(state: AgentEnsemble, t: float):
+    def stepper(state: AgentEnsemble):
         matrix = build_matrix(state, model, dist)
-        stepped = step(state, model, dt, scheme, matrix)
-        stepped.t = t
-        return matrix, stepped
+        return matrix, step(state, model, dt, scheme, matrix)
 
     rows = march(initial, stepper, measure, step_times(initial.t, dt, t_final), observers, stop)
     return TrajectoryRecord(*(np.array(series) for series in zip(*rows)))

@@ -316,10 +316,9 @@ def build_vision(
         proj = np.einsum("id,ijd->ij", headings, disp)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = np.where(distances > 0.0, proj / distances, 1.0)
+        # each agent sees itself and any coincident agent: a zero distance
+        # has no direction, its cosang is 1.0, and gamma <= 1
         sees[moving] = cosang[moving] >= gamma
-        sees[np.arange(n), np.arange(n)] = True
-        # coincident pairs have no direction and are always seen
-        sees |= distances == 0.0
 
     w = eval_influence(phi, distances) * sees
     if normalization == "cs-style":

@@ -195,16 +195,20 @@ class Scenario(
         return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
 
 
-# sweepable key -> (does the scenario read it?, why it would not)
-_SWEEPABLE = {
+# key read only by some scenarios -> (does the scenario read it?, why it would
+# not); a scenario that sets such a key without reading it is bad input
+_READERS = {
     "s": (lambda sc: sc.phi_kind != "tabulated", "a tabulated kernel has no exponent"),
-    "alpha": (lambda sc: True, ""),
+    "cutoff": (lambda sc: sc.phi_kind == "power-law-with-cutoff", "only a cut-off kernel reads it"),
+    "table": (lambda sc: sc.phi_kind == "tabulated", "only a tabulated kernel reads it"),
     "beta": (lambda sc: sc.model == "leader", "only the leader model reads it"),
+    "leader": (lambda sc: sc.model == "leader", "only the leader model reads it"),
     "gamma": (lambda sc: sc.model == "vision", "only the vision model reads it"),
+    "normalization": (lambda sc: sc.model == "vision", "only the vision model reads it"),
     "N": (lambda sc: sc.ic_kind == "random", "only kind = random reads it"),
     "D": (lambda sc: sc.ic_kind == "two-group", "only kind = two-group reads it"),
 }
-SWEEPABLE_KEYS = tuple(_SWEEPABLE)
+SWEEPABLE_KEYS = ("s", "alpha", "beta", "gamma", "N", "D")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -259,6 +263,11 @@ def validate_scenario(sc: Scenario) -> None:
             _require(_finite(value), _NOT_FINITE[parser], key)
     _require(sc.model in MODEL_KINDS, "unknown model kind", "model")
     _require(sc.phi_kind in INFLUENCE_KINDS, "unknown influence kind", "phi")
+    # a key no run reads would only be echoed, as if it had been used
+    for (_, key, _, _, default), value in zip(_SCHEMA, sc):
+        if key in _READERS and value != default:
+            reads, why = _READERS[key]
+            _require(reads(sc), f"the scenario never reads it: {why}", key)
     if sc.phi_kind in ("power-law", "power-law-with-cutoff"):
         _require(sc.s is not None, "missing required key", "s")
         _require(sc.s > 0, "out of range: must be positive", "s")
@@ -392,13 +401,10 @@ def sweep_points(sc: Scenario, key: str, values: str) -> List[Tuple[object, Scen
     """``(value, scenario)`` per comma-separated value of the sweepable ``key``,
     parsed as a document would parse it.  A key the scenario never reads is
     rejected: sweeping it would repeat one run under different labels."""
-    if key not in _SWEEPABLE:
+    if key not in SWEEPABLE_KEYS:
         raise ScenarioError(
             f"unsweepable parameter (choose from {', '.join(SWEEPABLE_KEYS)})", key=key
         )
-    reads, why = _SWEEPABLE[key]
-    if not reads(sc):
-        raise ScenarioError(f"the scenario never reads it: {why}", key=key)
     raw_values = [v.strip() for v in values.split(",") if v.strip()]
     if not raw_values:
         raise ScenarioError("empty value list", key=key)

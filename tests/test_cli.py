@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -709,33 +710,43 @@ def test_hydro_builds_two_states_per_step(tmp_path, monkeypatch):
     assert len(built) == 1 + 2 * 25
 
 
+def _every_state(path, header, index):
+    """``_snapshots`` at stride 1 over :func:`_state` states."""
+    return cli._snapshots(1, path, header, index, lambda s: s.columns)
+
+
+def _state(t, *columns):
+    """A recorded state at time t whose block holds ``columns``."""
+    return SimpleNamespace(t=t, columns=columns)
+
+
 def test_block_csv_matches_per_cell_formatting(tmp_path):
     odd = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 1 / 3, 2.0, -7.5e-300])
     centers = -12.0 + 0.01 * (np.arange(odd.size) + 0.5)
     path = tmp_path / "fields.csv"
     blocks = [(0.0, odd, odd[::-1]), (0.1, odd[::-1], np.sqrt(np.arange(odd.size))), (0.2, odd, odd)]
-    with cli._BlockCSV(path, ["t", "x", "rho", "u"], centers) as table:
-        for t, rho, u in blocks:
-            table.write(t, rho, u)
+    with _every_state(path, ["t", "x", "rho", "u"], centers) as (write,):
+        for k, (t, rho, u) in enumerate(blocks):
+            write(k, _state(t, rho, u), None, None)
     rows = [[t, x, r, v] for t, rho, u in blocks for x, r, v in zip(centers, rho, u)]
     assert path.read_bytes() == _per_cell_csv(["t", "x", "rho", "u"], rows)
     # 2D columns give one cell per axis, as in snapshots.csv
     x, v = odd.reshape(5, 2), np.arange(10.0).reshape(5, 2) / 3
-    with cli._BlockCSV(path, ["t", "agent", "x0", "x1", "v0", "v1"], np.arange(5)) as table:
-        table.write(0.1, x, v)
+    with _every_state(path, ["t", "agent", "x0", "x1", "v0", "v1"], np.arange(5)) as (write,):
+        write(0, _state(0.1, x, v), None, None)
     rows = [[0.1, k, *x[k], *v[k]] for k in range(5)]
     assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "x1", "v0", "v1"], rows)
     for n in CHUNK_EDGES:
         tiled, centers = np.resize(odd, n), -12.0 + 0.01 * (np.arange(n) + 0.5)
         blocks = [(0.0, tiled, tiled[::-1]), (0.1, tiled[::-1], np.sqrt(np.arange(n)))]
-        with cli._BlockCSV(path, ["t", "x", "rho", "u"], centers) as table:
-            for t, rho, u in blocks:
-                table.write(t, rho, u)
+        with _every_state(path, ["t", "x", "rho", "u"], centers) as (write,):
+            for k, (t, rho, u) in enumerate(blocks):
+                write(k, _state(t, rho, u), None, None)
         rows = [[t, x, r, v] for t, rho, u in blocks for x, r, v in zip(centers, rho, u)]
         assert path.read_bytes() == _per_cell_csv(["t", "x", "rho", "u"], rows), n
         x, v = np.resize(odd, (n, 2)), np.arange(2.0 * n).reshape(n, 2) / 3
-        with cli._BlockCSV(path, ["t", "agent", "x0", "x1", "v0", "v1"], np.arange(n)) as table:
-            table.write(0.1, x, v)
+        with _every_state(path, ["t", "agent", "x0", "x1", "v0", "v1"], np.arange(n)) as (write,):
+            write(0, _state(0.1, x, v), None, None)
         rows = [[0.1, k, *x[k], *v[k]] for k in range(n)]
         assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "x1", "v0", "v1"], rows), n
 
@@ -743,8 +754,8 @@ def test_block_csv_matches_per_cell_formatting(tmp_path):
 def test_block_csv_removes_the_file_of_a_failed_run(tmp_path):
     path = tmp_path / "fields.csv"
     with pytest.raises(RuntimeError):
-        with cli._BlockCSV(path, ["t", "x", "rho", "u"], np.arange(3.0)) as table:
-            table.write(0.0, np.ones(3), np.zeros(3))
+        with _every_state(path, ["t", "x", "rho", "u"], np.arange(3.0)) as (write,):
+            write(0, _state(0.0, np.ones(3), np.zeros(3)), None, None)
             raise RuntimeError("step failed")
     assert not path.exists()
     # a whole table follows the same rule: row 300's str in a float column
@@ -795,8 +806,9 @@ def test_csv_output_memory_does_not_grow_with_rows(tmp_path):
             tracemalloc.stop()
 
     header = ["t", "agent", "x0", "x1", "x2", "v0", "v1", "v2"]
-    with cli._BlockCSV(tmp_path / "snapshots.csv", header, np.arange(n)) as snaps:
-        block_peak = peak_of(lambda: snaps.write(0.5, positions, velocities))
+    with _every_state(tmp_path / "snapshots.csv", header, np.arange(n)) as (write,):
+        state = _state(0.5, positions, velocities)
+        block_peak = peak_of(lambda: write(0, state, None, None))
     path = tmp_path / "table.csv"
     table_peak = peak_of(lambda: _write_csv(path, ["a", "b", "c", "d", "e"], table))
     assert len((tmp_path / "snapshots.csv").read_text().splitlines()) == 1 + n

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,31 +437,41 @@ def test_step_times_rejects_non_positive_horizon(dt, t_final, message):
 
 
 def test_march_contract():
-    # a scalar "state" x stepped to x + t: k runs 0..n, each observer call
-    # gets state k, its row and what the step from it built, None at the end
+    # a scalar "state" x at time t, stepped to x + t + 1, which is x plus the
+    # next stamp; the stepper stamps it off the grid and march replaces that
+    # t with the exact stamp.  k runs 0..n, each observer call gets state k,
+    # its row and what the step from it built, None at the end
+    def state(x, t=0.0):
+        return SimpleNamespace(x=x, t=t)
+
+    def stepper(s):
+        return ("built", s.x), state(s.x + s.t + 1.0, t=s.t + 1.0 + 1e-9)
+
     seen = []
     rows = march(
-        0.0, lambda x, t: (("built", x), x + t), lambda x: ("row", x), [1.0, 2.0, 3.0],
+        state(0.0), stepper, lambda s: ("row", s.x), [1.0, 2.0, 3.0],
         observers=[lambda *a: seen.append(a)],
     )
     assert rows == [("row", 0.0), ("row", 1.0), ("row", 3.0), ("row", 6.0)]
     assert [k for k, *_ in seen] == [0, 1, 2, 3]
-    assert [x for _, x, _, _ in seen] == [0.0, 1.0, 3.0, 6.0]
+    assert [s.x for _, s, _, _ in seen] == [0.0, 1.0, 3.0, 6.0]
+    assert [s.t for _, s, _, _ in seen] == [0.0, 1.0, 2.0, 3.0]
     assert [row for _, _, row, _ in seen] == rows
     assert [built for *_, built in seen] == [("built", 0.0), ("built", 1.0), ("built", 3.0), None]
     # stop sees each new state once it is measured and ends the run there
     seen.clear()
     stopped = []
     rows = march(
-        0.0, lambda x, t: (x, x + t), lambda x: x, [1.0, 2.0, 3.0, 4.0],
-        observers=[lambda *a: seen.append(a)], stop=lambda x: stopped.append(x) or x >= 3.0,
+        state(0.0), lambda s: (s.x, state(s.x + s.t + 1.0)), lambda s: s.x, [1.0, 2.0, 3.0, 4.0],
+        observers=[lambda *a: seen.append(a)], stop=lambda s: stopped.append(s.x) or s.x >= 3.0,
     )
     assert rows == [0.0, 1.0, 3.0] and stopped == [1.0, 3.0]
-    assert [(k, x, built) for k, x, _, built in seen] == [(0, 0.0, 0.0), (1, 1.0, 1.0), (2, 3.0, None)]
+    assert [(k, s.x, built) for k, s, _, built in seen] == [(0, 0.0, 0.0), (1, 1.0, 1.0), (2, 3.0, None)]
     # no stamp: the one state is recorded and observed, with nothing built
     seen.clear()
-    assert march(5.0, None, lambda x: x, [], observers=[lambda *a: seen.append(a)]) == [5.0]
-    assert seen == [(0, 5.0, 5.0, None)]
+    start = state(5.0)
+    assert march(start, None, lambda s: s.x, [], observers=[lambda *a: seen.append(a)]) == [5.0]
+    assert seen == [(0, start, 5.0, None)]
 
 
 def test_simulate_observers_see_each_step_start_and_its_matrix():

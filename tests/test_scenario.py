@@ -328,3 +328,25 @@ def test_the_readme_documents_every_key_in_its_section():
         elif key:
             documented.add((section, key[1]))
     assert {(section, key) for section, key, *_ in _SCHEMA} <= documented
+
+
+@pytest.mark.parametrize(
+    "old,new,key,why",
+    [
+        ("s = 0.25", "s = 0.25\ncutoff = 3", "cutoff", "only a cut-off kernel reads it"),
+        ("s = 0.25", "s = 0.25\ntable = 0:1 1:0", "table", "only a tabulated kernel reads it"),
+        ("s = 0.25", "phi = tabulated\ns = 0.25\ntable = 0:1 1:0", "s",
+         "a tabulated kernel has no exponent"),
+        ("alpha = 1", "alpha = 1\nbeta = 0.3", "beta", "only the leader model reads it"),
+        ("alpha = 1", "alpha = 1\nleader = 0", "leader", "only the leader model reads it"),
+        ("alpha = 1", "alpha = 1\ngamma = 0.5", "gamma", "only the vision model reads it"),
+        ("alpha = 1", "alpha = 1\nnormalization = mt-style", "normalization",
+         "only the vision model reads it"),
+        ("seed = 1", "seed = 1\nD = 40", "D", "only kind = two-group reads it"),
+    ],
+)
+def test_a_key_the_scenario_never_reads_is_rejected_naming_it(old, new, key, why):
+    # it would only be echoed in summary.json, as if the run had used it
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL.replace(old, new))
+    assert str(err.value) == f"the scenario never reads it: {why} (key '{key}')"
