@@ -86,7 +86,14 @@ def lemma_action_bound(
     count = int(np.count_nonzero((u >= theta * u_total) & (w >= theta * w_total)))
     m = float(np.max(np.abs(S))) if S.size else 0.0
     rhs = m * u_total * w_total * (1.0 - count**2 * theta**2)
-    return ActionBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12)
+    # Rounding, with gamma_k = k*eps/(1 - k*eps) and eps the unit roundoff
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1): u @ S @ w
+    # is two chained length-n dot products, within gamma_2n * m*U*W of exact,
+    # and the sums U and W and the rhs products within gamma_(2n+4) * m*U*W
+    k = 4 * u.size + 4
+    eps = np.finfo(float).eps / 2
+    tol = k * eps / (1.0 - k * eps) * m * u_total * w_total
+    return ActionBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
 
 
 # Relative shave applied to the analytic default levels.  The levels are

@@ -261,13 +261,13 @@ def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
     cases = 1000
     violations = 0
     worst_slack = math.inf
-    for _ in range(cases):
+    for case in range(cases):
         n = 2 + rng.next_u64() % 7  # 2..8
-        s = np.zeros((n, n))
-        s[np.triu_indices(n, 1)] = rng.uniform_array(n * (n - 1) // 2, -1.0, 1.0)
-        s = s - s.T
-        u = rng.uniform_array(n, 0.0, 1.0)
-        w = rng.uniform_array(n, 0.0, 1.0)
+        u, w = rng.uniform_array((2, n))
+        if case % 2:  # two-level: each entry 1 or 1e-3
+            u, w = np.where(u < 0.5, 1.0, 1e-3), np.where(w < 0.5, 1.0, 1e-3)
+        # of every antisymmetric S with |S_ij| <= 1, this one has the largest |u^T S w|
+        s = np.sign(np.outer(u, w) - np.outer(w, u))
         thetas = [rng.uniform(1e-3, 1.0), 0.5 / n, 1.0 / n, 1.0 / (2 * n)]
         for theta in thetas:
             res = lemma_action_bound(s, u, w, theta)
@@ -312,7 +312,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     diag = np.array(diag_rows)
     _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "mass"], diag)
     # every recorded mass is positive: a donor-cell step keeps at least
-    # (1 - CFL) of each cell's mass, and an all-zero density fails at measure()
+    # (1 - CFL) of each cell's mass, and initial_hydro_state refuses a massless profile
     mass = diag[:, 3]
 
     t_f, d_xf, d_vf, mass_f = diag_rows[-1]
@@ -363,10 +363,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
             "group 1 starts aligned (zero velocity spread, as with N1 = 1 or "
             "vel_min = vel_max): there is no alignment to compare"
         )
-    results = {}
-    runs = {}
-    diag_rows = []
-    failed = []
+    runs, diag_rows, failed = {}, [], []
     for model_kind in ("cs", "mt"):
         spread = [d_v0]  # group 1's velocity diameter at every recorded state
 
@@ -377,9 +374,19 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
         # the whole ensemble is held to the decay bound at every step taken;
         # the run ends early once group 1 is down to 0.4 of its start
         record, decay, *_ = _run(sc._replace(model=model_kind), initial, stop=group1_aligned)
-        times, series = record.times, np.array(spread)
+        runs[model_kind] = (record.times, np.array(spread), decay)
+        failed += _failed(decay, model_kind)
+        diag_rows.extend((model_kind, t, dv) for t, dv in zip(record.times.tolist(), spread))
+    _write_csv(out / sc.out_diagnostics, ["model", "t", "g1_d_v"], diag_rows)
+
+    # initial alignment rates over a shared early window, the shorter horizon:
+    # the tail of a halted run is flat, so only the early phase compares the two fairly
+    window = min(float(times[-1]) for times, *_ in runs.values())
+    results, early = {}, {}
+    for model_kind, (times, series, decay) in runs.items():
         halved = np.flatnonzero(series <= 0.5 * d_v0)
-        runs[model_kind] = (times, series)
+        keep = times <= window
+        early[model_kind] = fit_exponential_rate(times[keep], series[keep])
         results[model_kind] = {
             "halving_time": float(times[halved[0]]) if halved.size else None,
             "horizon": float(times[-1]),
@@ -387,27 +394,11 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
             "final_ratio": float(series[-1] / d_v0),
             "decay_check": _decay_block(decay),
         }
-        failed += _failed(decay, model_kind)
-        diag_rows.extend((model_kind, t, dv) for t, dv in zip(times.tolist(), series.tolist()))
-
-    _write_csv(out / sc.out_diagnostics, ["model", "t", "g1_d_v"], diag_rows)
-    t_cs = results["cs"]["halving_time"]
-    t_mt = results["mt"]["halving_time"]
+    t_cs, t_mt = results["cs"]["halving_time"], results["mt"]["halving_time"]
     # averaging over the huge remote group can halt the cs dynamics entirely;
     # if halving never happens within the horizon, the ratio is a lower bound
     cs_halved = t_cs is not None
-    ratio = None
-    if t_mt is not None:
-        ratio = (t_cs if cs_halved else results["cs"]["horizon"]) / t_mt
-
-    # initial alignment rates over a shared early window: the tail of a
-    # halted run is flat, so only the early phase compares the two fairly
-    window = min(results["cs"]["horizon"], results["mt"]["horizon"])
-    early = {}
-    for model_kind in ("cs", "mt"):
-        times, series = runs[model_kind]
-        keep = times <= window
-        early[model_kind] = fit_exponential_rate(times[keep], series[keep])
+    ratio = None if t_mt is None else (t_cs if cs_halved else results["cs"]["horizon"]) / t_mt
     # no ratio to a cs rate of exactly 0 (a flat run); a NaN rate gives NaN,
     # written null
     rate_ratio = None if early["cs"] == 0.0 else early["mt"] / early["cs"]
@@ -537,9 +528,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{args.command}: {'; '.join(failed)}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         return EXIT_OK
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (ScenarioError, OSError, UnicodeDecodeError) as exc:
         error, code = exc, EXIT_BAD_INPUT
-    except (FloatingPointError, FlockLabError, MemoryError) as exc:
+    # any other ValueError is an invariant the run broke, such as a matrix row
+    # that does not sum to 1, on a document that was valid
+    except (FloatingPointError, FlockLabError, MemoryError, ValueError) as exc:
         error, code = exc, EXIT_RUNTIME
     print(f"error: {str(error) or 'out of memory'}", file=sys.stderr)
     if created is not None:

@@ -140,11 +140,8 @@ class Scenario(
     __slots__ = ()
 
     def build_phi(self) -> InfluenceFunction:
-        if self.phi_kind == "power-law":
-            return InfluenceFunction.power_law(self.s)
-        if self.phi_kind == "power-law-with-cutoff":
-            return InfluenceFunction.power_law_with_cutoff(self.s, self.cutoff)
-        return InfluenceFunction.tabulated(self.table)
+        # a field the kind does not read is unset (see _READERS)
+        return InfluenceFunction(self.phi_kind, s=self.s, cutoff=self.cutoff, table=self.table)
 
     def to_model_spec(self) -> ModelSpec:
         """The [model] section as the spec a particle run takes; beta/leader or
@@ -192,7 +189,15 @@ class Scenario(
                 rho += np.exp(-((centers - c) ** 2) / (2.0 * self.hydro_width**2))
             mid = 0.5 * (self.hydro_centers[0] + self.hydro_centers[-1])
             u = np.where(centers < mid, self.hydro_speeds[0], self.hydro_speeds[-1])
+        mass = float(rho.sum())
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ScenarioError("the profile leaves no positive mass on the grid", key="centers")
         return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
+
+
+def _kind_reads(*kinds):
+    """The [initial] reader entry of a key only ``kind = one of kinds`` reads."""
+    return (lambda sc: sc.ic_kind in kinds, f"only kind = {' or '.join(kinds)} reads it")
 
 
 # key read only by some scenarios -> (does the scenario read it?, why it would
@@ -205,8 +210,10 @@ _READERS = {
     "leader": (lambda sc: sc.model == "leader", "only the leader model reads it"),
     "gamma": (lambda sc: sc.model == "vision", "only the vision model reads it"),
     "normalization": (lambda sc: sc.model == "vision", "only the vision model reads it"),
-    "N": (lambda sc: sc.ic_kind == "random", "only kind = random reads it"),
-    "D": (lambda sc: sc.ic_kind == "two-group", "only kind = two-group reads it"),
+    **{key: _kind_reads("random") for key in ("N", "pos_min", "pos_max")},
+    **{key: _kind_reads("two-group") for key in ("N1", "N2", "D", "group_spread")},
+    **{key: _kind_reads("explicit") for key in ("positions", "velocities")},
+    **{key: _kind_reads("random", "two-group") for key in ("dim", "vel_min", "vel_max")},
 }
 SWEEPABLE_KEYS = ("s", "alpha", "beta", "gamma", "N", "D")
 

@@ -52,12 +52,20 @@ def test_acceptance_01_lemma_fuzz():
                 s[j, i] = -s[i, j]
         u = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
         w = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
+        # beside the drawn S, the extremal one: of every antisymmetric S with
+        # |S_ij| <= 1 it has the largest |u^T S w|, on u, w and on their
+        # two-level forms (each entry 1 or 1e-3), where the lemma is sharp
+        u2, w2 = np.where(u < 0.5, 1.0, 1e-3), np.where(w < 0.5, 1.0, 1e-3)
+        cases = [(s, u, w)] + [(np.sign(np.outer(a, b) - np.outer(b, a)), a, b)
+                               for a, b in ((u, w), (u2, w2))]
         for theta in (rng.uniform(1e-3, 1.0), 1.0 / n, 0.5 / n, 1.0 / (2 * n)):
-            res = lemma_action_bound(s, u, w, theta)
-            slack = res.rhs - res.lhs
-            worst = min(worst, slack)
-            assert slack >= -1e-12
-    ok(1, f"1000 antisymmetric-action cases hold, worst slack {worst:.3e}")
+            for case in cases:
+                res = lemma_action_bound(*case, theta)
+                slack = res.rhs - res.lhs
+                worst = min(worst, slack)
+                assert slack >= -1e-12
+                assert res.holds
+    ok(1, f"3000 antisymmetric-action cases hold, worst slack {worst:.3e}")
 
 
 # ---------------------------------------------------------------- criterion 2

@@ -12,11 +12,11 @@ import pytest
 
 import flocklab
 from flocklab import cli, dynamics
-from flocklab.activeset import ActionBound
+from flocklab.activeset import ActionBound, lemma_action_bound
 from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import HydroState1D, step_eulerian
-from flocklab.influence import InfluenceFunction, tail_integral
+from flocklab.influence import InfluenceFunction, InfluenceMatrix, tail_integral
 from flocklab.scenario import Scenario, parse_scenario
 
 MT_DOC = """
@@ -385,6 +385,38 @@ def test_verify_lemma_broken_bound_exits_one(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "verify-lemma: lemma bound broken in 4000 cases\n"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_verify_lemma_holds_at_its_extremal_cases(tmp_path, seed):
+    out = tmp_path / "lemma"
+    assert main(["verify-lemma", "--seed", str(seed), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["violations"] == 0
+
+
+def _false_lemma(weaken):
+    """lemma_action_bound with the factor 1 - count**2 theta**2 replaced by
+    ``weaken(count * theta)``: a stronger bound than the lemma's."""
+    def bound(S, u, w, theta):
+        real = lemma_action_bound(S, u, w, theta)
+        count = np.count_nonzero((u >= theta * u.sum()) & (w >= theta * w.sum()))
+        rhs = np.abs(S).max() * u.sum() * w.sum() * weaken(count * theta)
+        return ActionBound(real.lhs, rhs, real.lhs <= rhs + 1e-12)
+
+    return bound
+
+
+@pytest.mark.parametrize(
+    "weaken", [lambda c: 1.0 - c, lambda c: 0.85 * (1.0 - c * c)], ids=["linear", "0.85"]
+)
+def test_verify_lemma_breaks_a_false_stronger_bound(tmp_path, monkeypatch, capsys, weaken):
+    # uniformly drawn S left the worst case 18.8 % below the bound, and both
+    # of these passed all 4000 seed-1 cases
+    monkeypatch.setattr(cli, "lemma_action_bound", _false_lemma(weaken))
+    out = tmp_path / "lemma"
+    assert main(["verify-lemma", "--seed", "1", "--out", str(out), "--quiet"]) == 1
+    assert json.loads((out / "summary.json").read_text())["violations"] > 0
+    assert capsys.readouterr().err.startswith("verify-lemma: lemma bound broken in ")
+
+
 def test_hydro_command(tmp_path):
     cfg = write(tmp_path, HYDRO_DOC)
     out = tmp_path / "hydro"
@@ -668,6 +700,55 @@ def test_a_run_too_large_for_memory_exits_three(tmp_path, capsys, monkeypatch, e
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     assert capsys.readouterr().err == line
     assert not (tmp_path / "run").exists()
+
+
+def test_a_matrix_broken_mid_run_exits_three(tmp_path, capsys, monkeypatch):
+    # the document is valid, so this is no bad input: from its 6th build the
+    # mt matrix is normalised by columns, and the run stops at its invariant
+    real, built = dynamics.build_mt, []
+
+    def column_normalised(distances, phi, masses=None):
+        built.append(None)
+        matrix = real(distances, phi, masses)
+        if len(built) < 6:
+            return matrix
+        return InfluenceMatrix(matrix.entries / matrix.entries.sum(axis=0), "mt")
+
+    monkeypatch.setattr(dynamics, "build_mt", column_normalised)
+    doc = str(Path(__file__).resolve().parent / "documents" / "mt.cfg")
+    out = tmp_path / "run" / "nested"
+    assert main(["simulate", "--config", doc, "--out", str(out), "--quiet"]) == 3
+    assert len(built) == 6
+    assert capsys.readouterr().err == "error: influence matrix rows must sum to 1\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_negative_hydro_density_exits_three(tmp_path, capsys, monkeypatch):
+    # a step that leaves one cell's density negative on a valid document
+    real = cli.step_eulerian
+
+    def negative(state, *args):
+        new = real(state, *args)
+        rho = new.rho.copy()
+        rho[0] = -1e-3
+        return HydroState1D(new.x_min, new.dx, rho, new.u, new.t)
+
+    monkeypatch.setattr(cli, "step_eulerian", negative)
+    cfg = write(tmp_path, HYDRO_DOC)
+    out = tmp_path / "run"
+    assert main(["hydro", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == "error: density must be non-negative\n"
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_text_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_bytes(MT_DOC.encode() + b"# \xff\xfe\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # key -> (a document that sets it, its line there)

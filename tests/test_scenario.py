@@ -330,6 +330,9 @@ def test_the_readme_documents_every_key_in_its_section():
     assert {(section, key) for section, key, *_ in _SCHEMA} <= documented
 
 
+EXPLICIT = "kind = explicit\npositions = 0 0; 1 0\nvelocities = 0 1; 0 -1"
+
+
 @pytest.mark.parametrize(
     "old,new,key,why",
     [
@@ -343,6 +346,18 @@ def test_the_readme_documents_every_key_in_its_section():
         ("alpha = 1", "alpha = 1\nnormalization = mt-style", "normalization",
          "only the vision model reads it"),
         ("seed = 1", "seed = 1\nD = 40", "D", "only kind = two-group reads it"),
+        ("seed = 1", "seed = 1\nN1 = 3", "N1", "only kind = two-group reads it"),
+        ("seed = 1", "seed = 1\ngroup_spread = 2", "group_spread",
+         "only kind = two-group reads it"),
+        ("seed = 1", "seed = 1\npositions = 0 0; 1 0", "positions",
+         "only kind = explicit reads it"),
+        ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4\npos_max = 20", "pos_max",
+         "only kind = random reads it"),
+        ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4\npos_min = -1", "pos_min",
+         "only kind = random reads it"),
+        ("N = 10", f"{EXPLICIT}\ndim = 3", "dim", "only kind = random or two-group reads it"),
+        ("N = 10", f"{EXPLICIT}\nvel_max = 2", "vel_max",
+         "only kind = random or two-group reads it"),
     ],
 )
 def test_a_key_the_scenario_never_reads_is_rejected_naming_it(old, new, key, why):
@@ -350,3 +365,12 @@ def test_a_key_the_scenario_never_reads_is_rejected_naming_it(old, new, key, why
     with pytest.raises(ScenarioError) as err:
         parse_scenario(MINIMAL.replace(old, new))
     assert str(err.value) == f"the scenario never reads it: {why} (key '{key}')"
+
+
+def test_a_hydro_profile_with_no_mass_on_the_grid_is_rejected_naming_centers():
+    # both bumps far off the grid leave an all-zero density, which has no
+    # support and no nonlocal average
+    sc = parse_scenario(MINIMAL + "\n[hydro]\ncenters = -300 300\n")
+    with pytest.raises(ScenarioError) as err:
+        sc.initial_hydro_state()
+    assert err.value.key == "centers"
