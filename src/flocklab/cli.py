@@ -268,10 +268,14 @@ def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
             u, w = np.where(u < 0.5, 1.0, 1e-3), np.where(w < 0.5, 1.0, 1e-3)
         # of every antisymmetric S with |S_ij| <= 1, this one has the largest |u^T S w|
         s = np.sign(np.outer(u, w) - np.outer(w, u))
-        thetas = [rng.uniform(1e-3, 1.0), 0.5 / n, 1.0 / n, 1.0 / (2 * n)]
+        thetas = [rng.uniform(1e-3, 1.0), 0.5 / n, 1.0 / n, 2.0 / n]
         for theta in thetas:
             res = lemma_action_bound(s, u, w, theta)
-            worst_slack = min(worst_slack, res.rhs - res.lhs)
+            # a two-level case with u = w has S = 0 and slack 0 at every
+            # level, which shows nothing: the worst slack is taken over the
+            # cases with m*U*W > 0, i.e. S != 0
+            if s.any():
+                worst_slack = min(worst_slack, res.rhs - res.lhs)
             if not res.holds:
                 violations += 1
     body = {

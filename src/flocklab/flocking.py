@@ -72,7 +72,7 @@ def solve_flock_diameter(
     bracket grown by doubling.  At exact criticality d_v0 == tail the root is
     +inf and math.inf is returned.
     """
-    if d_x0 < 0 or d_v0 < 0:
+    if not (d_x0 >= 0 and d_v0 >= 0):
         raise ValueError("diameters must be non-negative")
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
@@ -124,18 +124,11 @@ def certify(
         raise ValueError("the vision model has no flocking certificate")
     scale = model.beta**2 if model is not None and model.model == "leader" else 1.0
     tail = alpha * scale * tail_integral(phi, 2, d_x0)
-    if math.isinf(tail):
-        verdict = VERDICT_UNCONDITIONAL
-    elif d_v0 <= tail:
-        verdict = VERDICT_CONDITIONAL
+    d_star = solve_flock_diameter(d_x0, d_v0, alpha, phi, scale=scale)
+    if d_star is None:
+        verdict, rate = VERDICT_NOT_GUARANTEED, None
     else:
-        verdict = VERDICT_NOT_GUARANTEED
-
-    d_star = None
-    rate = None
-    if verdict != VERDICT_NOT_GUARANTEED:
-        # the solver compares d_v0 with this same tail, so d_star is a number
-        d_star = solve_flock_diameter(d_x0, d_v0, alpha, phi, scale=scale)
+        verdict = VERDICT_UNCONDITIONAL if math.isinf(tail) else VERDICT_CONDITIONAL
         rate = alpha * scale * phi(d_star) ** 2 if math.isfinite(d_star) else 0.0
     return FlockingCertificate(
         psi_scale=scale,

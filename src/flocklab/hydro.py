@@ -10,8 +10,8 @@ or 3 dimensions, is :func:`flocklab.dynamics.step` on an mt
 are weighted by mass, so with unit masses it is that particle model bit for
 bit.
 
-:func:`nonlocal_average` averages every cell of a state; the Eulerian step
-calls it on the occupied span only, since vacuum cells are never relaxed.
+:func:`nonlocal_average` averages the occupied span only, the cells the
+Eulerian step relaxes; vacuum cells are never relaxed.
 """
 
 from __future__ import annotations
@@ -63,33 +63,33 @@ class HydroState1D:
 
 
 def nonlocal_average(state: HydroState1D, phi: InfluenceFunction) -> np.ndarray:
-    """Density-weighted kernel average of u at every cell center.
+    """Density-weighted kernel average of u over the occupied span lo..hi,
+    the first to the last non-vacuum cell; every other cell keeps its u.
 
     Vacuum cells are excluded from numerator and denominator; a cell whose
     kernel reach contains no mass (possible for cutoff kernels) keeps its own
     velocity, i.e. feels no relaxation.
 
     On the uniform grid the kernel between cells i and j is phi(|i - j| dx),
-    so both sums are one direct convolution with phi(k dx): O(n) memory, one
-    path for every kernel kind.  Only the occupied span lo..hi (first to last
-    cell with mass) is convolved, with the offsets k = -hi..n-1-lo that reach
-    it from every cell: n*(hi - lo + 1) work, and the terms dropped are exact
-    zeros.  A direct sum of non-negative terms is exactly zero only when no
-    mass is in reach, so the den > 0 test stays exact for compact kernels (an
-    FFT's round-off would break it).
+    so over the m span cells both sums are one direct convolution with the
+    symmetric phi(k dx), k = -(m-1)..m-1: m^2 work, O(m) memory, one path for
+    every kernel kind.  A direct sum of non-negative terms is exactly zero
+    only when no mass is in reach, so the den > 0 test stays exact for
+    compact kernels (an FFT's round-off would break it).
     """
-    rho_eff = np.where(state.vacuum_mask(), 0.0, state.rho)
-    occupied = np.flatnonzero(rho_eff)
-    if occupied.size == 0:
+    vacuum = state.vacuum_mask()
+    rho_eff = np.where(vacuum, 0.0, state.rho)
+    if not rho_eff.any():
         raise ValueError("nonlocal average undefined for all-zero density")
-    n, lo, hi = state.n_cells, occupied[0], occupied[-1]
-    g = eval_influence(phi, state.dx * np.arange(max(hi, n - 1 - lo) + 1))
-    g = np.concatenate((g[hi:0:-1], g[: n - lo]))
-    w = rho_eff[lo : hi + 1]
-    num = np.convolve(g, w * state.u[lo : hi + 1], mode="valid")
+    occupied = np.flatnonzero(~vacuum)
+    lo, hi = occupied[0], occupied[-1] + 1
+    g = eval_influence(phi, state.dx * np.arange(hi - lo))
+    g = np.concatenate((g[:0:-1], g))
+    w = rho_eff[lo:hi]
+    num = np.convolve(g, w * state.u[lo:hi], mode="valid")
     den = np.convolve(g, w, mode="valid")
     out = state.u.copy()
-    np.divide(num, den, out=out, where=den > 0.0)
+    np.divide(num, den, out=out[lo:hi], where=den > 0.0)
     return out
 
 
@@ -105,10 +105,7 @@ def step_eulerian(
     dt: float,
 ) -> HydroState1D:
     """One forward step: donor-cell mass flux, upwind velocity advection,
-    relaxation toward the nonlocal average.  Vacuum cells keep their velocity,
-    so the average is taken by :func:`nonlocal_average` on the occupied span
-    (first to last non-vacuum cell) alone, bit for bit what it gives those
-    cells on the whole grid.
+    relaxation toward the nonlocal average.  Vacuum cells keep their velocity.
 
     The boundary is outflow against a vacuum exterior (nothing comes in,
     outgoing mass leaves and is lost); grids should be sized so the support
@@ -147,16 +144,7 @@ def step_eulerian(
     grad_minus = np.where(vacuum_g[:-2], 0.0, jump[:-1])
     grad_plus = np.where(vacuum_g[2:], 0.0, jump[1:])
     dudx = np.where(u > 0.0, grad_minus, np.where(u < 0.0, grad_plus, 0.0))
-    # relaxation: every cell outside the occupied span lo..hi is vacuum and
-    # keeps its velocity, so only the span's own state is averaged; each span
-    # cell gets the same dot product over the same kernel window as on the
-    # whole grid, m^2 work instead of n*m (an all-zero density has no vacuum
-    # cell, so its span is the grid and nonlocal_average raises)
-    occupied = np.flatnonzero(~vacuum)
-    lo, hi = occupied[0], occupied[-1] + 1
-    span = HydroState1D(x_min=state.x_min + lo * dx, dx=dx, rho=rho[lo:hi], u=u[lo:hi])
-    u_bar = u.copy()
-    u_bar[lo:hi] = nonlocal_average(span, phi)
+    u_bar = nonlocal_average(state, phi)
     u_new = u - dt * u * dudx + dt * alpha * (u_bar - u)
     u_new[vacuum] = u[vacuum]
 

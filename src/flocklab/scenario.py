@@ -173,6 +173,9 @@ class Scenario(
         v = rng.uniform_array((self.n1 + self.n2, self.dim), self.vel_min, self.vel_max)
         return AgentEnsemble(t=0.0, positions=x, velocities=v)
 
+    # a cell many widths off a center overflows its exponent: exp(-inf) is
+    # its density, 0, exactly
+    @np.errstate(over="ignore")
     def initial_hydro_state(self) -> HydroState1D:
         n = int(round((self.hydro_x_max - self.hydro_x_min) / self.hydro_dx))
         centers = self.hydro_x_min + self.hydro_dx * (np.arange(n) + 0.5)
@@ -295,6 +298,7 @@ def validate_scenario(sc: Scenario) -> None:
     if sc.model == "vision":
         _require(sc.gamma is not None, "missing required key", "gamma")
         _require(-1.0 <= sc.gamma <= 1.0, "out of range: must lie in [-1, 1]", "gamma")
+        _require(sc.normalization is not None, "missing required key", "normalization")
         _require(
             sc.normalization in NORMALIZATIONS,
             f"must be {' or '.join(map(repr, NORMALIZATIONS))}",
@@ -338,6 +342,11 @@ def validate_scenario(sc: Scenario) -> None:
         sc.hydro_profile in ("two-bump", "gaussian", "uniform"), "unknown profile", "profile"
     )
     _require(sc.hydro_width > 0, "out of range: must be positive", "width")
+    # the profiles divide by 2*width**2, which underflows to 0 below about
+    # 1e-162 and overflows above about 1e154
+    _require(
+        1e-160 <= sc.hydro_width <= 1e150, "out of range: must lie in [1e-160, 1e150]", "width"
+    )
     _require(len(sc.hydro_centers) >= 1, "need at least one center", "centers")
     _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
     _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")

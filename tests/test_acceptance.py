@@ -58,7 +58,7 @@ def test_acceptance_01_lemma_fuzz():
         u2, w2 = np.where(u < 0.5, 1.0, 1e-3), np.where(w < 0.5, 1.0, 1e-3)
         cases = [(s, u, w)] + [(np.sign(np.outer(a, b) - np.outer(b, a)), a, b)
                                for a, b in ((u, w), (u2, w2))]
-        for theta in (rng.uniform(1e-3, 1.0), 1.0 / n, 0.5 / n, 1.0 / (2 * n)):
+        for theta in (rng.uniform(1e-3, 1.0), 1.0 / n, 0.5 / n, 2.0 / n):
             for case in cases:
                 res = lemma_action_bound(*case, theta)
                 slack = res.rhs - res.lhs

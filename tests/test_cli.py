@@ -775,9 +775,9 @@ def test_a_number_that_is_not_finite_exits_two_naming_its_key(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_hydro_builds_two_states_per_step(tmp_path, monkeypatch):
-    # the initial state, then per step the occupied span's state and the
-    # stepped state, stamped on the step grid in place
+def test_hydro_builds_one_state_per_step(tmp_path, monkeypatch):
+    # the initial state, then per step the stepped state, stamped on the step
+    # grid in place
     built = []
     init = HydroState1D.__init__
 
@@ -788,7 +788,7 @@ def test_hydro_builds_two_states_per_step(tmp_path, monkeypatch):
     monkeypatch.setattr(HydroState1D, "__init__", counting)
     cfg = write(tmp_path, HYDRO_DOC)
     assert main(["hydro", "--config", cfg, "--out", str(tmp_path / "hydro"), "--quiet"]) == 0
-    assert len(built) == 1 + 2 * 25
+    assert len(built) == 1 + 25
 
 
 def _every_state(path, header, index):

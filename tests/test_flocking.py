@@ -160,6 +160,19 @@ def test_certificate_vision_model_rejected():
         certify(1.0, 1.0, 1.0, PHI_S1, model=model)
 
 
+@pytest.mark.parametrize("d_x0, d_v0", [(0.0, -0.5), (0.0, math.nan), (math.nan, 0.5)])
+@pytest.mark.parametrize(
+    "phi", [PHI_S1, InfluenceFunction.power_law(0.25)], ids=["finite-tail", "infinite-tail"]
+)
+def test_certificate_rejects_a_negative_or_nan_diameter(phi, d_x0, d_v0):
+    # a NaN spread is no spread the solver can bound, whatever the tail: it
+    # must not bisect its way to an unconditional d* = inf
+    with pytest.raises(ValueError, match="diameters must be non-negative"):
+        solve_flock_diameter(d_x0, d_v0, 1.0, phi)
+    with pytest.raises(ValueError, match="diameters must be non-negative"):
+        certify(d_x0, d_v0, 1.0, phi)
+
+
 def test_certificate_symmetric_theory_kind():
     # the symmetric-theory tail, of psi = phi = (1+r)^-1, diverges; the
     # certificate's own psi = phi**2 has tail 1, which d_v0 = 10 exceeds

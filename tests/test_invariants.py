@@ -2,17 +2,19 @@
 gives a non-negative row-stochastic matrix, explicit Euler with
 alpha*dt <= 1 never grows the velocity diameter, the hydro step conserves
 mass while the support stays off the boundary, and the hydro nonlocal average
-agrees with the dense cell-by-cell kernel, and the step's average over the
-occupied span alone equals the whole grid's bit for bit."""
+agrees with the dense cell-by-cell kernel over the occupied span, keeps every
+other cell's velocity bit for bit, and is the step's one average."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flocklab import hydro
 from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix, simulate
 from flocklab.hydro import HydroState1D, nonlocal_average, step_eulerian
 from flocklab.influence import ROW_SUM_TOL, InfluenceFunction, eval_influence
-from test_hydro import span_step_average
 
 KERNELS = st.one_of(
     st.floats(0.1, 3.0).map(InfluenceFunction.power_law),
@@ -121,12 +123,20 @@ def test_nonlocal_average_matches_the_dense_kernel(phi, n, dx, x_min, seed):
     den = kernel @ w
     expected = u.copy()
     np.divide(kernel @ (w * u), den, out=expected, where=den > 0.0)
-    assert np.max(np.abs(nonlocal_average(state, phi) - expected)) <= 1e-13 * np.max(np.abs(u))
-    # the cells with mass in reach are exactly the reference's: with velocity
-    # 0 on the occupied cells and 1 elsewhere, a cell averages to 0 exactly
-    # when it sees mass, and keeps its 1 otherwise
+    # the occupied span, first to last non-vacuum cell; the rest keep their u
+    span = np.zeros(n, dtype=bool)
+    lo, hi = np.flatnonzero(~state.vacuum_mask())[[0, -1]]
+    span[lo : hi + 1] = True
+    avg = nonlocal_average(state, phi)
+    assert np.max(np.abs(avg[span] - expected[span])) <= 1e-13 * np.max(np.abs(u))
+    assert np.array_equal(avg[~span], u[~span])
+    # the span cells with mass in reach are exactly the reference's: with
+    # velocity 0 on the occupied cells and 1 elsewhere, a span cell averages
+    # to 0 exactly when it sees mass, and keeps its 1 otherwise
     probe = HydroState1D(x_min=x_min, dx=dx, rho=rho, u=np.where(w > 0.0, 0.0, 1.0))
-    assert np.array_equal(nonlocal_average(probe, phi) == 0.0, den > 0.0)
+    probe_avg = nonlocal_average(probe, phi)
+    assert np.array_equal(probe_avg[span] == 0.0, den[span] > 0.0)
+    assert np.array_equal(probe_avg[~span], probe.u[~span])
 
 
 @given(
@@ -142,5 +152,8 @@ def test_step_averages_the_span_as_the_whole_grid_does(phi, n, dx, seed):
     rho = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.01, 2.0, size=n))
     rho[rng.integers(n)] = 1.0  # never all vacuum
     state = HydroState1D(x_min=-1.0, dx=dx, rho=rho, u=rng.uniform(-5.0, 5.0, size=n))
-    span, lo, hi = span_step_average(state, phi, dt=dx / 50.0)
-    assert np.array_equal(nonlocal_average(span, phi), nonlocal_average(state, phi)[lo : hi + 1])
+    # the step averages its own state once, and builds no span state for it
+    with mock.patch.object(hydro, "nonlocal_average", wraps=nonlocal_average) as spy:
+        step_eulerian(state, phi, alpha=1.0, dt=dx / 50.0)
+    # (a state equals only itself)
+    assert [call.args for call in spy.call_args_list] == [(state, phi)]

@@ -367,6 +367,53 @@ def test_a_key_the_scenario_never_reads_is_rejected_naming_it(old, new, key, why
     assert str(err.value) == f"the scenario never reads it: {why} (key '{key}')"
 
 
+# (old, new, key): MINIMAL with old replaced by new is a complete document
+# that reads the key
+REQUIRED = [
+    ("s = 0.25", "s = 0.25", "s"),
+    ("s = 0.25", "phi = power-law-with-cutoff\ns = 0.25\ncutoff = 3", "cutoff"),
+    ("s = 0.25", "phi = tabulated\ntable = 0:1 1:0", "table"),
+    ("model = mt", "model = leader\nbeta = 0.3\nleader = 0", "beta"),
+    ("model = mt", "model = leader\nbeta = 0.3\nleader = 0", "leader"),
+    ("model = mt", "model = vision\ngamma = 0.5\nnormalization = mt-style", "gamma"),
+    ("model = mt", "model = vision\ngamma = 0.5\nnormalization = mt-style", "normalization"),
+    ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4", "N1"),
+    ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4", "N2"),
+    ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4", "D"),
+    ("N = 10", EXPLICIT, "positions"),
+    ("N = 10", EXPLICIT, "velocities"),
+]
+
+
+@pytest.mark.parametrize("old,new,key", REQUIRED, ids=[key for *_, key in REQUIRED])
+def test_a_required_key_left_out_is_named_as_missing(old, new, key):
+    # the complete document parses; without the key's line it names the key
+    doc = MINIMAL.replace(old, new)
+    parse_scenario(doc)
+    without = "\n".join(line for line in doc.splitlines() if not line.startswith(f"{key} = "))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(without)
+    assert str(err.value) == f"missing required key (key '{key}')"
+
+
+@pytest.mark.parametrize("width", ["1e-170", "1.1e-162", "1e151", "1e200"])
+def test_a_width_whose_square_leaves_the_float_range_is_rejected(width):
+    # the profiles divide by 2*width**2: 0 below about 1e-162, and width**2
+    # overflows above about 1e154
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + f"\n[hydro]\nwidth = {width}\n")
+    assert str(err.value) == "out of range: must lie in [1e-160, 1e150] (key 'width')"
+
+
+@pytest.mark.parametrize("width", [1e-160, 1e150])
+def test_the_widest_and_narrowest_widths_build_a_profile_without_warnings(width):
+    # a cell many widths from a center overflows its exponent to exp(-inf) = 0
+    sc = parse_scenario(MINIMAL + f"\n[hydro]\nx_min = -1\nx_max = 1\ndx = 0.5\n"
+                        f"centers = -0.75 1e200\nwidth = {width!r}\n")
+    rho = sc.initial_hydro_state().rho
+    assert rho[0] == 1.0 and (width > 1 or not rho[1:].any())
+
+
 def test_a_hydro_profile_with_no_mass_on_the_grid_is_rejected_naming_centers():
     # both bumps far off the grid leave an all-zero density, which has no
     # support and no nonlocal average
