@@ -1,9 +1,12 @@
 """Scenario documents: flat sectioned key = value files.
 
 Sections are [model], [initial], [integration], [output] and [hydro]; a #
-starts a comment.  Each key is one row of :data:`_SCHEMA`.  Unknown sections
-or keys are rejected with their line number; missing required keys and
-out-of-range values, a number that is not finite among them, name the key.
+starts a comment.  Each key is one row of :data:`_SCHEMA`; :data:`_READERS`
+says which scenarios read a key only some read, so whether setting it is an
+error and, if it has no default, whether it is required.  Unknown sections or
+keys are rejected with their line number; missing required keys, named before
+any bad value of their section, and out-of-range values, a number that is not
+finite among them, name the key.
 Parsing returns a fully resolved Scenario (defaults filled in).  A scenario
 whose [initial] values, the seed aside, are all defaults (a hydro document)
 skips the [initial] checks until a particle command builds its state.
@@ -195,6 +198,11 @@ class Scenario(
         mass = float(rho.sum())
         if not (math.isfinite(mass) and mass > 0.0):
             raise ScenarioError("the profile leaves no positive mass on the grid", key="centers")
+        # a subnormal peak makes the vacuum threshold 1e-14 * peak 0: no empty cell is vacuum
+        if rho.max() < np.finfo(float).tiny:
+            raise ScenarioError(
+                "the peak density is below the smallest normal float", key="centers"
+            )
         return HydroState1D(x_min=self.hydro_x_min, dx=self.hydro_dx, rho=rho, u=u, t=0.0)
 
 
@@ -217,6 +225,8 @@ _READERS = {
     **{key: _kind_reads("two-group") for key in ("N1", "N2", "D", "group_spread")},
     **{key: _kind_reads("explicit") for key in ("positions", "velocities")},
     **{key: _kind_reads("random", "two-group") for key in ("dim", "vel_min", "vel_max")},
+    "centers": (lambda sc: sc.hydro_profile != "uniform", "a uniform profile has no centers"),
+    "width": (lambda sc: sc.hydro_profile != "uniform", "a uniform profile has no width"),
 }
 SWEEPABLE_KEYS = ("s", "alpha", "beta", "gamma", "N", "D")
 
@@ -266,6 +276,13 @@ def _finite(value) -> bool:
     return all(map(_finite, value)) if isinstance(value, tuple) else math.isfinite(value)
 
 
+def _require_read_keys(sc: Scenario, section: str) -> None:
+    """Every key of ``section`` with no default that the scenario reads is set."""
+    for (sec, key, _, _, default), value in zip(_SCHEMA, sc):
+        if sec == section and key in _READERS and default is None and value is None:
+            _require(not _READERS[key][0](sc), "missing required key", key)
+
+
 def validate_scenario(sc: Scenario) -> None:
     # every number must be finite: no range check or bound holds for inf or nan
     for (_, key, _, parser, _), value in zip(_SCHEMA, sc):
@@ -278,32 +295,24 @@ def validate_scenario(sc: Scenario) -> None:
         if key in _READERS and value != default:
             reads, why = _READERS[key]
             _require(reads(sc), f"the scenario never reads it: {why}", key)
-    if sc.phi_kind in ("power-law", "power-law-with-cutoff"):
-        _require(sc.s is not None, "missing required key", "s")
-        _require(sc.s > 0, "out of range: must be positive", "s")
-        if sc.phi_kind == "power-law-with-cutoff":
-            _require(sc.cutoff is not None, "missing required key", "cutoff")
-            _require(sc.cutoff > 0, "out of range: must be positive", "cutoff")
-    else:
-        _require(sc.table is not None, "missing required key", "table")
+    _require_read_keys(sc, "model")
+    _require(sc.s is None or sc.s > 0, "out of range: must be positive", "s")
+    _require(sc.cutoff is None or sc.cutoff > 0, "out of range: must be positive", "cutoff")
+    if sc.table is not None:
         try:
             sc.build_phi()
         except ValueError as exc:
             raise ScenarioError(str(exc), key="table") from None
     _require(sc.alpha > 0, "out of range: must be positive", "alpha")
-    if sc.model == "leader":
-        _require(sc.beta is not None, "missing required key", "beta")
-        _require(0.0 < sc.beta < 1.0, "out of range: must lie in (0, 1)", "beta")
-        _require(sc.leader is not None, "missing required key", "leader")
-    if sc.model == "vision":
-        _require(sc.gamma is not None, "missing required key", "gamma")
-        _require(-1.0 <= sc.gamma <= 1.0, "out of range: must lie in [-1, 1]", "gamma")
-        _require(sc.normalization is not None, "missing required key", "normalization")
-        _require(
-            sc.normalization in NORMALIZATIONS,
-            f"must be {' or '.join(map(repr, NORMALIZATIONS))}",
-            "normalization",
-        )
+    _require(sc.beta is None or 0.0 < sc.beta < 1.0, "out of range: must lie in (0, 1)", "beta")
+    _require(
+        sc.gamma is None or -1.0 <= sc.gamma <= 1.0, "out of range: must lie in [-1, 1]", "gamma"
+    )
+    _require(
+        sc.normalization is None or sc.normalization in NORMALIZATIONS,
+        f"must be {' or '.join(map(repr, NORMALIZATIONS))}",
+        "normalization",
+    )
 
     # splitmix64 reads its seed modulo 2**64: a seed outside would run another's stream
     if sc.seed is not None:
@@ -356,23 +365,15 @@ def _validate_initial(sc: Scenario) -> None:
     """The [initial] checks: the particles a particle command starts from."""
     _require(sc.ic_kind in ("random", "two-group", "explicit"), "unknown kind", "kind")
     _require(sc.dim in (1, 2, 3), "out of range: must be 1, 2 or 3", "dim")
-    if sc.ic_kind == "random":
-        _require(sc.n is not None, "missing required key", "N")
-        _require(sc.n >= 1, "out of range: must be >= 1", "N")
-        _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
-        _require(sc.pos_max >= sc.pos_min, "empty box: pos_max < pos_min", "pos_max")
-        _require(math.isfinite(sc.pos_max - sc.pos_min), "pos_max - pos_min overflows", "pos_max")
-    elif sc.ic_kind == "two-group":
-        for key, val in (("N1", sc.n1), ("N2", sc.n2), ("D", sc.separation)):
-            _require(val is not None, "missing required key", key)
-        _require(sc.n1 >= 1 and sc.n2 >= 1, "out of range: groups must be non-empty", "N1")
-        _require(sc.separation > 0, "out of range: must be positive", "D")
-        _require(sc.group_spread > 0, "out of range: must be positive", "group_spread")
+    _require_read_keys(sc, "initial")
+    _require(sc.n is None or sc.n >= 1, "out of range: must be >= 1", "N")
+    for key, size in (("N1", sc.n1), ("N2", sc.n2)):
+        _require(size is None or size >= 1, "out of range: groups must be non-empty", key)
+    _require(sc.separation is None or sc.separation > 0, "out of range: must be positive", "D")
+    _require(sc.group_spread > 0, "out of range: must be positive", "group_spread")
+    if sc.ic_kind == "two-group":
         _require(math.isfinite(sc.separation + sc.group_spread), "D + group_spread overflows", "D")
-        _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
-    else:
-        _require(sc.positions is not None, "missing required key", "positions")
-        _require(sc.velocities is not None, "missing required key", "velocities")
+    if sc.ic_kind == "explicit":
         _require(
             len(sc.positions) == len(sc.velocities),
             "positions and velocities must list the same number of points",
@@ -385,10 +386,13 @@ def _validate_initial(sc: Scenario) -> None:
             "velocities must have as many coordinates as positions",
             "velocities",
         )
-    if sc.ic_kind != "explicit":  # both random kinds draw velocities in the vel box
+    else:  # both random kinds draw from the seed; two-group reads no pos box, so its default passes
+        _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
+        _require(sc.pos_max >= sc.pos_min, "empty box: pos_max < pos_min", "pos_max")
+        _require(math.isfinite(sc.pos_max - sc.pos_min), "pos_max - pos_min overflows", "pos_max")
         _require(sc.vel_max >= sc.vel_min, "empty box: vel_max < vel_min", "vel_max")
         _require(math.isfinite(sc.vel_max - sc.vel_min), "vel_max - vel_min overflows", "vel_max")
-    if sc.model == "leader" and sc.leader is not None:
+    if sc.leader is not None:
         total = {"random": sc.n, "two-group": (sc.n1 or 0) + (sc.n2 or 0)}.get(
             sc.ic_kind, len(sc.positions or ())
         )

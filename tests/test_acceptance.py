@@ -62,10 +62,11 @@ def test_acceptance_01_lemma_fuzz():
             for case in cases:
                 res = lemma_action_bound(*case, theta)
                 slack = res.rhs - res.lhs
-                worst = min(worst, slack)
+                if case[0].any():  # S = 0 (u = w two-level) has slack 0 and shows nothing
+                    worst = min(worst, slack)
                 assert slack >= -1e-12
                 assert res.holds
-    ok(1, f"3000 antisymmetric-action cases hold, worst slack {worst:.3e}")
+    ok(1, f"12000 antisymmetric-action cases hold, worst slack over S != 0 {worst:.3e}")
 
 
 # ---------------------------------------------------------------- criterion 2

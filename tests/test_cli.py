@@ -487,6 +487,8 @@ def test_hydro_single_profiles(tmp_path, profile):
     # gaussian: rho = exp(-(x - c)^2 / (2 w^2)) about the first center c;
     # uniform: rho = 1; both move at the first speed
     doc = BARE_HYDRO_DOC.replace("profile = two-bump", f"profile = {profile}")
+    if profile == "uniform":  # it reads no centers and no width
+        doc = doc.replace("centers = -3 3\nwidth = 0.5\n", "")
     state = parse_scenario(doc).initial_hydro_state()
     x = -8.0 + 0.1 * (np.arange(160) + 0.5)
     rho = np.exp(-((x + 3.0) ** 2) / (2.0 * 0.5**2)) if profile == "gaussian" else np.ones(160)

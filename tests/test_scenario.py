@@ -358,6 +358,10 @@ EXPLICIT = "kind = explicit\npositions = 0 0; 1 0\nvelocities = 0 1; 0 -1"
         ("N = 10", f"{EXPLICIT}\ndim = 3", "dim", "only kind = random or two-group reads it"),
         ("N = 10", f"{EXPLICIT}\nvel_max = 2", "vel_max",
          "only kind = random or two-group reads it"),
+        ("T = 10", "T = 10\n[hydro]\nprofile = uniform\ncenters = 7 9", "centers",
+         "a uniform profile has no centers"),
+        ("T = 10", "T = 10\n[hydro]\nprofile = uniform\nwidth = 3", "width",
+         "a uniform profile has no width"),
     ],
 )
 def test_a_key_the_scenario_never_reads_is_rejected_naming_it(old, new, key, why):
@@ -394,6 +398,80 @@ def test_a_required_key_left_out_is_named_as_missing(old, new, key):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(without)
     assert str(err.value) == f"missing required key (key '{key}')"
+
+
+LEADER = "model = leader\nbeta = 0.3\nleader = 0"
+VISION = "model = vision\ngamma = 0.5\nnormalization = mt-style"
+GROUPS = "kind = two-group\nN1 = 2\nN2 = 3\nD = 4"
+# (old, new, message, key): MINIMAL with old replaced by new fails one value
+# check, which names its key
+VALUE_CHECKS = [
+    ("alpha = 1", "alpha = inf", "out of range: must be finite", "alpha"),
+    ("N = 10", f"{EXPLICIT.replace('0 -1', '0 nan')}", "coordinates must be finite",
+     "velocities"),
+    ("model = mt", "model = boids", "unknown model kind", "model"),
+    ("s = 0.25", "phi = gaussian\ns = 0.25", "unknown influence kind", "phi"),
+    ("s = 0.25", "s = -1", "out of range: must be positive", "s"),
+    ("s = 0.25", "phi = power-law-with-cutoff\ns = 0.25\ncutoff = 0",
+     "out of range: must be positive", "cutoff"),
+    ("s = 0.25", "phi = tabulated\ntable = 0:1 1:2", "table values must be non-increasing",
+     "table"),
+    ("alpha = 1", "alpha = 0", "out of range: must be positive", "alpha"),
+    ("model = mt", LEADER.replace("0.3", "1"), "out of range: must lie in (0, 1)", "beta"),
+    ("model = mt", VISION.replace("0.5", "1.5"), "out of range: must lie in [-1, 1]", "gamma"),
+    ("model = mt", VISION.replace("mt-style", "rs-style"), "must be 'cs-style' or 'mt-style'",
+     "normalization"),
+    ("seed = 1", "seed = -1", "out of range: must lie in 0..2**64-1", "seed"),
+    ("dt = 0.01", "dt = 0", "out of range: must be positive", "dt"),
+    ("T = 10", "T = -1", "out of range: must be positive", "T"),
+    ("T = 10", "T = 10\nscheme = rk2", "unknown scheme", "scheme"),
+    ("T = 10", "T = 10\nsnapshot_stride = -1", "out of range: must be >= 0", "snapshot_stride"),
+    ("T = 10", "T = 10\n[hydro]\ndx = 0", "out of range: must be positive", "dx"),
+    ("T = 10", "T = 10\n[hydro]\nx_max = -12", "empty grid: x_max <= x_min", "x_max"),
+    ("T = 10", "T = 10\n[hydro]\nx_min = -1e308\nx_max = 1e308", "x_max - x_min overflows",
+     "x_max"),
+    ("T = 10", "T = 10\n[hydro]\ndx = 7", "must divide x_max - x_min into whole cells, "
+     "got 3.42857 cells", "dx"),
+    ("T = 10", "T = 10\n[hydro]\nprofile = flat", "unknown profile", "profile"),
+    ("T = 10", "T = 10\n[hydro]\nwidth = 0", "out of range: must be positive", "width"),
+    ("T = 10", "T = 10\n[hydro]\nwidth = 1e200", "out of range: must lie in [1e-160, 1e150]",
+     "width"),
+    ("T = 10", "T = 10\n[hydro]\ncenters =", "need at least one center", "centers"),
+    ("T = 10", "T = 10\n[hydro]\nspeeds =", "need at least one speed", "speeds"),
+    ("T = 10", "T = 10\n[hydro]\nepsilon = 1", "out of range: must lie in (0, 1)", "epsilon"),
+    ("N = 10", "kind = lattice", "unknown kind", "kind"),
+    ("N = 10", "N = 10\ndim = 4", "out of range: must be 1, 2 or 3", "dim"),
+    ("N = 10", "N = 0", "out of range: must be >= 1", "N"),
+    ("seed = 1", "", "missing required key (mandatory for random specs)", "seed"),
+    ("seed = 1", "seed = 1\npos_min = 5\npos_max = 4", "empty box: pos_max < pos_min", "pos_max"),
+    ("seed = 1", "seed = 1\npos_min = -1e308\npos_max = 1e308", "pos_max - pos_min overflows",
+     "pos_max"),
+    ("N = 10", GROUPS.replace("N1 = 2", "N1 = 0"), "out of range: groups must be non-empty", "N1"),
+    ("N = 10", GROUPS.replace("N2 = 3", "N2 = 0"), "out of range: groups must be non-empty", "N2"),
+    ("N = 10", GROUPS.replace("D = 4", "D = 0"), "out of range: must be positive", "D"),
+    ("N = 10", f"{GROUPS}\ngroup_spread = 0", "out of range: must be positive", "group_spread"),
+    ("N = 10", f"{GROUPS}\ngroup_spread = 1e308".replace("D = 4", "D = 1e308"),
+     "D + group_spread overflows", "D"),
+    ("N = 10\nseed = 1", GROUPS, "missing required key (mandatory for random specs)", "seed"),
+    ("N = 10", EXPLICIT.replace("0 1; 0 -1", "0 1"),
+     "positions and velocities must list the same number of points", "velocities"),
+    ("N = 10", EXPLICIT.replace("0 0; 1 0", "0 0 0 0; 1 0 0 0").replace("0 1; 0 -1", "0 1; 0 1"),
+     "out of range: need 1, 2 or 3 coordinates", "positions"),
+    ("N = 10", EXPLICIT.replace("0 -1", "0 -1 0").replace("0 1;", "0 1 0;"),
+     "velocities must have as many coordinates as positions", "velocities"),
+    ("seed = 1", "seed = 1\nvel_min = 1\nvel_max = 0", "empty box: vel_max < vel_min", "vel_max"),
+    ("seed = 1", "seed = 1\nvel_min = -1e308\nvel_max = 1e308", "vel_max - vel_min overflows",
+     "vel_max"),
+    ("model = mt", LEADER.replace("leader = 0", "leader = 10"), "out of range: leader index",
+     "leader"),
+]
+
+
+@pytest.mark.parametrize("old,new,message,key", VALUE_CHECKS, ids=[c[3] for c in VALUE_CHECKS])
+def test_every_value_check_names_its_key(old, new, message, key):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL.replace(old, new))
+    assert str(err.value) == f"{message} (key '{key}')"
 
 
 @pytest.mark.parametrize("width", ["1e-170", "1.1e-162", "1e151", "1e200"])
