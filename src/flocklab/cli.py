@@ -3,12 +3,12 @@
 Commands: simulate, certify, verify-lemma, hydro, sweep, compare-groups.
 :func:`parse_args` reads the fixed command line (a usage error exits 2 before
 anything is written).  :func:`main` loads the scenario (--config, with --seed
-applied), creates --out, which it removes again if the run exits 2 or 3, and
-calls ``cmd_x(scenario, out, args)``; that writes its CSV files and returns
-``(summary body, failed checks)``, one phrase per failed check, and ``main``
-writes the body, headed by the command name and the PRNG identifier, to the
-``[output] summary`` file (summary.json without a scenario).  ``main`` alone
-sets every exit code: failed checks are named on one stderr line, exit 1.
+applied; verify-lemma reads --seed alone), creates --out, which it removes
+again if the run exits 2 or 3, and calls ``cmd_x(scenario, out, args)``; that
+writes its CSV files, each under a fixed name, and returns ``(summary body,
+failed checks)``, and ``main`` writes the body, headed by the command name and
+the PRNG identifier, to summary.json.  ``main`` alone sets every exit code:
+failed checks are named on one stderr line, exit 1.
 ``simulate``, each ``sweep`` value and the cs and mt runs of
 ``compare-groups`` are one checked particle run, :func:`_run`.  ``simulate``
 and ``hydro`` step through the one loop, :func:`~flocklab.dynamics.march`, and
@@ -195,7 +195,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     initial = sc.initial_ensemble()
     axes = [f"{c}{k}" for c in "xv" for k in range(initial.d)]
     with _snapshots(
-        sc.snapshot_stride, out / sc.out_snapshots, ["t", "agent"] + axes,
+        sc.snapshot_stride, out / "snapshots.csv", ["t", "agent"] + axes,
         np.arange(initial.n), lambda s: (s.positions, s.velocities),
     ) as observers:
         record, decay, cert, comparison_tail, dv_ratio, rate = _run(sc, initial, observers)
@@ -208,7 +208,7 @@ def cmd_simulate(sc: Scenario, out: Path, args):
     rows = np.column_stack((
         record.times, record.position_diameter, record.velocity_diameter, momentum_norm, margins
     ))
-    _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
+    _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
 
     body = {
         "scenario": scenario_to_dict(sc),
@@ -250,14 +250,13 @@ def cmd_certify(sc: Scenario, out: Path, args):
     return body, []
 
 
-def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
-    seed = args.seed if sc is None else sc.seed
-    if seed is None:
-        raise ScenarioError("verify-lemma needs a seed (--seed or scenario)", key="seed")
-    if not 0 <= seed < 2**64:
+def cmd_verify_lemma(_, out: Path, args):
+    if args.seed is None:
+        raise ScenarioError("verify-lemma needs a seed (--seed)", key="seed")
+    if not 0 <= args.seed < 2**64:
         raise ScenarioError("out of range: must lie in 0..2**64-1", key="seed")
 
-    rng = SplitMix64(seed)
+    rng = SplitMix64(args.seed)
     cases = 1000
     violations = 0
     worst_slack = math.inf
@@ -279,8 +278,8 @@ def cmd_verify_lemma(sc: Optional[Scenario], out: Path, args):
             if not res.holds:
                 violations += 1
     body = {
-        "seed": seed,
-        "scenario": None if sc is None else scenario_to_dict(sc),
+        "seed": args.seed,
+        "scenario": None,
         "cases": cases,
         "violations": violations,
         "worst_slack": worst_slack,
@@ -306,7 +305,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
 
     stamps = step_times(state.t, sc.dt, sc.t_final)
     with _snapshots(
-        sc.snapshot_stride, out / sc.out_fields, ["t", "x", "rho", "u"], state.centers,
+        sc.snapshot_stride, out / "fields.csv", ["t", "x", "rho", "u"], state.centers,
         lambda s: (s.rho, s.u),
     ) as observers:
         diag_rows = march(state, stepper, measure, stamps, observers)
@@ -314,7 +313,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     cert = certify(d_x0, d_v0, sc.alpha, phi)
 
     diag = np.array(diag_rows)
-    _write_csv(out / sc.out_diagnostics, ["t", "d_x", "d_v", "mass"], diag)
+    _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "mass"], diag)
     # every recorded mass is positive: a donor-cell step keeps at least
     # (1 - CFL) of each cell's mass, and initial_hydro_state refuses a massless profile
     mass = diag[:, 3]
@@ -381,7 +380,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
         runs[model_kind] = (record.times, np.array(spread), decay)
         failed += _failed(decay, model_kind)
         diag_rows.extend((model_kind, t, dv) for t, dv in zip(record.times.tolist(), spread))
-    _write_csv(out / sc.out_diagnostics, ["model", "t", "g1_d_v"], diag_rows)
+    _write_csv(out / "diagnostics.csv", ["model", "t", "g1_d_v"], diag_rows)
 
     # initial alignment rates over a shared early window, the shorter horizon:
     # the tail of a halted run is flat, so only the early phase compares the two fairly
@@ -443,7 +442,7 @@ Alignment-dynamics simulation and verification lab.
 
 COMMAND: {", ".join(_COMMANDS)}
 The flags follow it in any order, a valued one as --flag VALUE or --flag=VALUE.
-  --config PATH      scenario document (every command but verify-lemma needs one)
+  --config PATH      scenario document: required, but verify-lemma takes none
   --out DIR          output directory (default .)
   --seed N           override the scenario seed
   --quiet            print no progress line
@@ -496,7 +495,10 @@ def parse_args(argv: Sequence[str]) -> Args:
             raise ValueError(f"unknown flag {word}")
         else:
             positionals.append(word)
-    if not args.config and args.command != "verify-lemma":
+    if args.command == "verify-lemma":
+        if args.config is not None:
+            raise ValueError("verify-lemma reads no scenario: it takes no --config")
+    elif not args.config:
         raise ValueError(f"{args.command} needs --config PATH")
     if args.command == "sweep":
         if len(positionals) != 2:
@@ -527,7 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         body, failed = _COMMANDS[args.command](sc, out, args)
         summary = {"command": args.command, "prng": PRNG_ID, **body}
         text = json.dumps(_jsonable(summary), indent=2, allow_nan=False) + "\n"
-        (out / (sc.out_summary if sc else "summary.json")).write_text(text)
+        (out / "summary.json").write_text(text)
         if failed:
             print(f"{args.command}: {'; '.join(failed)}", file=sys.stderr)
             return EXIT_CHECK_FAILED

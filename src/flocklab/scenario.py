@@ -1,7 +1,7 @@
 """Scenario documents: flat sectioned key = value files.
 
-Sections are [model], [initial], [integration], [output] and [hydro]; a #
-starts a comment.  Each key is one row of :data:`_SCHEMA`; :data:`_READERS`
+Sections are [model], [initial], [integration] and [hydro]; a # starts
+a comment.  Each key is one row of :data:`_SCHEMA`; :data:`_READERS`
 says which scenarios read a key only some read, so whether setting it is an
 error and, if it has no default, whether it is required.  Unknown sections or
 keys are rejected with their line number; missing required keys, named before
@@ -105,10 +105,6 @@ _SCHEMA = (
     ("integration", "T", "t_final", _parse_float, 10.0),
     ("integration", "scheme", "scheme", str, "euler"),
     ("integration", "snapshot_stride", "snapshot_stride", _parse_int, 0),
-    ("output", "diagnostics", "out_diagnostics", str, "diagnostics.csv"),
-    ("output", "snapshots", "out_snapshots", str, "snapshots.csv"),
-    ("output", "summary", "out_summary", str, "summary.json"),
-    ("output", "fields", "out_fields", str, "fields.csv"),
     ("hydro", "x_min", "hydro_x_min", _parse_float, -12.0),
     ("hydro", "x_max", "hydro_x_max", _parse_float, 12.0),
     ("hydro", "dx", "hydro_dx", _parse_float, 0.05),
@@ -121,7 +117,7 @@ _SCHEMA = (
 
 SECTIONS = tuple(dict.fromkeys(section for section, *_ in _SCHEMA))
 _PARSE = {(section, key): (name, parser) for section, key, name, parser, _ in _SCHEMA}
-# [initial] less the seed, which verify-lemma reads too and --seed sets for every command
+# [initial] less the seed, which --seed sets for every command
 _PARTICLE_ROWS = [
     (name, default) for section, key, name, _, default in _SCHEMA
     if section == "initial" and key != "seed"
@@ -324,17 +320,10 @@ def validate_scenario(sc: Scenario) -> None:
 
     _require(sc.dt > 0, "out of range: must be positive", "dt")
     _require(sc.t_final > 0, "out of range: must be positive", "T")
+    # the run takes round(T / dt) steps, which an infinite ratio has no count of
+    _require(math.isfinite(sc.t_final / sc.dt), "out of range: T / dt overflows", "T")
     _require(sc.scheme in SCHEMES, "unknown scheme", "scheme")
     _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
-
-    # each output is a file of its own directly inside --out, beside sweep's table
-    named = {"sweep.csv": "sweep's table"}
-    for (section, key, *_), name in zip(_SCHEMA, sc):
-        if section == "output":
-            bare = name not in ("", ".", "..") and "/" not in name and "\\" not in name
-            _require(bare, "must be a bare file name", key)
-            _require(name not in named, f"same file as {named.get(name)}", key)
-            named[name] = f"[output] {key}"
 
     _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
     _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
@@ -358,6 +347,14 @@ def validate_scenario(sc: Scenario) -> None:
     )
     _require(len(sc.hydro_centers) >= 1, "need at least one center", "centers")
     _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
+    # gaussian reads one center, two-bump its first and last speeds, the others
+    # their first speed: a further value set would be echoed as if it had been used
+    profile, defaults = sc.hydro_profile, Scenario._field_defaults
+    for key, count in (("centers", 1 if profile == "gaussian" else math.inf),
+                       ("speeds", 2 if profile == "two-bump" else 1)):
+        value = getattr(sc, "hydro_" + key)
+        _require(value == defaults["hydro_" + key] or len(value) <= count,
+                 f"too many values: a {profile} profile reads {count}", key)
     _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")
 
 

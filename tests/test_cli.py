@@ -363,15 +363,17 @@ def test_verify_lemma_command(tmp_path):
     assert summary["worst_slack"] >= -1e-12
 
 
-def test_verify_lemma_honours_output_summary(tmp_path):
-    cfg = write(tmp_path, MT_DOC + "\n[output]\nsummary = lemma.json\n")
+def test_verify_lemma_takes_no_config(tmp_path, capsys):
+    # it read the document's seed alone and echoed every other key as if used
+    cfg = write(tmp_path, MT_DOC)
     out = tmp_path / "lemma"
-    assert main(["verify-lemma", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["lemma.json"]
-    summary = json.loads((out / "lemma.json").read_text())
-    assert summary["command"] == "verify-lemma"
-    assert summary["seed"] == 3
-    assert summary["scenario"]["output"]["summary"] == "lemma.json"
+    assert main(["verify-lemma", "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{cli.USAGE}\nerror: verify-lemma reads no scenario: it takes no --config\n"
+    )
+    assert not out.exists()
 
 
 def test_verify_lemma_broken_bound_exits_one(tmp_path, monkeypatch, capsys):
@@ -484,11 +486,13 @@ def test_particle_commands_reject_a_document_without_particles(tmp_path, capsys,
 
 @pytest.mark.parametrize("profile", ["gaussian", "uniform"])
 def test_hydro_single_profiles(tmp_path, profile):
-    # gaussian: rho = exp(-(x - c)^2 / (2 w^2)) about the first center c;
-    # uniform: rho = 1; both move at the first speed
+    # gaussian: rho = exp(-(x - c)^2 / (2 w^2)) about its one center c;
+    # uniform: rho = 1; both move at their one speed
     doc = BARE_HYDRO_DOC.replace("profile = two-bump", f"profile = {profile}")
+    doc = doc.replace("centers = -3 3", "centers = -3")
+    doc = doc.replace("speeds = 0.5 -0.5", "speeds = 0.5")
     if profile == "uniform":  # it reads no centers and no width
-        doc = doc.replace("centers = -3 3\nwidth = 0.5\n", "")
+        doc = doc.replace("centers = -3\nwidth = 0.5\n", "")
     state = parse_scenario(doc).initial_hydro_state()
     x = -8.0 + 0.1 * (np.arange(160) + 0.5)
     rho = np.exp(-((x + 3.0) ** 2) / (2.0 * 0.5**2)) if profile == "gaussian" else np.ones(160)

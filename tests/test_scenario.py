@@ -41,7 +41,6 @@ def test_minimal_document_fills_defaults():
     assert sc.scheme == "euler"
     assert sc.dim == 2
     assert sc.pos_min == 0.0 and sc.pos_max == 10.0
-    assert sc.out_summary == "summary.json"
 
 
 def test_alpha_range_error_names_key():
@@ -257,27 +256,48 @@ def test_a_finite_range_whose_width_overflows_is_rejected_naming_its_key(doc, ke
         parse_scenario(doc)
 
 
+def test_an_output_section_is_an_unknown_section():
+    # every output has a fixed name inside --out: no document names one
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + "\n[output]\nsummary = s.json\n")
+    assert str(err.value) == "unknown section [output] (line 15)"
+
+
+def test_a_step_count_that_overflows_is_rejected_naming_t():
+    # round(T / dt) of an infinite ratio raised OverflowError in step_times, exit 1
+    doc = MINIMAL.replace("dt = 0.01", "dt = 1e-10").replace("T = 10", "T = 1e300")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == "out of range: T / dt overflows (key 'T')"
+
+
 @pytest.mark.parametrize(
     "lines, key, message",
     [
-        ("diagnostics = summary.json", "summary", "same file as [output] diagnostics"),
-        ("snapshots = diagnostics.csv", "snapshots", "same file as [output] diagnostics"),
-        ("fields = out.csv\nsnapshots = out.csv", "fields", "same file as [output] snapshots"),
-        ("summary = sweep.csv", "summary", "same file as sweep's table"),
-        ("summary = ../escaped.json", "summary", "must be a bare file name"),
-        ("diagnostics = sub/d.csv", "diagnostics", "must be a bare file name"),
-        ("fields = a\\b.csv", "fields", "must be a bare file name"),
-        ("snapshots = /tmp/s.csv", "snapshots", "must be a bare file name"),
-        ("summary =", "summary", "must be a bare file name"),
-        ("fields = .", "fields", "must be a bare file name"),
-        ("fields = ..", "fields", "must be a bare file name"),
+        ("profile = gaussian\ncenters = -3 3", "centers", "a gaussian profile reads 1"),
+        ("profile = gaussian\ncenters = -3\nspeeds = 0.3 -0.3", "speeds",
+         "a gaussian profile reads 1"),
+        ("profile = uniform\nspeeds = 0.3 -0.3", "speeds", "a uniform profile reads 1"),
+        ("speeds = 0.5 9 -0.5", "speeds", "a two-bump profile reads 2"),
     ],
+    ids=["gaussian-centers", "gaussian-speeds", "uniform-speeds", "two-bump-speeds"],
 )
-def test_output_names_are_distinct_bare_file_names(lines, key, message):
-    # each names a file directly inside --out: one with a path part wrote
-    # outside it, and two equal names (or sweep.csv) overwrote a table, exit 0
-    with pytest.raises(ScenarioError, match=f"^{re.escape(message)} \\(key '{key}'\\)$"):
-        parse_scenario(MINIMAL + "\n[output]\n" + lines + "\n")
+def test_a_hydro_list_value_the_profile_never_reads_is_rejected(lines, key, message):
+    # gaussian read only the first center, and every profile but two-bump only
+    # the first speed; the rest were echoed as if they had been used
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL + f"\n[hydro]\n{lines}\n")
+    assert str(err.value) == f"too many values: {message} (key '{key}')"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["profile = gaussian", "profile = uniform", "profile = gaussian\ncenters = 2\nspeeds = 1",
+     "centers = -4 0 4\nspeeds = 1"],
+)
+def test_a_hydro_list_value_the_profile_reads_is_accepted(lines):
+    # the defaults, two centers and two speeds, are no value the document set
+    parse_scenario(MINIMAL + f"\n[hydro]\n{lines}\n")
 
 
 def _parses(doc: Path) -> bool:
