@@ -146,8 +146,9 @@ def fit_exponential_rate(times, values) -> float:
     """Negated least-squares slope of log(values) over the trailing half.
 
     A series is cut at its first sample at or below ROUND_OFF times its first
-    (a zero included); with fewer than three samples left there is no rate to
-    fit, and the result is NaN.  The slope is the closed-form ordinary least
+    (a zero included); with fewer than three samples left, or times so close
+    that their centred squares sum to zero, there is no rate to fit, and the
+    result is NaN.  The slope is the closed-form ordinary least
     squares one, sum(tc*y) / sum(tc*tc) with tc the fitted times less their
     mean and y the logs less the first fitted log, so a constant series fits
     exactly 0.0 and no LAPACK solver is loaded.  The mean is taken of the
@@ -170,5 +171,8 @@ def fit_exponential_rate(times, values) -> float:
     tc -= tc.mean()
     y = np.log(values[half:])
     y -= y[0]
+    spread = (tc * tc).sum()
+    if spread == 0.0:
+        return math.nan
     # 0.0 - slope, never -0.0: a flat series reads +0.0
-    return 0.0 - float((tc * y).sum() / (tc * tc).sum())
+    return 0.0 - float((tc * y).sum() / spread)

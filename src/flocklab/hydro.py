@@ -93,11 +93,6 @@ def nonlocal_average(state: HydroState1D, phi: InfluenceFunction) -> np.ndarray:
     return out
 
 
-def _edge_padded(a: np.ndarray) -> np.ndarray:
-    """``a`` with its edge values repeated once on each side."""
-    return np.concatenate((a[:1], a, a[-1:]))
-
-
 def step_eulerian(
     state: HydroState1D,
     phi: InfluenceFunction,
@@ -115,10 +110,13 @@ def step_eulerian(
         raise ValueError("dt must be positive")
     rho, u, dx = state.rho, state.u, state.dx
     vacuum = state.vacuum_mask()
-    # vacuum cells are inert: their (frozen) velocities move no mass, and
-    # only the support constrains the step
-    u_eff = np.where(vacuum, 0.0, u)
-    cfl = dt * float(np.max(np.abs(u_eff))) / dx
+    # one ghost cell per side, vacuum like the exterior it stands for; vacuum
+    # cells are inert: their (frozen) velocities move no mass, and only the
+    # support constrains the step
+    vacuum_g = np.concatenate(([True], vacuum, [True]))
+    rho_g = np.concatenate(([0.0], rho, [0.0]))
+    u_g = np.where(vacuum_g, 0.0, np.concatenate(([0.0], u, [0.0])))
+    cfl = dt * float(np.max(np.abs(u_g))) / dx
     if cfl > CFL_LIMIT + 1e-12:
         raise StabilityError(f"CFL violated: dt*max|u|/dx = {cfl:.6g} > {CFL_LIMIT}")
     # the velocity update (1 - c - a) u_i + c u_upwind + a u_bar, with c the
@@ -129,18 +127,13 @@ def step_eulerian(
             f"upwind relaxation needs dt*max|u|/dx + alpha*dt <= 1, got {cfl + alpha * dt:.6g}"
         )
 
-    # one ghost cell per side: a vacuum exterior (no mass) whose velocity
-    # and vacuum flag copy the edge (zero gradient); flux[k] is the mass flux
-    # through the interface left of cell k
-    rho_g = np.concatenate(([0.0], rho, [0.0]))
-    u_eff_g = _edge_padded(u_eff)
-    flux = rho_g[:-1] * np.maximum(u_eff_g[:-1], 0.0) + rho_g[1:] * np.minimum(u_eff_g[1:], 0.0)
+    # flux[k] is the mass flux through the interface left of cell k
+    flux = rho_g[:-1] * np.maximum(u_g[:-1], 0.0) + rho_g[1:] * np.minimum(u_g[1:], 0.0)
     rho_new = rho - dt / dx * (flux[1:] - flux[:-1])
 
     # velocity: upwind gradient; a vacuum upwind neighbor contributes no
     # gradient (nothing advects in)
-    vacuum_g = _edge_padded(vacuum)
-    jump = np.diff(_edge_padded(u)) / dx
+    jump = np.diff(u_g) / dx
     grad_minus = np.where(vacuum_g[:-2], 0.0, jump[:-1])
     grad_plus = np.where(vacuum_g[2:], 0.0, jump[1:])
     dudx = np.where(u > 0.0, grad_minus, np.where(u < 0.0, grad_plus, 0.0))

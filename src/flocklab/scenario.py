@@ -7,9 +7,10 @@ error and, if it has no default, whether it is required.  Unknown sections or
 keys are rejected with their line number; missing required keys, named before
 any bad value of their section, and out-of-range values, a number that is not
 finite among them, name the key.
-Parsing returns a fully resolved Scenario (defaults filled in).  A scenario
-whose [initial] values, the seed aside, are all defaults (a hydro document)
-skips the [initial] checks until a particle command builds its state.
+Parsing returns a fully resolved Scenario (defaults filled in) that knows
+which keys the document set.  A scenario that sets no [initial] key but the
+seed (a hydro document) skips the [initial] checks until a particle command
+builds its state.
 
 Random initial conditions use the splitmix64 generator (see
 :mod:`flocklab.rng`): positions agent by agent, axis by axis, then velocities
@@ -118,10 +119,9 @@ _SCHEMA = (
 SECTIONS = tuple(dict.fromkeys(section for section, *_ in _SCHEMA))
 _PARSE = {(section, key): (name, parser) for section, key, name, parser, _ in _SCHEMA}
 # [initial] less the seed, which --seed sets for every command
-_PARTICLE_ROWS = [
-    (name, default) for section, key, name, _, default in _SCHEMA
-    if section == "initial" and key != "seed"
-]
+_PARTICLE_FIELDS = frozenset(
+    name for section, key, name, *_ in _SCHEMA if section == "initial" and key != "seed"
+)
 # the float-valued parsers, each with its message for a number that is not finite
 _NOT_FINITE = {
     _parse_float: "out of range: must be finite",
@@ -132,9 +132,14 @@ _NOT_FINITE = {
 
 
 class Scenario(
-    namedtuple("Scenario", [row[2] for row in _SCHEMA], defaults=[row[4] for row in _SCHEMA])
+    namedtuple(
+        "Scenario",
+        [row[2] for row in _SCHEMA] + ["written"],
+        defaults=[row[4] for row in _SCHEMA] + [frozenset()],
+    )
 ):
-    """A resolved scenario document: one field per :data:`_SCHEMA` row, in order."""
+    """A resolved scenario document: one field per :data:`_SCHEMA` row, in
+    order, then ``written``, the names of the fields the document set."""
 
     __slots__ = ()
 
@@ -257,7 +262,7 @@ def parse_scenario(text: str) -> Scenario:
         else:
             values[field_name] = parser(raw_value, key, lineno)
 
-    scenario = Scenario(**values)
+    scenario = Scenario(**values, written=frozenset(values))
     validate_scenario(scenario)
     return scenario
 
@@ -287,8 +292,8 @@ def validate_scenario(sc: Scenario) -> None:
     _require(sc.model in MODEL_KINDS, "unknown model kind", "model")
     _require(sc.phi_kind in INFLUENCE_KINDS, "unknown influence kind", "phi")
     # a key no run reads would only be echoed, as if it had been used
-    for (_, key, _, _, default), value in zip(_SCHEMA, sc):
-        if key in _READERS and value != default:
+    for _, key, name, _, _ in _SCHEMA:
+        if key in _READERS and name in sc.written:
             reads, why = _READERS[key]
             _require(reads(sc), f"the scenario never reads it: {why}", key)
     _require_read_keys(sc, "model")
@@ -315,7 +320,7 @@ def validate_scenario(sc: Scenario) -> None:
         _require(0 <= sc.seed < 2**64, "out of range: must lie in 0..2**64-1", "seed")
 
     # described particles are checked now, else when a particle command builds them
-    if any(getattr(sc, name) != default for name, default in _PARTICLE_ROWS):
+    if sc.written & _PARTICLE_FIELDS:
         _validate_initial(sc)
 
     _require(sc.dt > 0, "out of range: must be positive", "dt")
@@ -349,11 +354,11 @@ def validate_scenario(sc: Scenario) -> None:
     _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
     # gaussian reads one center, two-bump its first and last speeds, the others
     # their first speed: a further value set would be echoed as if it had been used
-    profile, defaults = sc.hydro_profile, Scenario._field_defaults
+    profile = sc.hydro_profile
     for key, count in (("centers", 1 if profile == "gaussian" else math.inf),
                        ("speeds", 2 if profile == "two-bump" else 1)):
-        value = getattr(sc, "hydro_" + key)
-        _require(value == defaults["hydro_" + key] or len(value) <= count,
+        name = "hydro_" + key
+        _require(name not in sc.written or len(getattr(sc, name)) <= count,
                  f"too many values: a {profile} profile reads {count}", key)
     _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")
 
@@ -409,7 +414,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def with_override(sc: Scenario, **kwargs) -> Scenario:
-    updated = sc._replace(**kwargs)
+    """``sc`` with the fields of ``kwargs`` set, as if its document set them."""
+    updated = sc._replace(written=sc.written.union(kwargs), **kwargs)
     validate_scenario(updated)
     return updated
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ def test_fit_rate_truncates_at_first_zero():
     assert math.isnan(fit_exponential_rate(t[:2], np.exp(-t[:2])))
     with pytest.raises(ValueError):  # mismatched shapes are still bad input
         fit_exponential_rate(t[:4], v[:3])
+
+
+def test_fit_rate_over_times_whose_squares_underflow_is_nan_without_a_warning():
+    # steps of 1e-171: every centred time squares to 0, so no slope is defined
+    # (the fit divided 0 by 0 and numpy warned)
+    t = 1e-171 * np.arange(11.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fit_exponential_rate(t, np.exp(-t)))
+        assert math.isnan(fit_exponential_rate(t, np.linspace(2.0, 1.0, 11)))
 
 
 def test_fit_rate_cuts_the_round_off_tail():

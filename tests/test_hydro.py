@@ -268,6 +268,82 @@ def test_vacuum_cells_keep_velocity():
     assert out.u[0] == 5.0 and out.u[3] == -7.0
 
 
+def per_cell_step(state, phi, alpha, dt):
+    """step_eulerian restated cell by cell: the exterior is massless, and a
+    vacuum or exterior upwind cell gives no gradient."""
+    rho, u, dx, n = state.rho, state.u, state.dx, state.n_cells
+    vacuum = [r < hydro.VACUUM_RELATIVE_THRESHOLD * max(rho) for r in rho]
+
+    def inert(i):  # a vacuum cell or the exterior
+        return not 0 <= i < n or vacuum[i]
+
+    def moving(i):  # the velocity that moves cell i's mass
+        return 0.0 if inert(i) else u[i]
+
+    def mass(i):
+        return rho[i] if 0 <= i < n else 0.0
+
+    # flux[k] crosses the interface left of cell k
+    flux = [mass(k - 1) * max(moving(k - 1), 0.0) + mass(k) * min(moving(k), 0.0)
+            for k in range(n + 1)]
+    u_bar = nonlocal_average(state, phi)
+    rho_new, u_new = [], []
+    for i in range(n):
+        rho_new.append(rho[i] - dt / dx * (flux[i + 1] - flux[i]))
+        if vacuum[i]:
+            u_new.append(u[i])
+            continue
+        if u[i] > 0.0:
+            grad = 0.0 if inert(i - 1) else (u[i] - u[i - 1]) / dx
+        elif u[i] < 0.0:
+            grad = 0.0 if inert(i + 1) else (u[i + 1] - u[i]) / dx
+        else:
+            grad = 0.0
+        u_new.append(u[i] - dt * u[i] * grad + dt * alpha * (u_bar[i] - u[i]))
+    return np.array(rho_new), np.array(u_new)
+
+
+def _edge_case(n, support, edge_speed, vacuum_speed=0.0):
+    """Mass on the cells of ``support``, interior velocities in (-1, 1), the
+    two edge cells moving at ``edge_speed`` (sign +1: right) and vacuum cells
+    frozen at ``vacuum_speed``."""
+    rho = np.zeros(n)
+    rho[support] = 0.5 + SplitMix64(n).uniform_array(n, 0.0, 1.0)[support]
+    u = SplitMix64(n + 1).uniform_array(n, -1.0, 1.0)
+    u[[0, -1]] = edge_speed
+    u = np.where(rho > 0.0, u, vacuum_speed)
+    return rho, u
+
+
+STEP_CASES = {
+    "left edge, inward": _edge_case(30, slice(0, 12), [0.7, 0.0]),
+    "left edge, outward": _edge_case(30, slice(0, 12), [-0.7, 0.0]),
+    "right edge, inward": _edge_case(30, slice(18, 30), [0.0, -0.7]),
+    "right edge, outward": _edge_case(30, slice(18, 30), [0.0, 0.7]),
+    "both edges, outward, vacuum gap": _edge_case(
+        30, [0, 1, 2, 3, 25, 26, 27, 28, 29], [-0.9, 0.9], vacuum_speed=-5.0
+    ),
+    "vacuum edges frozen outward": (
+        np.array([0.0, 1.0, 2.0, 1.0, 0.0]), np.array([-40.0, 0.3, -0.2, 0.5, 40.0])
+    ),
+    "1-cell grid, moving": (np.array([2.0]), np.array([0.8])),
+    "1-cell grid, at rest": (np.array([2.0]), np.array([0.0])),
+    "fully occupied": _edge_case(25, slice(0, 25), [0.6, -0.6]),
+}
+
+
+@pytest.mark.parametrize("rho, u", STEP_CASES.values(), ids=STEP_CASES.keys())
+@pytest.mark.parametrize(
+    "phi", [PHI_SLOW, InfluenceFunction.power_law_with_cutoff(1.0, 0.35)], ids=["slow", "cutoff"]
+)
+def test_step_matches_its_per_cell_restatement(rho, u, phi):
+    state = HydroState1D(x_min=-1.5, dx=0.1, rho=rho, u=u)
+    out = step_eulerian(state, phi, alpha=0.5, dt=0.05)
+    rho_ref, u_ref = per_cell_step(state, phi, alpha=0.5, dt=0.05)
+    assert np.array_equal(out.rho, rho_ref)
+    assert np.array_equal(out.u, u_ref)
+
+
 def test_macroscopic_decay_two_bump_run():
     state = two_bump_state()
     dt = 0.05

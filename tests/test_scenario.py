@@ -279,8 +279,12 @@ def test_a_step_count_that_overflows_is_rejected_naming_t():
          "a gaussian profile reads 1"),
         ("profile = uniform\nspeeds = 0.3 -0.3", "speeds", "a uniform profile reads 1"),
         ("speeds = 0.5 9 -0.5", "speeds", "a two-bump profile reads 2"),
+        # the default speeds, written out: still a value the document set
+        ("profile = gaussian\ncenters = -3\nspeeds = 0.5 -0.5", "speeds",
+         "a gaussian profile reads 1"),
     ],
-    ids=["gaussian-centers", "gaussian-speeds", "uniform-speeds", "two-bump-speeds"],
+    ids=["gaussian-centers", "gaussian-speeds", "uniform-speeds", "two-bump-speeds",
+         "gaussian-default-speeds"],
 )
 def test_a_hydro_list_value_the_profile_never_reads_is_rejected(lines, key, message):
     # gaussian read only the first center, and every profile but two-bump only
@@ -329,11 +333,15 @@ def _as_document(echo: dict) -> str:
     ids=lambda doc: doc.relative_to(corpus.ROOT).as_posix(),
 )
 def test_the_summary_echo_is_a_complete_document(doc):
-    # every set field is echoed under its own section and key, and reads back
-    # to the same scenario
+    # every set field is echoed under its own section and key, and the keys
+    # the document wrote read back to the same scenario (the echo also holds
+    # defaults of keys the scenario never reads, which a document may not set)
     sc = parse_scenario(doc.read_text())
     echo = scenario_to_dict(sc)
-    assert sum(map(len, echo.values())) == sum(value is not None for value in sc)
+    assert sum(map(len, echo.values())) == sum(value is not None for value in sc[: len(_SCHEMA)])
+    written = {(section, key) for section, key, name, *_ in _SCHEMA if name in sc.written}
+    echo = {section: {key: value for key, value in keys.items() if (section, key) in written}
+            for section, keys in echo.items()}
     assert parse_scenario(_as_document(echo)) == sc
 
 
@@ -375,6 +383,11 @@ EXPLICIT = "kind = explicit\npositions = 0 0; 1 0\nvelocities = 0 1; 0 -1"
          "only kind = random reads it"),
         ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4\npos_min = -1", "pos_min",
          "only kind = random reads it"),
+        # a key set to its default value is still a key the document set
+        ("N = 10", "kind = two-group\nN1 = 2\nN2 = 3\nD = 4\npos_max = 10", "pos_max",
+         "only kind = random reads it"),
+        ("T = 10", "T = 10\n[hydro]\nprofile = uniform\nwidth = 0.5", "width",
+         "a uniform profile has no width"),
         ("N = 10", f"{EXPLICIT}\ndim = 3", "dim", "only kind = random or two-group reads it"),
         ("N = 10", f"{EXPLICIT}\nvel_max = 2", "vel_max",
          "only kind = random or two-group reads it"),
