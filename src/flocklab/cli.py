@@ -148,12 +148,13 @@ def _say(args, message: str) -> None:
 
 def _certificate_payload(model: ModelSpec, d_x0: float, d_v0: float):
     """Certificate with psi = phi**2 plus the symmetric-theory phi tail on the
-    same scale, or None for the vision model (its flocking analysis is open)."""
-    if model.model == "vision":
+    same scale, "diverges" only when the integral of phi does, or two Nones
+    for a model with no certificate (vision)."""
+    cert = certify(d_x0, d_v0, model)
+    if cert is None:
         return None, None
-    cert = certify(d_x0, d_v0, model.alpha, model.phi, model=model)
-    tail = model.alpha * cert.psi_scale * tail_integral(model.phi, 1, d_x0)
-    return cert, "diverges" if math.isinf(tail) else tail
+    tail = tail_integral(model.phi, 1, d_x0)
+    return cert, "diverges" if math.isinf(tail) else model.alpha * cert.psi_scale * tail
 
 
 def _run(sc: Scenario, initial, observers=(), stop=None):
@@ -295,10 +296,10 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     if sc.scheme != "euler":
         raise ScenarioError("hydro steps by explicit Euler: scheme must be euler", key="scheme")
     state = sc.initial_hydro_state()
-    phi = sc.build_phi()
+    model = sc.to_model_spec()
 
     def stepper(s):
-        return None, step_eulerian(s, phi, sc.alpha, sc.dt)
+        return None, step_eulerian(s, model.phi, model.alpha, sc.dt)
 
     def measure(s):
         return (float(s.t), *hydro_diameters(s, sc.hydro_epsilon), s.total_mass)
@@ -310,7 +311,7 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     ) as observers:
         diag_rows = march(state, stepper, measure, stamps, observers)
     _, d_x0, d_v0, mass0 = diag_rows[0]
-    cert = certify(d_x0, d_v0, sc.alpha, phi)
+    cert = certify(d_x0, d_v0, model)
 
     diag = np.array(diag_rows)
     _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "mass"], diag)

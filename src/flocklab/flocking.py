@@ -1,9 +1,10 @@
 """Energy-functional flocking certificates.
 
 The contraction argument compares the initial velocity diameter with the tail
-mass of psi = phi**2, the form every builder analyzed here admits.  A diverging
-tail certifies flocking for every initial condition; a finite tail certifies
-it when d_V(0) <= alpha * integral, in which case the position diameter never
+mass of psi = phi**2 (beta**2 phi**2 for the leader model), read from the
+model's own spec; the vision model has no flocking theorem.  A diverging tail
+certifies flocking for every initial condition; a finite tail certifies it
+when d_V(0) <= alpha * integral, in which case the position diameter never
 exceeds the root d* of alpha * int_{d_X0}^{d*} psi = d_V0 and the velocity
 diameter contracts at least at rate alpha * psi(d*).
 """
@@ -30,8 +31,10 @@ class FlockingCertificate(NamedTuple):
     """Tail test, flock-diameter bound and guaranteed contraction rate.
 
     tail is alpha * psi_scale * integral of psi = phi**2 over [d_x0, inf)
-    (math.inf when divergent).  d_star is present whenever the admissibility
-    condition d_v0 <= tail holds, math.inf at d_v0 == tail; predicted_rate is
+    (math.inf when the integral diverges, or when the product overflows; only
+    the former is the unconditional verdict, and only it is written
+    "diverges").  d_star is present whenever the admissibility condition
+    d_v0 <= tail holds, math.inf at d_v0 == tail; predicted_rate is
     alpha * psi_scale * phi(d_star)**2, the Gronwall rate valid once the
     diameter bound holds, and 0.0 for an infinite d_star.
     """
@@ -47,7 +50,7 @@ class FlockingCertificate(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {"psi_kind": "phi-squared", **self._asdict(),
-                "tail": "diverges" if math.isinf(self.tail) else self.tail}
+                "tail": "diverges" if self.verdict == VERDICT_UNCONDITIONAL else self.tail}
 
 
 def energy(d_x: float, d_v: float, alpha: float, phi: InfluenceFunction, power: int = 2) -> float:
@@ -107,35 +110,31 @@ def solve_flock_diameter(
     return hi
 
 
-def certify(
-    d_x0: float,
-    d_v0: float,
-    alpha: float,
-    phi: InfluenceFunction,
-    model: Optional[ModelSpec] = None,
-) -> FlockingCertificate:
-    """Build the flocking certificate for the given initial diameters.
+def certify(d_x0: float, d_v0: float, model: ModelSpec) -> Optional[FlockingCertificate]:
+    """The flocking certificate of ``model`` for the given initial diameters,
+    or None for the vision model, which has no flocking theorem.
 
     The leader model absorbs beta**2 into the effective kernel; the cs and mt
-    builders use phi**2 unscaled.  The vision model has no flocking theorem
-    and is rejected.
+    builders use phi**2 unscaled.  The verdict is unconditional exactly when
+    the integral of phi**2 itself diverges, whatever alpha * beta**2 does to it.
     """
-    if model is not None and model.model == "vision":
-        raise ValueError("the vision model has no flocking certificate")
-    scale = model.beta**2 if model is not None and model.model == "leader" else 1.0
-    tail = alpha * scale * tail_integral(phi, 2, d_x0)
+    if model.model == "vision":
+        return None
+    alpha, phi = model.alpha, model.phi
+    scale = model.beta**2 if model.model == "leader" else 1.0
+    integral = tail_integral(phi, 2, d_x0)
     d_star = solve_flock_diameter(d_x0, d_v0, alpha, phi, scale=scale)
     if d_star is None:
         verdict, rate = VERDICT_NOT_GUARANTEED, None
     else:
-        verdict = VERDICT_UNCONDITIONAL if math.isinf(tail) else VERDICT_CONDITIONAL
+        verdict = VERDICT_UNCONDITIONAL if math.isinf(integral) else VERDICT_CONDITIONAL
         rate = alpha * scale * phi(d_star) ** 2 if math.isfinite(d_star) else 0.0
     return FlockingCertificate(
         psi_scale=scale,
         d_x0=d_x0,
         d_v0=d_v0,
         alpha=alpha,
-        tail=tail,
+        tail=alpha * scale * integral,
         d_star=d_star,
         predicted_rate=rate,
         verdict=verdict,

@@ -148,13 +148,10 @@ class Scenario(
         return InfluenceFunction(self.phi_kind, s=self.s, cutoff=self.cutoff, table=self.table)
 
     def to_model_spec(self) -> ModelSpec:
-        """The [model] section as the spec a particle run takes; beta/leader or
-        gamma/normalization are passed only to the model that reads them."""
-        kwargs = {}
-        if self.model == "leader":
-            kwargs = {"beta": self.beta, "leader": self.leader}
-        elif self.model == "vision":
-            kwargs = {"gamma": self.gamma, "normalization": self.normalization}
+        """The [model] section as the spec a run takes, with each of beta,
+        leader, gamma and normalization that the scenario reads (see _READERS)."""
+        kwargs = {key: getattr(self, key) for key in ("beta", "leader", "gamma", "normalization")
+                  if _READERS[key][0](self)}
         return ModelSpec(model=self.model, phi=self.build_phi(), alpha=self.alpha, **kwargs)
 
     def initial_ensemble(self) -> AgentEnsemble:
@@ -402,10 +399,11 @@ def _validate_initial(sc: Scenario) -> None:
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    """Resolved scenario as a JSON-friendly mapping (section -> key -> value)."""
+    """Resolved scenario as a JSON-friendly mapping (section -> key -> value)
+    of the keys it reads: a key _READERS says it never reads is left out."""
     out = {name: {} for name in SECTIONS}
     for (section, key, *_), value in zip(_SCHEMA, sc):
-        if value is None:
+        if value is None or (key in _READERS and not _READERS[key][0](sc)):
             continue
         if isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]

@@ -126,7 +126,7 @@ def mt_flagship_run():
 def test_acceptance_04_mt_unconditional_flocking(mt_flagship_run):
     ens, record, _ = mt_flagship_run
     d_x0, d_v0 = diameters(ens)
-    cert = certify(d_x0, d_v0, 1.0, PHI_MT, model=MT_MODEL)
+    cert = certify(d_x0, d_v0, MT_MODEL)
     assert cert.verdict == "unconditional"
     assert np.all(record.position_diameter <= cert.d_star + MT_DT * d_v0 + 1e-12)
     ratio = record.velocity_diameter[-1] / d_v0

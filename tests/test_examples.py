@@ -8,7 +8,8 @@ from pathlib import Path
 
 from flocklab import cli
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 COMMANDS = {
     "two_groups.cfg": "compare-groups",
     "two_bump.cfg": "hydro",
@@ -69,3 +70,10 @@ def test_portrait_meets_its_certificate_until_round_off(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["final"]["d_v_ratio"] < 1e-15
     assert summary["fitted_rate"] >= summary["certificate"]["predicted_rate"]
+
+
+def test_the_readme_library_example_runs(capsys):
+    # the README's one python block, as a reader would paste it
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("unconditional ")

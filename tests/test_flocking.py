@@ -19,6 +19,10 @@ from flocklab.influence import InfluenceFunction, range_integral, tail_integral
 PHI_S1 = InfluenceFunction.power_law(1.0)
 
 
+def mt(phi: InfluenceFunction, alpha: float = 1.0) -> ModelSpec:
+    return ModelSpec(model="mt", phi=phi, alpha=alpha)
+
+
 # -------------------------------------------------------------------- energy
 
 
@@ -98,7 +102,7 @@ def test_flock_diameter_monotone_in_initial_spread(d_v_small, bump):
 
 
 def test_certificate_unconditional_for_slow_decay():
-    cert = certify(5.0, 3.0, 1.0, InfluenceFunction.power_law(0.25))
+    cert = certify(5.0, 3.0, mt(InfluenceFunction.power_law(0.25)))
     assert cert.verdict == "unconditional"
     assert math.isinf(cert.tail)
     assert cert.d_star is not None and math.isfinite(cert.d_star)
@@ -108,14 +112,14 @@ def test_certificate_unconditional_for_slow_decay():
 
 
 def test_certificate_not_guaranteed_when_spread_exceeds_tail():
-    cert = certify(0.0, 1.5, 1.0, PHI_S1)  # tail of phi^2 from 0 is 1
+    cert = certify(0.0, 1.5, mt(PHI_S1))  # tail of phi^2 from 0 is 1
     assert cert.verdict == "not-guaranteed"
     assert cert.tail == pytest.approx(1.0)
     assert cert.d_star is None and cert.predicted_rate is None
 
 
 def test_certificate_conditional_with_finite_diameter():
-    cert = certify(0.0, 0.5, 1.0, PHI_S1)
+    cert = certify(0.0, 0.5, mt(PHI_S1))
     assert cert.verdict == "conditional-satisfied"
     assert cert.d_star is not None
     back = range_integral(PHI_S1, 2, 0.0, cert.d_star)
@@ -129,7 +133,7 @@ def test_certificate_at_exact_criticality_has_no_finite_diameter():
     # lies at infinity, so the diameter bound and the rate are void
     assert tail_integral(PHI_S1, 2, 0.0) == 1.0
     assert solve_flock_diameter(0.0, 1.0, 1.0, PHI_S1) == math.inf
-    cert = certify(0.0, 1.0, 1.0, PHI_S1)
+    cert = certify(0.0, 1.0, mt(PHI_S1))
     assert cert.verdict == "conditional-satisfied"
     assert cert.d_star == math.inf
     assert cert.predicted_rate == 0.0
@@ -137,7 +141,7 @@ def test_certificate_at_exact_criticality_has_no_finite_diameter():
 
 def test_certificate_alpha_scales_admissibility():
     # tail value includes alpha: d_v0 = 1.5 is admissible once alpha = 2
-    cert = certify(0.0, 1.5, 2.0, PHI_S1)
+    cert = certify(0.0, 1.5, mt(PHI_S1, alpha=2.0))
     assert cert.tail == pytest.approx(2.0)
     assert cert.verdict == "conditional-satisfied"
 
@@ -145,7 +149,7 @@ def test_certificate_alpha_scales_admissibility():
 def test_certificate_leader_absorbs_beta_squared():
     phi = InfluenceFunction.power_law(1.0)
     model = ModelSpec(model="leader", phi=phi, alpha=1.0, beta=0.5, leader=0)
-    cert = certify(0.0, 0.2, 1.0, phi, model=model)
+    cert = certify(0.0, 0.2, model)
     assert cert.psi_scale == pytest.approx(0.25)
     assert cert.tail == pytest.approx(0.25)  # alpha * beta^2 * 1
     back = 0.25 * range_integral(phi, 2, 0.0, cert.d_star)
@@ -153,12 +157,22 @@ def test_certificate_leader_absorbs_beta_squared():
     assert cert.predicted_rate == pytest.approx(0.25 * phi(cert.d_star) ** 2)
 
 
-def test_certificate_vision_model_rejected():
+def test_certificate_vision_model_has_none():
     model = ModelSpec(
         model="vision", phi=PHI_S1, alpha=1.0, gamma=0.0, normalization="mt-style"
     )
-    with pytest.raises(ValueError):
-        certify(1.0, 1.0, 1.0, PHI_S1, model=model)
+    assert certify(1.0, 1.0, model) is None
+
+
+def test_an_overflowing_tail_is_no_divergence():
+    # for s = 0.51 the integral of phi**2 is finite: alpha = 1e308 overflows
+    # only its product with alpha, which certifies nothing unconditionally
+    phi = InfluenceFunction.power_law(0.51)
+    assert math.isfinite(tail_integral(phi, 2, 7.7))
+    cert = certify(7.7, 2.0, mt(phi, alpha=1e308))
+    assert cert.tail == math.inf
+    assert cert.verdict == "conditional-satisfied"
+    assert cert.to_json_dict()["tail"] == math.inf
 
 
 @pytest.mark.parametrize("d_x0, d_v0", [(0.0, -0.5), (0.0, math.nan), (math.nan, 0.5)])
@@ -171,14 +185,14 @@ def test_certificate_rejects_a_negative_or_nan_diameter(phi, d_x0, d_v0):
     with pytest.raises(ValueError, match="diameters must be non-negative"):
         solve_flock_diameter(d_x0, d_v0, 1.0, phi)
     with pytest.raises(ValueError, match="diameters must be non-negative"):
-        certify(d_x0, d_v0, 1.0, phi)
+        certify(d_x0, d_v0, mt(phi))
 
 
 def test_certificate_symmetric_theory_kind():
     # the symmetric-theory tail, of psi = phi = (1+r)^-1, diverges; the
     # certificate's own psi = phi**2 has tail 1, which d_v0 = 10 exceeds
     assert math.isinf(tail_integral(PHI_S1, 1, 0.0))
-    cert = certify(0.0, 10.0, 1.0, PHI_S1)
+    cert = certify(0.0, 10.0, mt(PHI_S1))
     assert cert.tail == pytest.approx(1.0)
     assert cert.verdict == "not-guaranteed"
     assert cert.to_json_dict()["psi_kind"] == "phi-squared"
@@ -298,7 +312,7 @@ def test_mt_run_conforms_to_certificate():
     phi = InfluenceFunction.power_law(0.25)
     model = ModelSpec(model="mt", phi=phi, alpha=1.0)
     d_x0, d_v0 = diameters(ens)
-    cert = certify(d_x0, d_v0, 1.0, phi, model=model)
+    cert = certify(d_x0, d_v0, model)
     assert cert.verdict == "unconditional"
 
     dt = 0.05
@@ -325,7 +339,7 @@ def test_cs_and_leader_runs_conform_to_certificates(kind):
     else:
         model = ModelSpec(model=kind, phi=phi, alpha=1.0)
     d_x0, d_v0 = diameters(ens)
-    cert = certify(d_x0, d_v0, 1.0, phi, model=model)
+    cert = certify(d_x0, d_v0, model)
     assert cert.verdict == "unconditional"
 
     dt = 0.05

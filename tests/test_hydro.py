@@ -515,21 +515,21 @@ def test_hydro_diameters_validation():
 
 def test_hydro_certificate_unconditional():
     state = two_bump_state()
-    cert = certify(*hydro_diameters(state), 1.0, PHI_SLOW)
+    cert = certify(*hydro_diameters(state), ModelSpec(model="mt", phi=PHI_SLOW, alpha=1.0))
     assert cert.verdict == "unconditional"
 
 
 def test_hydro_certificate_not_guaranteed():
     state = two_bump_state(speed=5.0)  # d_v0 = 10 exceeds the (1+r)^-2 tail
     # widen dt constraints are irrelevant here; certificate only reads state0
-    cert = certify(*hydro_diameters(state), 1.0, PHI1)
+    cert = certify(*hydro_diameters(state), ModelSpec(model="mt", phi=PHI1, alpha=1.0))
     assert cert.verdict == "not-guaranteed"
 
 
 def test_hydro_certificate_rest_state():
     state = two_bump_state(speed=0.0)
     d_x0, d_v0 = hydro_diameters(state)
-    cert = certify(d_x0, d_v0, 1.0, PHI1)
+    cert = certify(d_x0, d_v0, ModelSpec(model="mt", phi=PHI1, alpha=1.0))
     assert cert.verdict == "conditional-satisfied"
     assert cert.d_star == pytest.approx(d_x0)
 

@@ -7,6 +7,7 @@ import pytest
 import corpus
 from flocklab.errors import ScenarioError
 from flocklab.scenario import (
+    _READERS,
     _SCHEMA,
     parse_scenario,
     scenario_to_dict,
@@ -333,12 +334,14 @@ def _as_document(echo: dict) -> str:
     ids=lambda doc: doc.relative_to(corpus.ROOT).as_posix(),
 )
 def test_the_summary_echo_is_a_complete_document(doc):
-    # every set field is echoed under its own section and key, and the keys
-    # the document wrote read back to the same scenario (the echo also holds
-    # defaults of keys the scenario never reads, which a document may not set)
+    # the echo holds exactly the keys the scenario reads, each set one under
+    # its own section and key, and the keys the document wrote read back to
+    # the same scenario
     sc = parse_scenario(doc.read_text())
     echo = scenario_to_dict(sc)
-    assert sum(map(len, echo.values())) == sum(value is not None for value in sc[: len(_SCHEMA)])
+    read = {(section, key) for (section, key, *_), value in zip(_SCHEMA, sc)
+            if value is not None and (key not in _READERS or _READERS[key][0](sc))}
+    assert {(section, key) for section, keys in echo.items() for key in keys} == read
     written = {(section, key) for section, key, name, *_ in _SCHEMA if name in sc.written}
     echo = {section: {key: value for key, value in keys.items() if (section, key) in written}
             for section, keys in echo.items()}
@@ -402,6 +405,22 @@ def test_a_key_the_scenario_never_reads_is_rejected_naming_it(old, new, key, why
     with pytest.raises(ScenarioError) as err:
         parse_scenario(MINIMAL.replace(old, new))
     assert str(err.value) == f"the scenario never reads it: {why} (key '{key}')"
+
+
+@pytest.mark.parametrize(
+    "old,new,section,unread",
+    [
+        ("N = 10", EXPLICIT, "initial",
+         {"dim", "pos_min", "pos_max", "vel_min", "vel_max", "group_spread"}),
+        ("T = 10", "T = 10\n[hydro]\nprofile = uniform", "hydro", {"centers", "width"}),
+    ],
+    ids=["explicit", "uniform"],
+)
+def test_the_summary_echo_leaves_out_the_defaults_the_scenario_never_reads(
+    old, new, section, unread
+):
+    echo = scenario_to_dict(parse_scenario(MINIMAL.replace(old, new)))
+    assert not unread & echo[section].keys()
 
 
 # (old, new, key): MINIMAL with old replaced by new is a complete document
