@@ -28,7 +28,8 @@ def _flipped_rhs(real):
 
 
 def _transposed_rhs(real):
-    # alpha (A^T v - v): column-stochastic for mt, so every runtime check passes
+    # alpha (A^T v - v): the checks read the row-stochastic A the step was
+    # given, not the operator it applied, so every runtime check passes
     def rhs(ens, model, matrix):
         return model.alpha * (matrix.entries.T @ ens.velocities - ens.velocities)
 
