@@ -1,12 +1,13 @@
 """Scenario documents: flat sectioned key = value files.
 
 Sections are [model], [initial], [integration] and [hydro]; a # starts
-a comment.  Each key is one row of :data:`_SCHEMA`; :data:`_READERS`
-says which scenarios read a key only some read, so whether setting it is an
-error and, if it has no default, whether it is required.  Unknown sections or
-keys are rejected with their line number; missing required keys, named before
-any bad value of their section, and out-of-range values, a number that is not
-finite among them, name the key.
+a comment.  Each key is one row of :data:`_SCHEMA`, with its value's own
+checks; :data:`_READERS` says which scenarios read a key only some read, so
+whether setting it is an error and, if it has no default, whether it is
+required.  Unknown sections or keys are rejected with their line number.  A
+bad value, a number that is not finite among them, is named first, the
+earliest row first; then come unread keys, missing required keys and the rules
+between keys.
 Parsing returns a fully resolved Scenario (defaults filled in) that knows
 which keys the document set.  A scenario that sets no [initial] key but the
 seed (a hydro document) skips the [initial] checks until a particle command
@@ -74,50 +75,75 @@ def _parse_table(raw: str, key: str, line: int) -> Tuple[Tuple[float, float], ..
     return tuple(knots)
 
 
-# Every document key, once: (section, key, Scenario field, parser, default).
-# A parser takes (raw, key, line); str keeps the raw text.  Scenario's fields,
-# the parse lookup, the summary.json echo and the sweep lookup all read this.
+def _one_of(choices, message: str):
+    return (lambda v: v in choices, message)
+
+
+# a value's own checks, each a (holds(v), message) pair; the shared ones
+_POSITIVE = (lambda v: v > 0, "out of range: must be positive")
+_IN_UNIT = (lambda v: 0.0 < v < 1.0, "out of range: must lie in (0, 1)")
+_GROUP = (lambda v: v >= 1, "out of range: groups must be non-empty")
+
+# Every document key, once: (section, key, Scenario field, parser, default,
+# checks on the value whenever it is set).  A parser takes (raw, key, line);
+# str keeps the raw text.  Scenario's fields, the parse lookup, the validation
+# pass, the summary.json echo and the sweep lookup all read this.
 _SCHEMA = (
-    ("model", "model", "model", str, "mt"),
-    ("model", "phi", "phi_kind", str, "power-law"),
-    ("model", "s", "s", _parse_float, None),
-    ("model", "cutoff", "cutoff", _parse_float, None),
-    ("model", "table", "table", _parse_table, None),
-    ("model", "alpha", "alpha", _parse_float, 1.0),
-    ("model", "beta", "beta", _parse_float, None),
-    ("model", "leader", "leader", _parse_int, None),
-    ("model", "gamma", "gamma", _parse_float, None),
-    ("model", "normalization", "normalization", str, None),
-    ("initial", "kind", "ic_kind", str, "random"),
-    ("initial", "N", "n", _parse_int, None),
-    ("initial", "dim", "dim", _parse_int, 2),
-    ("initial", "seed", "seed", _parse_int, None),
-    ("initial", "pos_min", "pos_min", _parse_float, 0.0),
-    ("initial", "pos_max", "pos_max", _parse_float, 10.0),
-    ("initial", "vel_min", "vel_min", _parse_float, -1.0),
-    ("initial", "vel_max", "vel_max", _parse_float, 1.0),
-    ("initial", "N1", "n1", _parse_int, None),
-    ("initial", "N2", "n2", _parse_int, None),
-    ("initial", "D", "separation", _parse_float, None),
-    ("initial", "group_spread", "group_spread", _parse_float, 1.0),
-    ("initial", "positions", "positions", _parse_points, None),
-    ("initial", "velocities", "velocities", _parse_points, None),
-    ("integration", "dt", "dt", _parse_float, 0.01),
-    ("integration", "T", "t_final", _parse_float, 10.0),
-    ("integration", "scheme", "scheme", str, "euler"),
-    ("integration", "snapshot_stride", "snapshot_stride", _parse_int, 0),
-    ("hydro", "x_min", "hydro_x_min", _parse_float, -12.0),
-    ("hydro", "x_max", "hydro_x_max", _parse_float, 12.0),
-    ("hydro", "dx", "hydro_dx", _parse_float, 0.05),
-    ("hydro", "profile", "hydro_profile", str, "two-bump"),
-    ("hydro", "centers", "hydro_centers", _parse_floats, (-4.0, 4.0)),
-    ("hydro", "width", "hydro_width", _parse_float, 0.5),
-    ("hydro", "speeds", "hydro_speeds", _parse_floats, (0.5, -0.5)),
-    ("hydro", "epsilon", "hydro_epsilon", _parse_float, DEFAULT_SUPPORT_EPSILON),
+    ("model", "model", "model", str, "mt", (_one_of(MODEL_KINDS, "unknown model kind"),)),
+    ("model", "phi", "phi_kind", str, "power-law",
+     (_one_of(INFLUENCE_KINDS, "unknown influence kind"),)),
+    ("model", "s", "s", _parse_float, None, (_POSITIVE,)),
+    ("model", "cutoff", "cutoff", _parse_float, None, (_POSITIVE,)),
+    ("model", "table", "table", _parse_table, None, ()),
+    ("model", "alpha", "alpha", _parse_float, 1.0, (_POSITIVE,)),
+    ("model", "beta", "beta", _parse_float, None, (_IN_UNIT,)),
+    ("model", "leader", "leader", _parse_int, None, ()),
+    ("model", "gamma", "gamma", _parse_float, None,
+     ((lambda v: -1.0 <= v <= 1.0, "out of range: must lie in [-1, 1]"),)),
+    ("model", "normalization", "normalization", str, None,
+     (_one_of(NORMALIZATIONS, f"must be {' or '.join(map(repr, NORMALIZATIONS))}"),)),
+    ("initial", "kind", "ic_kind", str, "random",
+     (_one_of(("random", "two-group", "explicit"), "unknown kind"),)),
+    ("initial", "N", "n", _parse_int, None, ((lambda v: v >= 1, "out of range: must be >= 1"),)),
+    ("initial", "dim", "dim", _parse_int, 2,
+     (_one_of((1, 2, 3), "out of range: must be 1, 2 or 3"),)),
+    # splitmix64 reads its seed modulo 2**64: a seed outside would run another's stream
+    ("initial", "seed", "seed", _parse_int, None,
+     ((lambda v: 0 <= v < 2**64, "out of range: must lie in 0..2**64-1"),)),
+    ("initial", "pos_min", "pos_min", _parse_float, 0.0, ()),
+    ("initial", "pos_max", "pos_max", _parse_float, 10.0, ()),
+    ("initial", "vel_min", "vel_min", _parse_float, -1.0, ()),
+    ("initial", "vel_max", "vel_max", _parse_float, 1.0, ()),
+    ("initial", "N1", "n1", _parse_int, None, (_GROUP,)),
+    ("initial", "N2", "n2", _parse_int, None, (_GROUP,)),
+    ("initial", "D", "separation", _parse_float, None, (_POSITIVE,)),
+    ("initial", "group_spread", "group_spread", _parse_float, 1.0, (_POSITIVE,)),
+    ("initial", "positions", "positions", _parse_points, None,
+     ((lambda v: len(v[0]) in (1, 2, 3), "out of range: need 1, 2 or 3 coordinates"),)),
+    ("initial", "velocities", "velocities", _parse_points, None, ()),
+    ("integration", "dt", "dt", _parse_float, 0.01, (_POSITIVE,)),
+    ("integration", "T", "t_final", _parse_float, 10.0, (_POSITIVE,)),
+    ("integration", "scheme", "scheme", str, "euler", (_one_of(SCHEMES, "unknown scheme"),)),
+    ("integration", "snapshot_stride", "snapshot_stride", _parse_int, 0,
+     ((lambda v: v >= 0, "out of range: must be >= 0"),)),
+    ("hydro", "x_min", "hydro_x_min", _parse_float, -12.0, ()),
+    ("hydro", "x_max", "hydro_x_max", _parse_float, 12.0, ()),
+    ("hydro", "dx", "hydro_dx", _parse_float, 0.05, (_POSITIVE,)),
+    ("hydro", "profile", "hydro_profile", str, "two-bump",
+     (_one_of(("two-bump", "gaussian", "uniform"), "unknown profile"),)),
+    ("hydro", "centers", "hydro_centers", _parse_floats, (-4.0, 4.0),
+     ((lambda v: len(v) >= 1, "need at least one center"),)),
+    # the profiles divide by 2*width**2, which underflows to 0 below about
+    # 1e-162 and overflows above about 1e154
+    ("hydro", "width", "hydro_width", _parse_float, 0.5,
+     (_POSITIVE, (lambda v: 1e-160 <= v <= 1e150, "out of range: must lie in [1e-160, 1e150]"))),
+    ("hydro", "speeds", "hydro_speeds", _parse_floats, (0.5, -0.5),
+     ((lambda v: len(v) >= 1, "need at least one speed"),)),
+    ("hydro", "epsilon", "hydro_epsilon", _parse_float, DEFAULT_SUPPORT_EPSILON, (_IN_UNIT,)),
 )
 
 SECTIONS = tuple(dict.fromkeys(section for section, *_ in _SCHEMA))
-_PARSE = {(section, key): (name, parser) for section, key, name, parser, _ in _SCHEMA}
+_PARSE = {(section, key): (name, parser) for section, key, name, parser, *_ in _SCHEMA}
 # [initial] less the seed, which --seed sets for every command
 _PARTICLE_FIELDS = frozenset(
     name for section, key, name, *_ in _SCHEMA if section == "initial" and key != "seed"
@@ -164,14 +190,12 @@ class Scenario(
         rng = SplitMix64(self.seed)
         if self.ic_kind == "random":
             x = rng.uniform_array((self.n, self.dim), self.pos_min, self.pos_max)
-            v = rng.uniform_array((self.n, self.dim), self.vel_min, self.vel_max)
-            return AgentEnsemble(t=0.0, positions=x, velocities=v)
-        # two-group: compact group 1 at the origin, group 2 shifted along axis 0
-        x1 = rng.uniform_array((self.n1, self.dim), 0.0, self.group_spread)
-        x2 = rng.uniform_array((self.n2, self.dim), 0.0, self.group_spread)
-        x2[:, 0] += self.separation
-        x = np.vstack([x1, x2])
-        v = rng.uniform_array((self.n1 + self.n2, self.dim), self.vel_min, self.vel_max)
+        else:  # two-group: compact group 1 at the origin, group 2 shifted along axis 0
+            x1 = rng.uniform_array((self.n1, self.dim), 0.0, self.group_spread)
+            x2 = rng.uniform_array((self.n2, self.dim), 0.0, self.group_spread)
+            x2[:, 0] += self.separation
+            x = np.vstack([x1, x2])
+        v = rng.uniform_array(x.shape, self.vel_min, self.vel_max)
         return AgentEnsemble(t=0.0, positions=x, velocities=v)
 
     # a cell many widths off a center overflows its exponent: exp(-inf) is
@@ -276,58 +300,41 @@ def _finite(value) -> bool:
 
 def _require_read_keys(sc: Scenario, section: str) -> None:
     """Every key of ``section`` with no default that the scenario reads is set."""
-    for (sec, key, _, _, default), value in zip(_SCHEMA, sc):
+    for (sec, key, _, _, default, _), value in zip(_SCHEMA, sc):
         if sec == section and key in _READERS and default is None and value is None:
             _require(not _READERS[key][0](sc), "missing required key", key)
 
 
 def validate_scenario(sc: Scenario) -> None:
-    # every number must be finite: no range check or bound holds for inf or nan
-    for (_, key, _, parser, _), value in zip(_SCHEMA, sc):
-        if parser in _NOT_FINITE and value is not None:
+    # each set value on its own, in table order: no range check or bound
+    # holds for inf or nan, so finiteness comes first
+    for (_, key, _, parser, _, checks), value in zip(_SCHEMA, sc):
+        if value is None:
+            continue
+        if parser in _NOT_FINITE:
             _require(_finite(value), _NOT_FINITE[parser], key)
-    _require(sc.model in MODEL_KINDS, "unknown model kind", "model")
-    _require(sc.phi_kind in INFLUENCE_KINDS, "unknown influence kind", "phi")
+        for holds, message in checks:
+            _require(holds(value), message, key)
+    # the knots on their own, whatever kernel is named: the library's messages
+    if sc.table is not None:
+        try:
+            InfluenceFunction("tabulated", table=sc.table)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), key="table") from None
     # a key no run reads would only be echoed, as if it had been used
-    for _, key, name, _, _ in _SCHEMA:
+    for _, key, name, *_ in _SCHEMA:
         if key in _READERS and name in sc.written:
             reads, why = _READERS[key]
             _require(reads(sc), f"the scenario never reads it: {why}", key)
     _require_read_keys(sc, "model")
-    _require(sc.s is None or sc.s > 0, "out of range: must be positive", "s")
-    _require(sc.cutoff is None or sc.cutoff > 0, "out of range: must be positive", "cutoff")
-    if sc.table is not None:
-        try:
-            sc.build_phi()
-        except ValueError as exc:
-            raise ScenarioError(str(exc), key="table") from None
-    _require(sc.alpha > 0, "out of range: must be positive", "alpha")
-    _require(sc.beta is None or 0.0 < sc.beta < 1.0, "out of range: must lie in (0, 1)", "beta")
-    _require(
-        sc.gamma is None or -1.0 <= sc.gamma <= 1.0, "out of range: must lie in [-1, 1]", "gamma"
-    )
-    _require(
-        sc.normalization is None or sc.normalization in NORMALIZATIONS,
-        f"must be {' or '.join(map(repr, NORMALIZATIONS))}",
-        "normalization",
-    )
-
-    # splitmix64 reads its seed modulo 2**64: a seed outside would run another's stream
-    if sc.seed is not None:
-        _require(0 <= sc.seed < 2**64, "out of range: must lie in 0..2**64-1", "seed")
 
     # described particles are checked now, else when a particle command builds them
     if sc.written & _PARTICLE_FIELDS:
         _validate_initial(sc)
 
-    _require(sc.dt > 0, "out of range: must be positive", "dt")
-    _require(sc.t_final > 0, "out of range: must be positive", "T")
     # the run takes round(T / dt) steps, which an infinite ratio has no count of
     _require(math.isfinite(sc.t_final / sc.dt), "out of range: T / dt overflows", "T")
-    _require(sc.scheme in SCHEMES, "unknown scheme", "scheme")
-    _require(sc.snapshot_stride >= 0, "out of range: must be >= 0", "snapshot_stride")
 
-    _require(sc.hydro_dx > 0, "out of range: must be positive", "dx")
     _require(sc.hydro_x_max > sc.hydro_x_min, "empty grid: x_max <= x_min", "x_max")
     _require(math.isfinite(sc.hydro_x_max - sc.hydro_x_min), "x_max - x_min overflows", "x_max")
     # the grid is n whole cells of width dx; a dx that leaves a remainder
@@ -338,17 +345,6 @@ def validate_scenario(sc: Scenario) -> None:
         f"must divide x_max - x_min into whole cells, got {cells:.6g} cells",
         "dx",
     )
-    _require(
-        sc.hydro_profile in ("two-bump", "gaussian", "uniform"), "unknown profile", "profile"
-    )
-    _require(sc.hydro_width > 0, "out of range: must be positive", "width")
-    # the profiles divide by 2*width**2, which underflows to 0 below about
-    # 1e-162 and overflows above about 1e154
-    _require(
-        1e-160 <= sc.hydro_width <= 1e150, "out of range: must lie in [1e-160, 1e150]", "width"
-    )
-    _require(len(sc.hydro_centers) >= 1, "need at least one center", "centers")
-    _require(len(sc.hydro_speeds) >= 1, "need at least one speed", "speeds")
     # gaussian reads one center, two-bump its first and last speeds, the others
     # their first speed: a further value set would be echoed as if it had been used
     profile = sc.hydro_profile
@@ -357,34 +353,18 @@ def validate_scenario(sc: Scenario) -> None:
         name = "hydro_" + key
         _require(name not in sc.written or len(getattr(sc, name)) <= count,
                  f"too many values: a {profile} profile reads {count}", key)
-    _require(0.0 < sc.hydro_epsilon < 1.0, "out of range: must lie in (0, 1)", "epsilon")
 
 
 def _validate_initial(sc: Scenario) -> None:
-    """The [initial] checks: the particles a particle command starts from."""
-    _require(sc.ic_kind in ("random", "two-group", "explicit"), "unknown kind", "kind")
-    _require(sc.dim in (1, 2, 3), "out of range: must be 1, 2 or 3", "dim")
+    """The [initial] rules between keys: the particles a particle command starts from."""
     _require_read_keys(sc, "initial")
-    _require(sc.n is None or sc.n >= 1, "out of range: must be >= 1", "N")
-    for key, size in (("N1", sc.n1), ("N2", sc.n2)):
-        _require(size is None or size >= 1, "out of range: groups must be non-empty", key)
-    _require(sc.separation is None or sc.separation > 0, "out of range: must be positive", "D")
-    _require(sc.group_spread > 0, "out of range: must be positive", "group_spread")
     if sc.ic_kind == "two-group":
         _require(math.isfinite(sc.separation + sc.group_spread), "D + group_spread overflows", "D")
     if sc.ic_kind == "explicit":
-        _require(
-            len(sc.positions) == len(sc.velocities),
-            "positions and velocities must list the same number of points",
-            "velocities",
-        )
-        dim = len(sc.positions[0])
-        _require(dim in (1, 2, 3), "out of range: need 1, 2 or 3 coordinates", "positions")
-        _require(
-            len(sc.velocities[0]) == dim,
-            "velocities must have as many coordinates as positions",
-            "velocities",
-        )
+        _require(len(sc.positions) == len(sc.velocities),
+                 "positions and velocities must list the same number of points", "velocities")
+        _require(len(sc.velocities[0]) == len(sc.positions[0]),
+                 "velocities must have as many coordinates as positions", "velocities")
     else:  # both random kinds draw from the seed; two-group reads no pos box, so its default passes
         _require(sc.seed is not None, "missing required key (mandatory for random specs)", "seed")
         _require(sc.pos_max >= sc.pos_min, "empty box: pos_max < pos_min", "pos_max")
@@ -429,6 +409,6 @@ def sweep_points(sc: Scenario, key: str, values: str) -> List[Tuple[object, Scen
     raw_values = [v.strip() for v in values.split(",") if v.strip()]
     if not raw_values:
         raise ScenarioError("empty value list", key=key)
-    field_name, parser = next((name, parser) for _, k, name, parser, _ in _SCHEMA if k == key)
+    field_name, parser = next((name, parser) for _, k, name, parser, *_ in _SCHEMA if k == key)
     parsed = [parser(raw, key, None) for raw in raw_values]
     return [(value, with_override(sc, **{field_name: value})) for value in parsed]

@@ -526,6 +526,41 @@ def test_every_value_check_names_its_key(old, new, message, key):
     assert str(err.value) == f"{message} (key '{key}')"
 
 
+@pytest.mark.parametrize("new", ["kind = randm\nN = 5", GROUPS.replace("two-group", "two-grup")],
+                         ids=["random", "two-group"])
+def test_a_misspelled_kind_is_named_not_the_keys_its_kind_would_read(new):
+    # no kind reads N or N1 until kind itself is a kind
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(MINIMAL.replace("N = 10", new))
+    assert str(err.value) == "unknown kind (key 'kind')"
+
+
+def test_every_default_passes_its_own_rows_checks():
+    # so the validation pass cannot reject a document that sets nothing
+    for _, key, _, _, default, checks in _SCHEMA:
+        if default is not None:
+            assert all(holds(default) for holds, _ in checks), key
+
+
+# (document, message, key): two faults each; the bad value in the earliest
+# row is named before unread or missing keys and the rules between keys
+TWO_FAULTS = [
+    # vision without gamma
+    (MINIMAL.replace("model = mt\ns = 0.25", "model = vision\ns = -1\nnormalization = mt-style"),
+     "out of range: must be positive", "s"),
+    (MINIMAL.replace("N = 10", "kind = randm\nN = 0"), "unknown kind", "kind"),
+    (MINIMAL.replace("alpha = 1", "alpha = -1").replace("dt = 0.01", "dt = 0"),
+     "out of range: must be positive", "alpha"),
+]
+
+
+@pytest.mark.parametrize("doc,message,key", TWO_FAULTS, ids=[key for *_, key in TWO_FAULTS])
+def test_the_bad_value_in_the_earliest_row_is_named_first(doc, message, key):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == f"{message} (key '{key}')"
+
+
 @pytest.mark.parametrize("width", ["1e-170", "1.1e-162", "1e151", "1e200"])
 def test_a_width_whose_square_leaves_the_float_range_is_rejected(width):
     # the profiles divide by 2*width**2: 0 below about 1e-162, and width**2
