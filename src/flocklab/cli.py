@@ -6,16 +6,18 @@ anything is written).  :func:`main` loads the scenario (--config, with --seed
 applied; verify-lemma reads --seed alone), creates --out, which it removes
 again if the run exits 2 or 3, and calls ``cmd_x(scenario, out, args)``; that
 writes its CSV files, each under a fixed name, and returns ``(summary body,
-failed checks)``, and ``main`` writes the body, headed by the command name and
-the PRNG identifier, to summary.json.  ``main`` alone sets every exit code:
+failed checks)``, and ``main`` writes the body, headed by the command name,
+the PRNG identifier and the scenario sections the command reads, to
+summary.json.  ``main`` alone sets every exit code:
 failed checks are named on one stderr line, exit 1.
 ``simulate``, each ``sweep`` value and the cs and mt runs of
 ``compare-groups`` are one checked particle run, :func:`_run`.  ``simulate``
 and ``hydro`` step through the one loop, :func:`~flocklab.dynamics.march`, and
 stream their snapshots through an observer (:func:`_snapshots`) as it records
-them.  CSV floats carry 17 significant digits, so doubles round-trip and
-identical scenarios give byte-identical files; :class:`_CSV` formats at most
-:data:`CHUNK_ROWS` rows per ``%``.
+them.  Every table and snapshot block hands its columns to one writer,
+:meth:`_CSV.write_rows`, which alone chooses each column's format: floats
+carry 17 significant digits, so doubles round-trip and identical scenarios
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -66,13 +68,21 @@ class _CSV:
     def __init__(self, path: Path, header: Sequence[str]):
         self._path, self._header = path, header
 
-    def write_rows(self, line: str, columns: Sequence, n: int) -> None:
-        """Write ``n`` rows of the row template ``line``, row i's k-th cell
-        being ``columns[k][i]`` (each column an array or a sequence),
-        formatted at most :data:`CHUNK_ROWS` rows per ``%``.  Each chunk takes
-        the cells of its own slice, so an array column gives ``.tolist()`` of
-        that slice only."""
-        width = len(columns)
+    def write_rows(self, columns: Sequence, prefix: str = "") -> None:
+        """Write one row per item of the equal-length ``columns`` (each an
+        array or a sequence), row i being ``prefix``, text with no ``%``, and
+        then the i-th cell of each column.  A column whose first cell is a
+        float is written ``%.17g``, 17 significant digits, so every double
+        reads back exactly, and any other column ``%s``.  At most
+        :data:`CHUNK_ROWS` rows go through one ``%``; each chunk takes the
+        cells of its own slice, so an array column gives ``.tolist()`` of that
+        slice only."""
+        n, width = len(columns[0]), len(columns)
+        if n == 0:  # a table with no rows is its header alone
+            return
+        line = prefix + ",".join(
+            "%.17g" if isinstance(column[0], float) else "%s" for column in columns
+        ) + "\n"
         for lo in range(0, n, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, n)
             cells = [None] * ((hi - lo) * width)
@@ -92,18 +102,10 @@ class _CSV:
             self._path.unlink()
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Write the header and the rows of a whole table.  ``rows`` is a 2D float
-    array or a list of rows whose every column holds one type; a float column
-    is written ``%.17g``, 17 significant digits, so every double reads back
-    exactly, and any other column ``%s``."""
-    if isinstance(rows, np.ndarray):
-        columns, first = list(rows.T), [0.0] * rows.shape[1]
-    else:
-        columns, first = list(zip(*rows)), rows[0] if rows else ()
-    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a whole table: the header, then the rows of ``columns``."""
     with _CSV(path, header) as table:
-        table.write_rows(line, columns, len(rows))
+        table.write_rows(columns)
 
 
 @contextmanager
@@ -113,8 +115,7 @@ def _snapshots(stride: int, path: Path, header: Sequence[str], index: np.ndarray
     observer when ``stride`` is 0.  A state's block has one row per item,
     ``t, index, columns(state)...``, a 2D column giving a cell per axis.  The
     index text (agent number or cell centre) is formatted once per table and
-    t once per block, so only the state cells go through ``%.17g`` per row;
-    the bytes are those of :func:`_write_csv` on the stacked float table."""
+    t once per block, so only the state cells are formatted per row."""
     if stride <= 0:
         yield ()
         return
@@ -123,8 +124,7 @@ def _snapshots(stride: int, path: Path, header: Sequence[str], index: np.ndarray
         def write(k, state, row, built):
             if k % stride == 0:
                 cols = [c for col in columns(state) for c in (col.T if col.ndim == 2 else (col,))]
-                line = "%.17g," % state.t + "%s" + ",%.17g" * len(cols) + "\n"
-                table.write_rows(line, [index, *cols], len(index))
+                table.write_rows([index, *cols], "%.17g," % state.t)
         yield [write]
 
 
@@ -206,13 +206,11 @@ def cmd_simulate(sc: Scenario, out: Path, args):
         margins[:-1] = decay.margins
 
     momentum_norm = np.linalg.norm(record.momentum, axis=1)
-    rows = np.column_stack((
+    _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], (
         record.times, record.position_diameter, record.velocity_diameter, momentum_norm, margins
     ))
-    _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "momentum_norm", "decay_margin"], rows)
 
     body = {
-        "scenario": scenario_to_dict(sc),
         "initial": {"d_x": float(record.position_diameter[0]),
                     "d_v": float(record.velocity_diameter[0])},
         "final": {
@@ -242,7 +240,6 @@ def cmd_certify(sc: Scenario, out: Path, args):
     if cert is None:
         raise ScenarioError("the vision model has no flocking certificate", key="model")
     body = {
-        "scenario": scenario_to_dict(sc),
         "initial": {"d_x": d_x0, "d_v": d_v0},
         "certificate": cert.to_json_dict(),
         "symmetric_theory_tail": comparison_tail,
@@ -314,14 +311,13 @@ def cmd_hydro(sc: Scenario, out: Path, args):
     cert = certify(d_x0, d_v0, model)
 
     diag = np.array(diag_rows)
-    _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "mass"], diag)
+    _write_csv(out / "diagnostics.csv", ["t", "d_x", "d_v", "mass"], list(diag.T))
     # every recorded mass is positive: a donor-cell step keeps at least
     # (1 - CFL) of each cell's mass, and initial_hydro_state refuses a massless profile
     mass = diag[:, 3]
 
     t_f, d_xf, d_vf, mass_f = diag_rows[-1]
     body = {
-        "scenario": scenario_to_dict(sc),
         "initial": {"d_x": d_x0, "d_v": d_v0, "mass": mass0},
         "final": {
             "t": t_f,
@@ -345,10 +341,9 @@ def cmd_sweep(sc: Scenario, out: Path, args):
         rows.append((value, ratio, rate, cert.verdict if cert else "n/a", passed))
         failed += _failed(decay, f"{args.parameter} = {value}")
     header = [args.parameter, "final_d_v_ratio", "fitted_rate", "verdict"]
-    _write_csv(out / "sweep.csv", header, [row[:4] for row in rows])
+    _write_csv(out / "sweep.csv", header, list(zip(*rows))[:4])
     keys = ("value", "final_d_v_ratio", "fitted_rate", "verdict", "decay_check_passed")
     body = {
-        "scenario": scenario_to_dict(sc),
         "parameter": args.parameter,
         "rows": [dict(zip(keys, row)) for row in rows],
     }
@@ -381,7 +376,7 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
         runs[model_kind] = (record.times, np.array(spread), decay)
         failed += _failed(decay, model_kind)
         diag_rows.extend((model_kind, t, dv) for t, dv in zip(record.times.tolist(), spread))
-    _write_csv(out / "diagnostics.csv", ["model", "t", "g1_d_v"], diag_rows)
+    _write_csv(out / "diagnostics.csv", ["model", "t", "g1_d_v"], list(zip(*diag_rows)))
 
     # initial alignment rates over a shared early window, the shorter horizon:
     # the tail of a halted run is flat, so only the early phase compares the two fairly
@@ -408,7 +403,6 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     rate_ratio = None if early["cs"] == 0.0 else early["mt"] / early["cs"]
 
     body = {
-        "scenario": scenario_to_dict(sc),
         "group1_size": n1,
         "cs": results["cs"],
         "mt": results["mt"],
@@ -423,13 +417,14 @@ def cmd_compare_groups(sc: Scenario, out: Path, args):
     return body, failed
 
 
+# each command and the scenario sections it reads, which its summary echoes
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "certify": cmd_certify,
-    "verify-lemma": cmd_verify_lemma,
-    "hydro": cmd_hydro,
-    "sweep": cmd_sweep,
-    "compare-groups": cmd_compare_groups,
+    "simulate": (cmd_simulate, ("model", "initial", "integration")),
+    "certify": (cmd_certify, ("model", "initial")),
+    "verify-lemma": (cmd_verify_lemma, None),
+    "hydro": (cmd_hydro, ("model", "integration", "hydro")),
+    "sweep": (cmd_sweep, ("model", "initial", "integration")),
+    "compare-groups": (cmd_compare_groups, ("model", "initial", "integration")),
 }
 
 
@@ -527,8 +522,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the outermost directory this run creates, removed again if it exits 2 or 3
         created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
-        body, failed = _COMMANDS[args.command](sc, out, args)
-        summary = {"command": args.command, "prng": PRNG_ID, **body}
+        run, sections = _COMMANDS[args.command]
+        body, failed = run(sc, out, args)
+        echo = {} if sections is None else {"scenario": scenario_to_dict(sc, sections)}
+        summary = {"command": args.command, "prng": PRNG_ID, **echo, **body}
         text = json.dumps(_jsonable(summary), indent=2, allow_nan=False) + "\n"
         (out / "summary.json").write_text(text)
         if failed:

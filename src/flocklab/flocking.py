@@ -72,8 +72,9 @@ def solve_flock_diameter(
     or None when d_v0 exceeds the available tail mass.
 
     Bisection on the monotone integral (the kernel may be merely continuous),
-    bracket grown by doubling.  At exact criticality d_v0 == tail the root is
-    +inf and math.inf is returned.
+    bracket grown by doubling until it holds the root.  At exact criticality
+    d_v0 == tail the root is +inf, and a root above the largest float is
+    returned as math.inf too.
     """
     if not (d_x0 >= 0 and d_v0 >= 0):
         raise ValueError("diameters must be non-negative")
@@ -92,12 +93,10 @@ def solve_flock_diameter(
         return eff * range_integral(phi, power, d_x0, d) - d_v0
 
     hi = max(2.0 * d_x0, 1.0)
-    for _ in range(200):
-        if deficit(hi) >= 0.0:
-            break
+    while deficit(hi) < 0.0:
         hi *= 2.0
-    else:
-        return math.inf
+        if math.isinf(hi):  # the root lies beyond the largest float
+            return math.inf
     lo = d_x0
     # bisect to float resolution: the re-integration residual must stay below
     # 1e-10 of d_v0 even when d_v0 is tiny next to d_x0

@@ -378,12 +378,13 @@ def _validate_initial(sc: Scenario) -> None:
         _require(0 <= sc.leader < total, "out of range: leader index", "leader")
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
+def scenario_to_dict(sc: Scenario, sections: Tuple[str, ...] = SECTIONS) -> dict:
     """Resolved scenario as a JSON-friendly mapping (section -> key -> value)
-    of the keys it reads: a key _READERS says it never reads is left out."""
-    out = {name: {} for name in SECTIONS}
+    of the keys it reads in ``sections``, the sections a command reads: a key
+    _READERS says it never reads is left out."""
+    out = {name: {} for name in sections}
     for (section, key, *_), value in zip(_SCHEMA, sc):
-        if value is None or (key in _READERS and not _READERS[key][0](sc)):
+        if section not in out or value is None or (key in _READERS and not _READERS[key][0](sc)):
             continue
         if isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]

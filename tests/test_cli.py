@@ -17,7 +17,7 @@ from flocklab.cli import _write_csv, main
 from flocklab.dynamics import simulate, step_times
 from flocklab.hydro import HydroState1D, step_eulerian
 from flocklab.influence import InfluenceFunction, tail_integral
-from flocklab.scenario import Scenario, parse_scenario
+from flocklab.scenario import Scenario, parse_scenario, scenario_to_dict
 import mutants
 
 MT_DOC = """
@@ -305,6 +305,20 @@ def test_certify_at_exact_criticality_reports_an_infinite_diameter(tmp_path):
     assert certificate["predicted_rate"] == 0.0
 
 
+def test_certify_reports_a_finite_diameter_far_above_the_first_bracket(tmp_path):
+    # velocities in +-100 put d* near 1e87: a bracket search capped at 2**200
+    # doublings wrote it "infinite", with predicted_rate 0
+    doc = MT_DOC.replace("s = 0.25", "s = 0.5").replace("N = 6", "N = 20")
+    cfg = write(tmp_path, doc.replace("pos_max = 4", "vel_min = -100\nvel_max = 100"))
+    out = tmp_path / "far"
+    assert main(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    certificate = json.loads((out / "summary.json").read_text())["certificate"]
+    # psi = (1+r)^-1 integrates to log((1+d*)/(1+d_x0)) = d_v0
+    d_star = (1.0 + certificate["d_x0"]) * math.exp(certificate["d_v0"]) - 1.0
+    assert 1e80 < certificate["d_star"] == pytest.approx(d_star, rel=1e-12)
+    assert certificate["predicted_rate"] == pytest.approx(1.0 / (1.0 + d_star), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "points,message",
     [
@@ -517,17 +531,17 @@ def test_write_csv_matches_per_cell_formatting_on_float_tables(tmp_path):
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 1 / 3, 2.0, -7.5e-300]
     table = np.column_stack((odd, np.arange(len(odd)), odd[::-1], np.sqrt(np.arange(len(odd)))))
     path = tmp_path / "floats.csv"
-    _write_csv(path, ["t", "agent", "x0", "v0"], table)
+    _write_csv(path, ["t", "agent", "x0", "v0"], list(table.T))
     assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "v0"], table.tolist())
     assert path.read_text().splitlines()[1:4] == ["nan,0,-7.4999999999999996e-300,0",
                                                   "inf,1,2,1", "-inf,2,0.33333333333333331,"
                                                   "1.4142135623730951"]
-    _write_csv(path, ["t", "x"], np.empty((0, 2)))
+    _write_csv(path, ["t", "x"], list(np.empty((0, 2)).T))
     assert path.read_bytes() == b"t,x\n"
     for n in CHUNK_EDGES:
         col = np.resize(odd, n)
         table = np.column_stack((col, np.arange(n), col[::-1], np.sqrt(np.arange(n))))
-        _write_csv(path, ["t", "agent", "x0", "v0"], table)
+        _write_csv(path, ["t", "agent", "x0", "v0"], list(table.T))
         assert path.read_bytes() == _per_cell_csv(["t", "agent", "x0", "v0"], table.tolist()), n
 
 
@@ -538,18 +552,18 @@ def test_write_csv_matches_per_cell_formatting_on_mixed_tables(tmp_path):
             (200, 1e22, 5e-324, "n/a")]
     path = tmp_path / "mixed.csv"
     header = ["N", "final_d_v_ratio", "fitted_rate", "verdict"]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, list(zip(*rows)))
     assert path.read_bytes() == _per_cell_csv(header, rows)
     groups = [("cs", 0.0, 1.5), ("cs", 0.05, 1 / 3), ("mt", 0.0, math.inf)]
-    _write_csv(path, ["model", "t", "g1_d_v"], groups)
+    _write_csv(path, ["model", "t", "g1_d_v"], list(zip(*groups)))
     assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], groups)
-    _write_csv(path, ["s", "verdict"], [])
+    _write_csv(path, ["s", "verdict"], [(), ()])
     assert path.read_bytes() == b"s,verdict\n"
     for n in CHUNK_EDGES:
         tiled, tiled_groups = _tile(rows, n), _tile(groups, n)
-        _write_csv(path, header, tiled)
+        _write_csv(path, header, list(zip(*tiled)))
         assert path.read_bytes() == _per_cell_csv(header, tiled), n
-        _write_csv(path, ["model", "t", "g1_d_v"], tiled_groups)
+        _write_csv(path, ["model", "t", "g1_d_v"], list(zip(*tiled_groups)))
         assert path.read_bytes() == _per_cell_csv(["model", "t", "g1_d_v"], tiled_groups), n
 
 
@@ -821,7 +835,7 @@ def test_block_csv_removes_the_file_of_a_failed_run(tmp_path):
     rows[300] = (150.0, "x")
     path = tmp_path / "diagnostics.csv"
     with pytest.raises(TypeError):
-        _write_csv(path, ["t", "d_v"], rows)
+        _write_csv(path, ["t", "d_v"], list(zip(*rows)))
     assert not path.exists()
 
 
@@ -867,7 +881,7 @@ def test_csv_output_memory_does_not_grow_with_rows(tmp_path):
         state = _state(0.5, positions, velocities)
         block_peak = peak_of(lambda: write(0, state, None, None))
     path = tmp_path / "table.csv"
-    table_peak = peak_of(lambda: _write_csv(path, ["a", "b", "c", "d", "e"], table))
+    table_peak = peak_of(lambda: _write_csv(path, ["a", "b", "c", "d", "e"], list(table.T)))
     assert len((tmp_path / "snapshots.csv").read_text().splitlines()) == 1 + n
     assert len(path.read_text().splitlines()) == 1 + n
     assert block_peak < 2 * 2**20, block_peak
@@ -1086,6 +1100,32 @@ def test_compare_groups_checks_every_step_taken(tmp_path):
         check = summary[kind]["decay_check"]
         assert check["passed"] is True and check["worst_margin"] >= 0.0
     assert summary["mt"]["decay_check"]["worst_step"] < len(mt_rows) - 1
+
+
+PARTICLE_RUN = ["model", "initial", "integration"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, sections",
+    [
+        (["simulate"], MT_DOC, PARTICLE_RUN),
+        (["sweep", "s", "0.5,1"], MT_DOC, PARTICLE_RUN),
+        (["compare-groups"], GROUPS_DOC, PARTICLE_RUN),
+        (["certify"], MT_DOC, ["model", "initial"]),
+        (["hydro"], HYDRO_DOC, ["model", "integration", "hydro"]),
+    ],
+    ids=["simulate", "sweep", "compare-groups", "certify", "hydro"],
+)
+def test_the_summary_echoes_the_sections_its_command_reads(tmp_path, argv, doc, sections):
+    # hydro echoed [initial] (kind, dim and both boxes), and each particle
+    # command the [hydro] grid and profile defaults, none of which it reads
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([argv[0], "--config", cfg, "--out", str(out), "--quiet", *argv[1:]]) == 0
+    echo = json.loads((out / "summary.json").read_text())["scenario"]
+    assert list(echo) == sections
+    whole = scenario_to_dict(parse_scenario(doc))
+    assert echo == json.loads(json.dumps({section: whole[section] for section in sections}))
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,20 @@ def test_certificate_at_exact_criticality_has_no_finite_diameter():
     assert cert.predicted_rate == 0.0
 
 
+def test_a_flock_diameter_far_above_the_first_bracket_is_found():
+    # s = 0.5: psi = (1+r)^-1 integrates to log((1+d*)/(1+d_x0)) = d_v0/alpha,
+    # so d* = (1+d_x0) exp(d_v0/alpha) - 1 = 1.5e66, far above 2**200 doublings
+    # of the first bracket, where a capped search read it as infinite
+    phi = InfluenceFunction.power_law(0.5)
+    cert = certify(10.0, 150.0, mt(phi))
+    assert cert.d_star == pytest.approx(11.0 * math.exp(150.0) - 1.0, rel=1e-12)
+    assert cert.predicted_rate == pytest.approx(1.0 / (1.0 + cert.d_star), rel=1e-12)
+    # a root above the largest float is infinite, its rate void
+    assert math.log(np.finfo(float).max / 11.0) < 800.0
+    cert = certify(10.0, 800.0, mt(phi))
+    assert (cert.d_star, cert.predicted_rate) == (math.inf, 0.0)
+
+
 def test_certificate_alpha_scales_admissibility():
     # tail value includes alpha: d_v0 = 1.5 is admissible once alpha = 2
     cert = certify(0.0, 1.5, mt(PHI_S1, alpha=2.0))
