@@ -87,14 +87,14 @@ class ModelSpec:
             raise ValueError("alpha must be positive")
         needs_leader = model == "leader"
         needs_vision = model == "vision"
-        if needs_leader != (beta is not None and leader is not None):
-            raise ValueError("beta and leader index required exactly for the leader model")
-        if needs_vision != (gamma is not None and normalization is not None):
-            raise ValueError("gamma and normalization required exactly for the vision model")
         if not needs_leader and (beta is not None or leader is not None):
             raise ValueError("beta/leader only valid for the leader model")
         if not needs_vision and (gamma is not None or normalization is not None):
             raise ValueError("gamma/normalization only valid for the vision model")
+        if needs_leader != (beta is not None and leader is not None):
+            raise ValueError("beta and leader index required exactly for the leader model")
+        if needs_vision != (gamma is not None and normalization is not None):
+            raise ValueError("gamma and normalization required exactly for the vision model")
         if masses is not None:
             if model != "mt":
                 raise ValueError("masses only valid for the mt model")
@@ -302,13 +302,17 @@ class TrajectoryRecord:
 def step_times(t0: float, dt: float, t_final: float) -> List[float]:
     """Time stamps of steps 1..n: the horizon t_final is rounded to n whole
     steps of size dt (at least one), and step k is stamped t0 + k*dt rather
-    than accumulated, so no stamp drifts off the grid."""
+    than accumulated, so no stamp drifts off the grid; a grid whose stamps do
+    not strictly increase from t0 (dt lost to t0's rounding) is refused."""
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if not (t_final > 0):
         raise ValueError("t_final must be positive")
     n_steps = max(1, int(round(t_final / dt)))
-    return [float(t0 + k * dt) for k in range(1, n_steps + 1)]
+    stamps = [float(t0 + k * dt) for k in range(n_steps + 1)]
+    if any(later <= earlier for earlier, later in zip(stamps, stamps[1:])):
+        raise ValueError("step times t0 + k*dt must strictly increase: dt is below t0's rounding")
+    return stamps[1:]
 
 
 def march(state, stepper, measure, stamps, observers=(), stop=None) -> list:

@@ -26,7 +26,10 @@ ROW_SUM_TOL = 1e-12
 # agents see everyone (see build_vision).
 ZERO_SPEED_THRESHOLD = 1e-12
 
-INFLUENCE_KINDS = ("power-law", "power-law-with-cutoff", "tabulated")
+# each kind and the parameters it reads; it refuses the others
+INFLUENCE_PARAMETERS = {"power-law": ("s",), "power-law-with-cutoff": ("s", "cutoff"),
+                        "tabulated": ("table",)}
+INFLUENCE_KINDS = tuple(INFLUENCE_PARAMETERS)
 # build_vision's row normalizations, after build_cs and build_mt
 NORMALIZATIONS = ("cs-style", "mt-style")
 
@@ -50,17 +53,18 @@ class InfluenceFunction:
     ):
         if kind not in INFLUENCE_KINDS:
             raise ValueError(f"unknown influence kind {kind!r}")
+        for name, value in (("s", s), ("cutoff", cutoff), ("table", table)):
+            if value is not None and name not in INFLUENCE_PARAMETERS[kind]:
+                raise ValueError(f"the {kind} kernel does not read {name}")
         if kind != "tabulated":
             if s is None or not (s > 0):
                 raise ValueError("power-law exponent s must be positive")
-            if kind == "power-law-with-cutoff":
-                if cutoff is None or not (cutoff > 0):
-                    raise ValueError("cutoff radius must be positive")
+            if kind == "power-law-with-cutoff" and (cutoff is None or not (cutoff > 0)):
+                raise ValueError("cutoff radius must be positive")
         else:
             if not table:
                 raise ValueError("tabulated kind needs a non-empty table")
-            rs = np.array([p[0] for p in table], dtype=float)
-            vals = np.array([p[1] for p in table], dtype=float)
+            rs, vals = np.array(table, dtype=float).T
             if rs[0] != 0.0 or vals[0] != 1.0:
                 raise ValueError("table must start at (0, 1)")
             if np.any(np.diff(rs) <= 0):
@@ -129,8 +133,7 @@ def _power_law_segment(s: float, power: int, a: float, b: float) -> float:
 
 def _tabulated_integral(phi: InfluenceFunction, power: int, a: float, b: float) -> float:
     """Exact integral of phi**power over [a, b] for the piecewise-linear table."""
-    rs = [p[0] for p in phi.table]
-    vals = [p[1] for p in phi.table]
+    rs, vals = zip(*phi.table)
     b = min(b, rs[-1])
     if b <= a:
         return 0.0
@@ -302,29 +305,25 @@ def build_vision(
         raise ValueError("gamma must lie in [-1, 1]")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be {' or '.join(map(repr, NORMALIZATIONS))}")
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    n = distances.shape[0]
-
-    disp = positions[None, :, :] - positions[:, None, :]
     speeds = np.linalg.norm(velocities, axis=1)
-    sees = np.ones((n, n), dtype=bool)
     moving = speeds >= ZERO_SPEED_THRESHOLD
-    if np.any(moving):
-        headings = np.zeros_like(velocities)
-        headings[moving] = velocities[moving] / speeds[moving, None]
-        proj = np.einsum("id,ijd->ij", headings, disp)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.where(distances > 0.0, proj / distances, 1.0)
-        # each agent sees itself and any coincident agent: a zero distance
-        # has no direction, its cosang is 1.0, and gamma <= 1
-        sees[moving] = cosang[moving] >= gamma
-
-    w = eval_influence(phi, distances) * sees
-    if normalization == "cs-style":
-        a = w / sees.sum(axis=1, keepdims=True)
-    else:
-        a = w / w.sum(axis=1, keepdims=True)
+    # cosang_ij = h_i . (x_j - x_i) / |x_j - x_i|, the dot product summed in axis
+    # order as pairwise_distances sums its squares (cosang holds each axis's
+    # term first), and 1.0 >= gamma at a zero distance, which has no direction.
+    # A resting agent's heading may be NaN: its row of the cone is full.
+    proj, cosang = np.zeros_like(distances), np.empty_like(distances)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for h, x in zip((velocities / speeds[:, None]).T, np.asarray(positions, float).T):
+            np.subtract(x, x[:, None], out=cosang)
+            cosang *= h[:, None]
+            proj += cosang
+        cosang.fill(1.0)
+        np.divide(proj, distances, out=cosang, where=distances > 0.0)
+    cone = (cosang >= gamma) | ~moving[:, None]
+    del proj, cosang
+    a = eval_influence(phi, distances)
+    a *= cone
+    a /= (cone if normalization == "cs-style" else a).sum(axis=1, keepdims=True)
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     return InfluenceMatrix(entries=a, model_tag="vision")

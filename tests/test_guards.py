@@ -17,10 +17,15 @@ PAIR = np.array([[0.0, 0.0], [1.0, 0.0]])
 CELLS = HydroState1D(x_min=0.0, dx=1.0, rho=np.ones(3), u=np.zeros(3))
 
 
+def _no_step(state):
+    raise AssertionError("a step ran before the time grid was refused")
+
+
 def _far_from_zero():
-    # 1e20 + 1 rounds to 1e20: every step is stamped with the start time
+    # 1e20 + 1 rounds to 1e20: every step would be stamped with the start time;
+    # the grid is refused before the first step (``stop`` sees each new state)
     start = AgentEnsemble(t=1e20, positions=PAIR, velocities=PAIR)
-    simulate(start, ModelSpec("mt", PHI, 1.0), dt=1.0, t_final=2.0)
+    simulate(start, ModelSpec("mt", PHI, 1.0), dt=1.0, t_final=2.0, stop=_no_step)
 
 
 def _document(*lines):
@@ -36,12 +41,20 @@ GUARDS = {
                                  "gamma and normalization required exactly for the vision model"),
         "gamma-outside-vision": (lambda: ModelSpec("mt", PHI, 1.0, gamma=0.0), ValueError,
                                  "gamma/normalization only valid for the vision model"),
+        "leader-outside-leader": (lambda: ModelSpec("mt", PHI, 1.0, beta=0.2, leader=0),
+                                  ValueError, "beta/leader only valid for the leader model"),
         "record-lengths": (
             lambda: TrajectoryRecord(np.arange(2.0), np.zeros(1), np.zeros(2), np.zeros((2, 2))),
             ValueError, "diagnostic series must have equal lengths",
         ),
-        "record-times-far-from-zero": (_far_from_zero, ValueError,
-                                       "times must be strictly increasing"),
+        "record-repeated-times": (
+            lambda: TrajectoryRecord(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros((2, 2))),
+            ValueError, "times must be strictly increasing",
+        ),
+        "record-times-far-from-zero": (
+            _far_from_zero, ValueError,
+            "step times t0 + k*dt must strictly increase: dt is below t0's rounding",
+        ),
     },
     "hydro": {
         "dx": (lambda: HydroState1D(0.0, 0.0, np.ones(3), np.zeros(3)), ValueError,
@@ -57,6 +70,16 @@ GUARDS = {
                  "unknown influence kind 'gaussian'"),
         "cutoff": (lambda: InfluenceFunction("power-law-with-cutoff", s=1.0, cutoff=0.0),
                    ValueError, "cutoff radius must be positive"),
+        # a parameter the kind never reads is refused, not silently dropped
+        "power-law-cutoff": (lambda: InfluenceFunction("power-law", s=0.5, cutoff=2.0),
+                             ValueError, "the power-law kernel does not read cutoff"),
+        "cutoff-kind-table": (
+            lambda: InfluenceFunction("power-law-with-cutoff", s=0.5, cutoff=2.0,
+                                      table=((0.0, 1.0),)),
+            ValueError, "the power-law-with-cutoff kernel does not read table",
+        ),
+        "tabulated-s": (lambda: InfluenceFunction("tabulated", s=0.5, table=((0.0, 1.0),)),
+                        ValueError, "the tabulated kernel does not read s"),
         "empty-table": (lambda: InfluenceFunction("tabulated", table=()), ValueError,
                         "tabulated kind needs a non-empty table"),
         "negative-table": (

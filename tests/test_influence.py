@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from scipy.spatial.distance import cdist
 
 from flocklab.dynamics import AgentEnsemble, ModelSpec, build_matrix
 from flocklab.influence import (
+    NORMALIZATIONS,
+    ZERO_SPEED_THRESHOLD,
     InfluenceFunction,
     InfluenceMatrix,
     build_cs,
@@ -433,6 +437,80 @@ def test_vision_gamma_range():
         build_vision(x, v, dist, phi, gamma=1.5, normalization="cs-style")
     with pytest.raises(ValueError):
         build_vision(x, v, dist, phi, gamma=0.0, normalization="weird")
+
+
+def vision_cone_reference(x, v, gamma):
+    """Who each agent sees, pair by pair: the projection h_i . (x_j - x_i)
+    summed in axis order, over the distance summed the same way.  Returns the
+    cone and the number of exact ties, integer pairs at gamma = 0 whose
+    v_i . (x_j - x_i) is 0 in exact arithmetic, which only that order decides."""
+    n, d = x.shape
+    cone, ties = np.ones((n, n), dtype=bool), 0
+    for i in range(n):
+        speed = math.sqrt(sum(c * c for c in v[i]))
+        for j in range(n):
+            disp = [x[j, k] - x[i, k] for k in range(d)]
+            r = math.sqrt(sum(c * c for c in disp))
+            if speed < ZERO_SPEED_THRESHOLD or r == 0.0:
+                continue
+            proj = 0.0
+            for k in range(d):
+                proj += v[i, k] / speed * disp[k]
+            cone[i, j] = proj / r >= gamma
+            ties += gamma == 0 and sum(Fraction(a) * Fraction(b) for a, b in zip(v[i], disp)) == 0
+    return cone, ties
+
+
+def vision_ensembles():
+    """Random and integer-grid ensembles in 1-3D, with some agents at rest."""
+    rng = np.random.default_rng(40)
+    for d in (1, 2, 3):
+        for _ in range(8):
+            n = int(rng.integers(2, 16))
+            x, v = rng.uniform(-4, 4, size=(n, d)), rng.normal(size=(n, d))
+            v[rng.random(n) < 0.2] = 0.0
+            yield "random", x, v
+            x = rng.integers(-3, 4, size=(n, d)).astype(float)
+            v = rng.integers(-2, 3, size=(n, d)).astype(float)
+            v[rng.random(n) < 0.2] = 0.0
+            yield "grid", x, v
+
+
+def test_vision_cone_sums_the_projection_in_axis_order():
+    # the off-diagonal pattern must equal the per-pair loop's cone bit for bit;
+    # on the grid an exact tie's side is the one the axis-order sum rounds to
+    phi, ties = InfluenceFunction.power_law(0.5), 0
+    for kind, x, v in vision_ensembles():
+        off = ~np.eye(len(x), dtype=bool)
+        for gamma in (-1.0, 0.0, 0.3, 1.0):
+            cone, tied = vision_cone_reference(x, v, gamma)
+            ties += tied
+            for normalization in NORMALIZATIONS:
+                m = build_vision(x, v, pairwise_distances(x), phi, gamma, normalization).entries
+                assert np.array_equal((m != 0.0) & off, cone & off), (kind, gamma, x, v)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_vision_build_holds_no_displacement_array(d):
+    # peak traced bytes of one build beyond its distance matrix, in N x N
+    # arrays: the result, two projection scratch arrays freed before the
+    # kernel is evaluated, and boolean masks; an N x N x d displacement
+    # array alone would be d of them
+    n = 150
+    rng = np.random.default_rng(d)
+    x, v = rng.uniform(0, 5, size=(n, d)), rng.normal(size=(n, d))
+    v[:10] = 0.0
+    dist = pairwise_distances(x)
+    phi = InfluenceFunction.power_law(0.5)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        build_vision(x, v, dist, phi, gamma=0.2, normalization="mt-style")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak / dist.nbytes <= 4.0
 
 
 @given(positions_strategy(max_n=6, dims=(2, 2)), st.integers(0, 3))
